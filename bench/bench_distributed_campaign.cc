@@ -9,14 +9,19 @@
  * reproduce the exact campaignChecksum and a byte-identical manifest
  * "results" section of the single-process run.  A final leg SIGKILLs
  * a worker mid-shard (the --die-after-results fault hook) and checks
- * the re-issued leases still converge to the same bits.  Exits
- * non-zero on any divergence — this is the CI smoke for the service.
+ * the re-issued leases still converge to the same bits.  Every leg
+ * is timed from its first worker spawn to its last reap, so a worker
+ * that lingers after its coordinator returns shows in the wall time.
+ * Exits non-zero on any divergence and on any worker that exits
+ * non-zero or on a signal (other than the victim's own SIGKILL) —
+ * this is the CI smoke for the service.
  */
 
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -67,11 +72,20 @@ spawnWorker(const std::string &addr, const std::string &name,
     ::_exit(127);
 }
 
-void
+/** Wait for one worker and return its wait status. */
+int
 reap(pid_t pid)
 {
     int status = 0;
-    ::waitpid(pid, &status, 0);
+    if (::waitpid(pid, &status, 0) != pid)
+        std::perror("waitpid");
+    return status;
+}
+
+bool
+exitedCleanly(int status)
+{
+    return WIFEXITED(status) && WEXITSTATUS(status) == 0;
 }
 
 } // namespace
@@ -129,25 +143,29 @@ main()
     }
 
     bool all_identical = true;
+    bool workers_ok = true; //!< every worker exited with status 0
     for (int workers : {1, 2, 4}) {
         const std::string sock =
             socketPath("w" + std::to_string(workers));
         const std::string manifest =
             "bench_distributed_" + std::to_string(workers) +
             ".manifest.json";
-        std::vector<pid_t> pids;
-        for (int w = 0; w < workers; ++w)
-            pids.push_back(spawnWorker("unix:" + sock,
-                                       "w" + std::to_string(w)));
         CoordinatorOptions copts;
         copts.listenAddr = "unix:" + sock;
         copts.leaseShards = 8;
         copts.reportPath = manifest;
         CoordinatorRun run;
-        const double secs = timeSeconds(
-            [&] { run = runCampaignCoordinator(req, copts); });
-        for (pid_t pid : pids)
-            reap(pid);
+        // Each leg's wall time spans the whole worker lifetime, from
+        // the first spawn to the last reap.
+        const double secs = timeSeconds([&] {
+            std::vector<pid_t> pids;
+            for (int w = 0; w < workers; ++w)
+                pids.push_back(spawnWorker("unix:" + sock,
+                                           "w" + std::to_string(w)));
+            run = runCampaignCoordinator(req, copts);
+            for (pid_t pid : pids)
+                workers_ok = exitedCleanly(reap(pid)) && workers_ok;
+        });
 
         const std::uint64_t got =
             run.complete ? campaignChecksum(run.result) : 0;
@@ -191,17 +209,26 @@ main()
     bool kill_identical = false;
     {
         const std::string sock = socketPath("kill");
-        const pid_t victim = spawnWorker("unix:" + sock, "victim",
-                                         /*die_after_results=*/1);
-        const pid_t survivor = spawnWorker("unix:" + sock, "survivor");
         CoordinatorOptions copts;
         copts.listenAddr = "unix:" + sock;
         copts.leaseShards = 8;
         CoordinatorRun run;
-        const double secs = timeSeconds(
-            [&] { run = runCampaignCoordinator(req, copts); });
-        reap(victim);
-        reap(survivor);
+        const double secs = timeSeconds([&] {
+            const pid_t victim = spawnWorker("unix:" + sock, "victim",
+                                             /*die_after_results=*/1);
+            const pid_t survivor =
+                spawnWorker("unix:" + sock, "survivor");
+            run = runCampaignCoordinator(req, copts);
+            // The victim may only die by its own SIGKILL hook (or exit
+            // cleanly when the survivor drained the plan before its
+            // second lease); the survivor must exit cleanly.
+            const int victim_status = reap(victim);
+            workers_ok = (exitedCleanly(victim_status) ||
+                          (WIFSIGNALED(victim_status) &&
+                           WTERMSIG(victim_status) == SIGKILL)) &&
+                         workers_ok;
+            workers_ok = exitedCleanly(reap(survivor)) && workers_ok;
+        });
         kill_identical =
             run.complete && campaignChecksum(run.result) == want;
         std::uint64_t expired = 0;
@@ -215,5 +242,7 @@ main()
                   << std::flush;
     }
 
-    return all_identical && kill_identical ? 0 : 1;
+    if (!workers_ok)
+        std::cout << "ERROR: a worker exited abnormally\n";
+    return all_identical && kill_identical && workers_ok ? 0 : 1;
 }

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
@@ -121,31 +122,6 @@ campaignConfigHash(const Network &net, const Tensor &input,
 namespace
 {
 
-/** One unit of the injection fan-out: a run of samples of one
- *  (layer, category) cell with its own forked RNG stream. */
-struct Shard
-{
-    std::uint64_t ordinal = 0; //!< position in the deterministic plan
-    std::size_t cell = 0;      //!< index into CampaignResult::cells
-    NodeId node = 0;
-    FFCategory category = FFCategory::OutputPsum;
-    int samples = 0;
-    Rng rng;
-};
-
-/** Private accumulators of one shard, merged in shard-plan order. */
-struct ShardOutput
-{
-    std::uint64_t maskedCount = 0;
-    std::uint64_t trials = 0;
-    std::vector<std::pair<double, bool>> singleNeuronSamples;
-
-    /** Fault-site fingerprints of the cache-eligible injections, in
-     *  sample order (result cache enabled only).  Never journaled —
-     *  they feed the deterministic plan replay of this process. */
-    std::vector<std::uint64_t> fingerprints;
-};
-
 /** Adaptive scheduling state of one (layer, category) cell. */
 struct CellSched
 {
@@ -159,18 +135,6 @@ struct CellSched
      *  any *other* cell stays live. */
     Rng stream{0};
 };
-
-ShardRecord
-recordOf(const Shard &sh, const ShardOutput &out)
-{
-    ShardRecord r;
-    r.ordinal = sh.ordinal;
-    r.cell = sh.cell;
-    r.maskedCount = out.maskedCount;
-    r.trials = out.trials;
-    r.samples = out.singleNeuronSamples;
-    return r;
-}
 
 /**
  * Seconds to integer nanoseconds, saturating at the int64 range — a
@@ -191,16 +155,31 @@ secondsToNsSaturating(double seconds)
     return static_cast<std::int64_t>(ns);
 }
 
-/** Per-worker telemetry slot: exclusively owned by one pool worker
- *  during the fan-out, so accumulation never takes a lock; cache-line
- *  aligned so neighbouring slots cannot false-share. */
+/**
+ * Everything one executor of shards owns exclusively: a pool worker
+ * for the length of an in-process campaign, or a FixedShardExecutor
+ * for its whole life.  The engine scratch (incremental cone engine,
+ * batched engine with its lane planes, the record buffer batches land
+ * in) is reused across every shard the owner runs, keeping the hot
+ * loop allocation-free at steady state.  A slot lives exactly as long
+ * as its owner, so the engines' cumulative totals are the owner's
+ * totals.  Cache-line aligned so neighbouring pool slots cannot
+ * false-share; accumulation never takes a lock.
+ */
 struct alignas(64) WorkerSlot
 {
     std::uint64_t shards = 0;
     std::uint64_t injections = 0;
-    IncrementalTotals engine;
-    BatchedTotals batched;
     MetricSet metrics;
+    IncrementalEngine engine;
+    std::unique_ptr<BatchedEngine> batched;
+    std::vector<InjectionRecord> recs;
+
+    BatchedTotals
+    batchedTotals() const
+    {
+        return batched ? batched->totals() : BatchedTotals{};
+    }
 };
 
 /** |delta| buckets of the single-faulty-neuron perturbation histogram
@@ -213,61 +192,172 @@ deltaHistogramEdges()
     return edges;
 }
 
-/** Per-executor engine scratch, reused across every shard the
- *  executor runs (a pool thread in-process; the whole process in a
- *  service worker): incremental cone engine, batched engine with its
- *  lane planes, and the record buffer batches land in. */
-struct ShardScratch
-{
-    IncrementalEngine engine;
-    std::unique_ptr<BatchedEngine> batched;
-    std::vector<InjectionRecord> recs;
-};
-
-/**
- * Execute every sample of one shard through the engines cfg selects
- * and feed each InjectionRecord, in sample order, to `account`.  The
- * record stream is a pure function of the shard (its stream, cell,
- * sample count) and the config's sample identity — the single code
- * path behind both the in-process fan-out and the service worker's
- * executeFixedShardRange, so the two cannot drift apart.
- */
-template <typename AccountFn>
+/** Reject a config no campaign can run.  The one check behind
+ *  runCampaign, fixedShardPlan and FixedShardExecutor. */
 void
-runShardSamples(Injector &injector, const CorrectnessFn &correct,
-                const CampaignConfig &cfg, Shard &sh,
-                ShardScratch &scratch, AccountFn &&account)
+validateCampaignConfig(const Network &net, const CampaignConfig &cfg)
 {
-    IncrementalEngine *engine = nullptr;
-    IncrementalOptions opt;
-    opt.denseThreshold = cfg.incrementalDenseThreshold;
-    if (cfg.incremental) {
-        scratch.engine.setOptions(opt);
-        engine = &scratch.engine;
-    }
-    const bool batched = cfg.incremental && cfg.batchWidth > 1;
-    if (batched) {
-        // The factory rounds the allocation width up to a
-        // power-of-two lane count; reuse the engine when it still
-        // fits the requested width.
-        if (!scratch.batched ||
-            scratch.batched->maxLanes() < cfg.batchWidth)
-            scratch.batched = makeBatchedEngine(cfg.batchWidth, opt);
-        scratch.batched->setOptions(opt);
-        scratch.recs.resize(static_cast<std::size_t>(sh.samples));
-        injector.injectBatch(sh.node, sh.category, correct, sh.rng,
-                             sh.samples, cfg.outputClampAbs,
-                             cfg.batchWidth, *scratch.batched,
-                             scratch.engine, scratch.recs.data());
-        for (int s = 0; s < sh.samples; ++s)
-            account(scratch.recs[static_cast<std::size_t>(s)]);
-    } else {
-        for (int s = 0; s < sh.samples; ++s)
-            account(injector.inject(sh.node, sh.category, correct,
-                                    sh.rng, cfg.outputClampAbs,
-                                    engine));
+    fatal_if(net.macNodes().empty(), "network ", net.name(),
+             " has no MAC layers");
+    fatal_if(cfg.shardGrain <= 0, "campaign shardGrain must be > 0, got ",
+             cfg.shardGrain);
+    fatal_if(cfg.checkpointEverySec < 0.0,
+             "campaign checkpointEverySec must be >= 0, got ",
+             cfg.checkpointEverySec);
+    fatal_if(cfg.targetHalfWidth < 0.0,
+             "campaign targetHalfWidth must be >= 0, got ",
+             cfg.targetHalfWidth);
+    fatal_if(cfg.batchWidth < 1 || cfg.batchWidth > kMaxBatchLanes,
+             "campaign batchWidth must be in [1, ", kMaxBatchLanes,
+             "], got ", cfg.batchWidth);
+    fatal_if(cfg.resultCacheEnabled && !cfg.resultCache &&
+                 cfg.resultCacheMB <= 0,
+             "campaign resultCacheMB must be > 0 when the result cache "
+             "is enabled, got ", cfg.resultCacheMB);
+    if (cfg.targetHalfWidth > 0.0) {
+        fatal_if(cfg.confidenceZ <= 0.0,
+                 "campaign confidenceZ must be > 0, got ",
+                 cfg.confidenceZ);
+        fatal_if(cfg.minSamples <= 0,
+                 "campaign minSamples must be > 0, got ", cfg.minSamples);
+        fatal_if(cfg.maxSamplesPerCategory < cfg.minSamples,
+                 "campaign maxSamplesPerCategory (",
+                 cfg.maxSamplesPerCategory, ") must be >= minSamples (",
+                 cfg.minSamples, ")");
     }
 }
+
+/**
+ * Attach the fault-site memo table cfg selects to `injector` and
+ * return it (null when the cache is disabled): the caller-supplied
+ * table, which extends the sharing across campaigns, or a private one
+ * of resultCacheMB.  The generation bump ages the previous campaign's
+ * entries for eviction without invalidating them.
+ */
+std::shared_ptr<ResultCache>
+attachResultCache(Injector &injector, const CampaignConfig &cfg)
+{
+    if (!cfg.resultCacheEnabled)
+        return nullptr;
+    std::shared_ptr<ResultCache> cache = cfg.resultCache;
+    if (!cache)
+        cache = std::make_shared<ResultCache>(
+            static_cast<std::size_t>(cfg.resultCacheMB) << 20);
+    cache->newGeneration();
+    injector.attachResultCache(cache.get(), cfg.resultCacheSalt);
+    return cache;
+}
+
+/**
+ * Stream i of the fixed schedule is the i-th fork of the master seed.
+ * The master is consumed only by these forks, in plan order, so the
+ * faults a shard draws are a function of (seed, shardGrain,
+ * samplesPerCategory) alone, in every process that executes it.
+ */
+std::vector<Rng>
+fixedShardStreams(const CampaignConfig &cfg, std::size_t count)
+{
+    Rng master(cfg.seed);
+    std::vector<Rng> streams;
+    streams.reserve(count);
+    for (std::size_t i = 0; i < count; ++i)
+        streams.push_back(master.fork());
+    return streams;
+}
+
+/**
+ * The one shard path behind both the in-process fan-out and
+ * FixedShardExecutor, so threads and worker processes cannot drift
+ * apart.  Holds what every shard shares: the Injector (whose
+ * construction runs the golden forward pass and warms the MAC layers'
+ * precision-converted weight caches, a precondition of concurrent
+ * inject calls), the config, and the attached result cache.  run() is
+ * safe to call concurrently as long as each caller owns its slot.
+ */
+class ShardRunner
+{
+  public:
+    ShardRunner(const Network &net, const Tensor &input,
+                const CorrectnessFn &correct, const CampaignConfig &cfg)
+        : correct_(correct), cfg_(cfg), injector_(net, input, cfg.accel),
+          cache_(attachResultCache(injector_, cfg))
+    {
+    }
+
+    const Injector &injector() const { return injector_; }
+    const std::shared_ptr<ResultCache> &resultCache() const
+    {
+        return cache_;
+    }
+
+    /**
+     * Execute every sample of `e`, drawing from `rng`, through the
+     * engines cfg selects, and account them into the entry's record
+     * and the slot's counters.  The record is a pure function of the
+     * entry, the stream and the config's sample identity.  When
+     * `fingerprints` is non-null, the fault-site fingerprints of the
+     * cache-eligible injections are appended to it in sample order.
+     */
+    ShardRecord
+    run(const ShardPlanEntry &e, Rng rng, WorkerSlot &slot,
+        std::vector<std::uint64_t> *fingerprints) const
+    {
+        ShardRecord r;
+        r.ordinal = e.ordinal;
+        r.cell = e.cell;
+        auto account = [&](const InjectionRecord &rec) {
+            r.maskedCount += rec.masked ? 1 : 0;
+            r.trials += 1;
+            // Which probes hit is interleaving-dependent on a shared
+            // table, so no live hit/miss counters here (the manifest
+            // must stay deterministic); the fingerprint log feeds the
+            // deterministic plan replay instead.
+            if (fingerprints && rec.cacheEligible)
+                fingerprints->push_back(rec.fingerprint);
+            slot.metrics
+                .counter(rec.masked ? "inject.masked" : "inject.unmasked")
+                .add();
+            if (rec.numFaultyNeurons == 1 &&
+                isDatapathCategory(e.category)) {
+                r.samples.emplace_back(rec.maxAbsDelta, !rec.masked);
+                slot.metrics
+                    .histogram("inject.abs_delta", deltaHistogramEdges())
+                    .add(rec.maxAbsDelta);
+            }
+        };
+
+        IncrementalOptions opt;
+        opt.denseThreshold = cfg_.incrementalDenseThreshold;
+        slot.engine.setOptions(opt);
+        if (cfg_.incremental && cfg_.batchWidth > 1) {
+            if (!slot.batched)
+                slot.batched = makeBatchedEngine(cfg_.batchWidth, opt);
+            slot.recs.resize(static_cast<std::size_t>(e.samples));
+            injector_.injectBatch(e.node, e.category, correct_, rng,
+                                  e.samples, cfg_.outputClampAbs,
+                                  cfg_.batchWidth, *slot.batched,
+                                  slot.engine, slot.recs.data());
+            for (int s = 0; s < e.samples; ++s)
+                account(slot.recs[static_cast<std::size_t>(s)]);
+        } else {
+            IncrementalEngine *engine =
+                cfg_.incremental ? &slot.engine : nullptr;
+            for (int s = 0; s < e.samples; ++s)
+                account(injector_.inject(e.node, e.category, correct_,
+                                         rng, cfg_.outputClampAbs,
+                                         engine));
+        }
+        slot.shards += 1;
+        slot.injections += r.trials;
+        return r;
+    }
+
+  private:
+    CorrectnessFn correct_;
+    CampaignConfig cfg_;
+    Injector injector_;
+    std::shared_ptr<ResultCache> cache_;
+};
 
 } // namespace
 
@@ -277,25 +367,20 @@ fixedShardPlan(const Network &net, const CampaignConfig &cfg)
     fatal_if(cfg.targetHalfWidth > 0.0,
              "adaptive campaigns (targetHalfWidth > 0) have no static "
              "shard plan; only fixed schedules distribute");
-    fatal_if(cfg.shardGrain <= 0, "campaign shardGrain must be > 0, got ",
-             cfg.shardGrain);
-    std::vector<NodeId> nodes = net.macNodes();
-    fatal_if(nodes.empty(), "network ", net.name(), " has no MAC layers");
+    validateCampaignConfig(net, cfg);
 
-    // Mirrors runCampaign's fixed-schedule planning loop exactly:
-    // node-major cells in Table II category order, GlobalControl
-    // ineligible, quotas sliced into shards of at most shardGrain.
-    const auto &cats = allFFCategories();
+    // Node-major cells in Table II category order (runCampaign's cell
+    // table), GlobalControl ineligible, quotas sliced into shards of
+    // at most shardGrain.
     std::vector<ShardPlanEntry> plan;
-    std::uint64_t ordinal = 0;
     std::uint64_t cell = 0;
-    for (NodeId node : nodes) {
-        for (FFCategory cat : cats) {
+    for (NodeId node : net.macNodes()) {
+        for (FFCategory cat : allFFCategories()) {
             if (cat != FFCategory::GlobalControl) {
                 for (int s = 0; s < cfg.samplesPerCategory;
                      s += cfg.shardGrain) {
                     ShardPlanEntry e;
-                    e.ordinal = ordinal++;
+                    e.ordinal = plan.size();
                     e.cell = cell;
                     e.node = node;
                     e.category = cat;
@@ -310,46 +395,23 @@ fixedShardPlan(const Network &net, const CampaignConfig &cfg)
     return plan;
 }
 
-/**
- * Everything executeFixedShardRange used to rebuild per call, hoisted
- * so a reused executor pays it once: the plan, the Injector (whose
- * construction runs the golden forward pass), the result cache, and
- * the engine scratch.  All of it is performance state — the record
- * stream depends only on the shard streams and cfg's sample identity.
- */
+/** The fixed plan, its streams and a shard runner with one slot:
+ *  construction pays all of it once, so each execute() costs only its
+ *  shards. */
 struct FixedShardExecutor::Impl
 {
-    Impl(const Network &n, const Tensor &in, const CorrectnessFn &c,
-         const CampaignConfig &config)
-        : input(in), correct(c), cfg(config),
-          plan(fixedShardPlan(n, config)),
-          injector(n, in, config.accel)
+    Impl(const Network &net, const Tensor &input,
+         const CorrectnessFn &correct, const CampaignConfig &cfg)
+        : plan(fixedShardPlan(net, cfg)),
+          streams(fixedShardStreams(cfg, plan.size())),
+          runner(net, input, correct, cfg)
     {
-        fatal_if(cfg.batchWidth < 1 || cfg.batchWidth > kMaxBatchLanes,
-                 "campaign batchWidth must be in [1, ", kMaxBatchLanes,
-                 "], got ", cfg.batchWidth);
-        if (cfg.resultCacheEnabled) {
-            resultCache = cfg.resultCache;
-            if (!resultCache) {
-                fatal_if(cfg.resultCacheMB <= 0,
-                         "campaign resultCacheMB must be > 0 when the "
-                         "result cache is enabled, got ",
-                         cfg.resultCacheMB);
-                resultCache = std::make_shared<ResultCache>(
-                    static_cast<std::size_t>(cfg.resultCacheMB) << 20);
-            }
-            injector.attachResultCache(resultCache.get(),
-                                       cfg.resultCacheSalt);
-        }
     }
 
-    const Tensor &input;
-    CorrectnessFn correct;
-    CampaignConfig cfg;
     std::vector<ShardPlanEntry> plan;
-    Injector injector;
-    std::shared_ptr<ResultCache> resultCache;
-    ShardScratch scratch;
+    std::vector<Rng> streams;
+    ShardRunner runner;
+    WorkerSlot slot;
 };
 
 FixedShardExecutor::FixedShardExecutor(const Network &net,
@@ -372,57 +434,15 @@ std::vector<ShardRecord>
 FixedShardExecutor::execute(std::uint64_t first, std::uint64_t count)
 {
     Impl &im = *impl_;
-    const std::vector<ShardPlanEntry> &plan = im.plan;
-    const CampaignConfig &cfg = im.cfg;
-    fatal_if(first > plan.size() || count > plan.size() - first,
+    fatal_if(first > im.plan.size() || count > im.plan.size() - first,
              "shard range [", first, ", ", first + count,
-             ") exceeds the ", plan.size(), "-shard plan");
-
-    // Re-derive each leased shard's stream: the master stream is
-    // consumed once per plan entry, in ordinal order, exactly as
-    // runCampaign's planning loop forks it — so a shard executed here
-    // draws the same faults it would draw in-process.
-    Rng master(cfg.seed);
+             ") exceeds the ", im.plan.size(), "-shard plan");
     std::vector<ShardRecord> records;
     records.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < plan.size(); ++i) {
-        if (i >= first + count)
-            break;
-        Rng stream = master.fork();
-        if (i < first)
-            continue;
-        const ShardPlanEntry &e = plan[i];
-        Shard sh;
-        sh.ordinal = e.ordinal;
-        sh.cell = e.cell;
-        sh.node = e.node;
-        sh.category = e.category;
-        sh.samples = e.samples;
-        sh.rng = stream;
-        ShardOutput out;
-        auto account = [&](const InjectionRecord &rec) {
-            out.maskedCount += rec.masked ? 1 : 0;
-            out.trials += 1;
-            if (rec.numFaultyNeurons == 1 &&
-                isDatapathCategory(sh.category))
-                out.singleNeuronSamples.emplace_back(rec.maxAbsDelta,
-                                                     !rec.masked);
-        };
-        runShardSamples(im.injector, im.correct, cfg, sh, im.scratch,
-                        account);
-        records.push_back(recordOf(sh, out));
-    }
+    for (std::uint64_t i = first; i < first + count; ++i)
+        records.push_back(
+            im.runner.run(im.plan[i], im.streams[i], im.slot, nullptr));
     return records;
-}
-
-std::vector<ShardRecord>
-executeFixedShardRange(const Network &net, const Tensor &input,
-                       const CorrectnessFn &correct,
-                       const CampaignConfig &cfg, std::uint64_t first,
-                       std::uint64_t count)
-{
-    FixedShardExecutor executor(net, input, correct, cfg);
-    return executor.execute(first, count);
 }
 
 CampaignResult
@@ -447,59 +467,16 @@ runCampaign(const Network &net, const Tensor &input,
     Timer &fit_timer = coord_metrics.timer("phase.fit");
     ScopedTimer plan_scope(plan_timer); // setup + first plan
 
-    // Also warms the MAC layers' precision-converted weight caches, a
-    // precondition of concurrent Injector::inject calls.
-    Injector injector(net, input, cfg.accel);
-
-    std::vector<NodeId> nodes = net.macNodes();
-    fatal_if(nodes.empty(), "network ", net.name(), " has no MAC layers");
-    fatal_if(cfg.shardGrain <= 0, "campaign shardGrain must be > 0, got ",
-             cfg.shardGrain);
-    fatal_if(cfg.checkpointEverySec < 0.0,
-             "campaign checkpointEverySec must be >= 0, got ",
-             cfg.checkpointEverySec);
-    fatal_if(cfg.targetHalfWidth < 0.0,
-             "campaign targetHalfWidth must be >= 0, got ",
-             cfg.targetHalfWidth);
-    fatal_if(cfg.batchWidth < 1 || cfg.batchWidth > kMaxBatchLanes,
-             "campaign batchWidth must be in [1, ", kMaxBatchLanes,
-             "], got ", cfg.batchWidth);
+    validateCampaignConfig(net, cfg);
     const bool adaptive = cfg.targetHalfWidth > 0.0;
-    fatal_if(cfg.resultCacheEnabled && !cfg.resultCache &&
-                 cfg.resultCacheMB <= 0,
-             "campaign resultCacheMB must be > 0 when the result cache "
-             "is enabled, got ", cfg.resultCacheMB);
-    if (adaptive) {
-        fatal_if(cfg.confidenceZ <= 0.0,
-                 "campaign confidenceZ must be > 0, got ",
-                 cfg.confidenceZ);
-        fatal_if(cfg.minSamples <= 0,
-                 "campaign minSamples must be > 0, got ", cfg.minSamples);
-        fatal_if(cfg.maxSamplesPerCategory < cfg.minSamples,
-                 "campaign maxSamplesPerCategory (",
-                 cfg.maxSamplesPerCategory, ") must be >= minSamples (",
-                 cfg.minSamples, ")");
-    }
-
-    // One fault-site memo table shared across workers and adaptive
-    // rounds; a caller-supplied table extends the sharing across
-    // campaigns.  The generation bump ages the previous campaign's
-    // entries for eviction without invalidating them.
-    std::shared_ptr<ResultCache> result_cache;
-    if (cfg.resultCacheEnabled) {
-        result_cache = cfg.resultCache;
-        if (!result_cache)
-            result_cache = std::make_shared<ResultCache>(
-                static_cast<std::size_t>(cfg.resultCacheMB) << 20);
-        result_cache->newGeneration();
-        injector.attachResultCache(result_cache.get(),
-                                   cfg.resultCacheSalt);
-    }
+    const ShardRunner runner(net, input, correct, cfg);
+    const std::shared_ptr<ResultCache> &result_cache =
+        runner.resultCache();
 
     // Cell table: node-major, Table II category order.  GlobalControl
     // cells never draw samples (Prob_SWmask(global, r) = 0 by
     // definition); every other cell is schedulable.
-    Rng master(cfg.seed);
+    const std::vector<NodeId> nodes = net.macNodes();
     const auto &cats = allFFCategories();
     std::vector<CellSched> sched;
     for (NodeId node : nodes) {
@@ -524,6 +501,7 @@ runCampaign(const Network &net, const Tensor &input,
         // chain (and through it every one of its shard streams) is a
         // function of (seed, cell index) alone, never of which other
         // cells retired when, and never of the thread count.
+        Rng master(cfg.seed);
         for (CellSched &cs : sched)
             if (cs.eligible)
                 cs.stream = master.fork();
@@ -532,40 +510,11 @@ runCampaign(const Network &net, const Tensor &input,
     // ----- Resume --------------------------------------------------
     const std::uint64_t cfg_hash = campaignConfigHash(net, input, cfg);
     result.configHash = cfg_hash;
-    CampaignSnapshot resume_snap;
-    std::unordered_map<std::uint64_t, const ShardRecord *> restored;
-    if (!cfg.resumeFrom.empty()) {
-        if (snapshotExists(cfg.resumeFrom)) {
-            resume_snap = readSnapshot(cfg.resumeFrom);
-            fatal_if(resume_snap.configHash != cfg_hash,
-                     "snapshot ", cfg.resumeFrom, " was written by a "
-                     "campaign with a different sample identity "
-                     "(config hash mismatch)");
-            for (const ShardRecord &r : resume_snap.shards)
-                restored.emplace(r.ordinal, &r);
-            if (cfg.progress)
-                inform("campaign ", net.name(), ": resuming from ",
-                       cfg.resumeFrom, " (", restored.size(),
-                       " shards journaled)");
-        } else if (cfg.progress) {
-            inform("campaign ", net.name(), ": no snapshot at ",
-                   cfg.resumeFrom, ", starting fresh");
-        }
-    } else if (cfg.resumeSnapshot) {
-        // In-memory twin of the file resume — the sim/service
-        // coordinator's merge path.  Same refusal discipline.
-        resume_snap = *cfg.resumeSnapshot;
-        fatal_if(resume_snap.configHash != cfg_hash,
-                 "in-memory resume snapshot was produced by a campaign "
-                 "with a different sample identity "
-                 "(config hash mismatch)");
-        for (const ShardRecord &r : resume_snap.shards)
-            restored.emplace(r.ordinal, &r);
-        if (cfg.progress)
-            inform("campaign ", net.name(),
-                   ": resuming from an in-memory snapshot (",
-                   restored.size(), " shards journaled)");
-    }
+    std::map<std::uint64_t, ShardRecord> restored = loadResumeShards(
+        cfg.resumeFrom, cfg.resumeSnapshot.get(), cfg_hash);
+    if (cfg.progress && (!cfg.resumeFrom.empty() || cfg.resumeSnapshot))
+        inform("campaign ", net.name(), ": resuming with ",
+               restored.size(), " journaled shards");
     tel.resumed = !restored.empty();
     tel.restoredShards = restored.size();
 
@@ -605,32 +554,32 @@ runCampaign(const Network &net, const Tensor &input,
     std::vector<WorkerSlot> worker_slots(
         static_cast<std::size_t>(pool.slotCount()));
 
-    // Execute one round of shards: restore what the snapshot already
-    // holds, fan the remainder out over the pool (honouring the
-    // stopAfterShards slice), and append everything completed to the
-    // archive.  Returns true when the slice limit cut the round short.
-    auto executeRound = [&](std::vector<Shard> &shards) -> bool {
-        const std::size_t n = shards.size();
-        std::vector<ShardOutput> outputs(n);
+    // Execute one round of shards (plan[i] draws from streams[i]):
+    // restore what the snapshot already holds, fan the remainder out
+    // over the pool (honouring the stopAfterShards slice), and append
+    // everything completed to the archive.  Returns true when the
+    // slice limit cut the round short.
+    auto executeRound = [&](const std::vector<ShardPlanEntry> &plan,
+                            const std::vector<Rng> &streams) -> bool {
+        const std::size_t n = plan.size();
+        std::vector<ShardRecord> records(n);
+        std::vector<std::vector<std::uint64_t>> fingerprints(n);
         std::vector<std::atomic<bool>> done(n);
 
         std::vector<std::size_t> pending;
         pending.reserve(n);
         for (std::size_t i = 0; i < n; ++i) {
-            auto it = restored.find(shards[i].ordinal);
+            auto it = restored.find(plan[i].ordinal);
             if (it == restored.end()) {
                 pending.push_back(i);
                 continue;
             }
-            const ShardRecord &r = *it->second;
-            fatal_if(r.cell != shards[i].cell ||
-                         r.trials !=
-                             static_cast<std::uint64_t>(shards[i].samples),
-                     "snapshot shard ", r.ordinal,
+            fatal_if(it->second.cell != plan[i].cell ||
+                         it->second.trials !=
+                             static_cast<std::uint64_t>(plan[i].samples),
+                     "snapshot shard ", it->second.ordinal,
                      " does not match the replayed shard plan");
-            outputs[i].maskedCount = r.maskedCount;
-            outputs[i].trials = r.trials;
-            outputs[i].singleNeuronSamples = r.samples;
+            records[i] = std::move(it->second);
             done[i].store(true, std::memory_order_relaxed);
         }
 
@@ -659,8 +608,7 @@ runCampaign(const Network &net, const Tensor &input,
             snap.shards = archive;
             for (std::size_t i = 0; i < n; ++i)
                 if (done[i].load(std::memory_order_acquire))
-                    snap.shards.push_back(recordOf(shards[i],
-                                                   outputs[i]));
+                    snap.shards.push_back(records[i]);
             CheckpointEvent ev;
             ev.shardsJournaled = snap.shards.size();
             ev.bytes = writeSnapshot(cfg.checkpointPath, snap);
@@ -672,57 +620,17 @@ runCampaign(const Network &net, const Tensor &input,
 
         ScopedTimer inject_scope(inject_timer);
         pool.forEachOf(pending, [&](std::size_t i) {
-            // One engine scratch per worker thread: its incremental
-            // engine, batched lane planes, and record buffer are
-            // reused across every shard the worker runs, keeping the
-            // hot loop allocation-free at steady state.
-            thread_local ShardScratch scratch;
             WorkerSlot &slot =
                 worker_slots[static_cast<std::size_t>(pool.callerSlot())];
-            Shard &sh = shards[i];
-            ShardOutput &out = outputs[i];
-            auto account = [&](const InjectionRecord &rec) {
-                out.maskedCount += rec.masked ? 1 : 0;
-                out.trials += 1;
-                // Which probes hit is interleaving-dependent on a
-                // shared table, so no live hit/miss counters here (the
-                // manifest must stay deterministic); the fingerprint
-                // log feeds the deterministic plan replay instead.
-                if (rec.cacheEligible)
-                    out.fingerprints.push_back(rec.fingerprint);
-                slot.metrics
-                    .counter(rec.masked ? "inject.masked"
-                                        : "inject.unmasked")
-                    .add();
-                if (rec.numFaultyNeurons == 1 &&
-                    isDatapathCategory(sh.category)) {
-                    out.singleNeuronSamples.emplace_back(
-                        rec.maxAbsDelta, !rec.masked);
-                    slot.metrics
-                        .histogram("inject.abs_delta",
-                                   deltaHistogramEdges())
-                        .add(rec.maxAbsDelta);
-                }
-            };
-            runShardSamples(injector, correct, cfg, sh, scratch,
-                            account);
-            slot.shards += 1;
-            slot.injections += out.trials;
-            if (cfg.incremental) {
-                // The scratch is thread-local and campaign-scoped
-                // (the pool's workers are fresh threads), so its
-                // cumulative totals ARE this worker's totals;
-                // overwrite, don't add.
-                slot.engine = scratch.engine.totals();
-                if (cfg.batchWidth > 1)
-                    slot.batched = scratch.batched->totals();
-            }
+            records[i] =
+                runner.run(plan[i], streams[i], slot, &fingerprints[i]);
+            const std::uint64_t trials = records[i].trials;
             done[i].store(true, std::memory_order_release);
 
             std::uint64_t inj =
-                injections_done.fetch_add(out.trials,
+                injections_done.fetch_add(trials,
                                           std::memory_order_relaxed) +
-                out.trials;
+                trials;
             std::uint64_t nth =
                 shards_done.fetch_add(1, std::memory_order_relaxed) + 1;
             std::int64_t now = now_ns();
@@ -750,15 +658,13 @@ runCampaign(const Network &net, const Tensor &input,
         inject_scope.stop();
         executed_this_run += pending.size();
 
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!done[i].load(std::memory_order_acquire))
-                continue;
-            archive.push_back(recordOf(shards[i], outputs[i]));
-            if (result_cache && restored.find(shards[i].ordinal) ==
-                                    restored.end())
-                fp_log.emplace(shards[i].ordinal,
-                               std::move(outputs[i].fingerprints));
-        }
+        if (result_cache)
+            for (std::size_t i : pending)
+                fp_log.emplace(plan[i].ordinal,
+                               std::move(fingerprints[i]));
+        for (std::size_t i = 0; i < n; ++i)
+            if (done[i].load(std::memory_order_acquire))
+                archive.push_back(std::move(records[i]));
         return stop_here;
     };
 
@@ -785,22 +691,6 @@ runCampaign(const Network &net, const Tensor &input,
         return static_cast<int>(more);
     };
 
-    // Slice a cell's round quota into shards of at most shardGrain
-    // samples, forking each shard's stream from `chain` in order.
-    auto planCell = [&](std::vector<Shard> &shards, std::size_t cell,
-                        int quota, Rng &chain) {
-        for (int s = 0; s < quota; s += cfg.shardGrain) {
-            Shard sh;
-            sh.ordinal = next_ordinal++;
-            sh.cell = cell;
-            sh.node = result.cells[cell].node;
-            sh.category = result.cells[cell].category;
-            sh.samples = std::min(cfg.shardGrain, quota - s);
-            sh.rng = chain.fork();
-            shards.push_back(std::move(sh));
-        }
-    };
-
     auto countCells = [&](auto pred) {
         std::uint64_t n = 0;
         for (const CellSched &cs : sched)
@@ -810,30 +700,29 @@ runCampaign(const Network &net, const Tensor &input,
     };
 
     if (!adaptive) {
-        // Fixed schedule: the whole plan is one round.  The master
-        // stream is consumed only by the forks, in plan order, so the
-        // streams each sample draws from are a function of
-        // (seed, shardGrain, samplesPerCategory) alone.
-        std::vector<Shard> shards;
-        for (std::size_t cell = 0; cell < sched.size(); ++cell)
-            if (sched[cell].eligible)
-                planCell(shards, cell, cfg.samplesPerCategory, master);
+        // Fixed schedule: the whole plan is one round.
+        const std::vector<ShardPlanEntry> plan = fixedShardPlan(net, cfg);
+        const std::vector<Rng> streams =
+            fixedShardStreams(cfg, plan.size());
         result.rounds = 1;
         RoundTelemetry rt;
-        rt.shardsPlanned = shards.size();
+        rt.shardsPlanned = plan.size();
         rt.cellsLive = countCells(
             [](const CellSched &cs) { return cs.eligible; });
         plan_scope.stop();
-        stopped = executeRound(shards);
+        stopped = executeRound(plan, streams);
         rt.cellsRetiredAfter = stopped ? 0 : rt.cellsLive;
         tel.rounds.push_back(rt);
     } else {
         // Adaptive schedule: rounds of shards for the live cells,
         // merged at a barrier; a cell retires once its Wilson
-        // half-width meets the target (or at the cap).
+        // half-width meets the target (or at the cap).  Each round's
+        // quota is sliced into shards of at most shardGrain samples,
+        // every shard's stream forked from its cell's chain in order.
         plan_scope.stop();
         for (;;) {
-            std::vector<Shard> shards;
+            std::vector<ShardPlanEntry> plan;
+            std::vector<Rng> streams;
             RoundTelemetry rt;
             {
                 ScopedTimer plan_round(plan_timer);
@@ -842,19 +731,28 @@ runCampaign(const Network &net, const Tensor &input,
                     CellSched &cs = sched[cell];
                     if (!cs.live)
                         continue;
-                    int quota = cs.trials == 0
-                                    ? cfg.minSamples
-                                    : nextQuota(cs);
-                    planCell(shards, cell, quota, cs.stream);
+                    const int quota = cs.trials == 0
+                                          ? cfg.minSamples
+                                          : nextQuota(cs);
+                    for (int s = 0; s < quota; s += cfg.shardGrain) {
+                        ShardPlanEntry e;
+                        e.ordinal = next_ordinal++;
+                        e.cell = cell;
+                        e.node = result.cells[cell].node;
+                        e.category = result.cells[cell].category;
+                        e.samples = std::min(cfg.shardGrain, quota - s);
+                        plan.push_back(e);
+                        streams.push_back(cs.stream.fork());
+                    }
                 }
             }
-            if (shards.empty())
+            if (plan.empty())
                 break;
             result.rounds += 1;
-            rt.shardsPlanned = shards.size();
+            rt.shardsPlanned = plan.size();
             rt.cellsLive = countCells(
                 [](const CellSched &cs) { return cs.live; });
-            stopped = executeRound(shards);
+            stopped = executeRound(plan, streams);
             if (stopped) {
                 rt.cellsRetiredAfter = countCells([](const CellSched
                                                          &cs) {
@@ -868,7 +766,7 @@ runCampaign(const Network &net, const Tensor &input,
             // is fully archived, so its records are the archive tail)
             // and retire cells that reached the target or the cap.
             for (auto it = archive.end() -
-                           static_cast<std::ptrdiff_t>(shards.size());
+                           static_cast<std::ptrdiff_t>(plan.size());
                  it != archive.end(); ++it) {
                 CellSched &cs = sched[it->cell];
                 cs.successes += it->maskedCount;
@@ -900,7 +798,6 @@ runCampaign(const Network &net, const Tensor &input,
         }
     }
     result.complete = !stopped;
-
     // Deterministic merge: shard-plan (ordinal) order, integer
     // accumulators.  Restored and freshly executed shards are
     // indistinguishable here — the source of resume bit-identity.
@@ -945,7 +842,8 @@ runCampaign(const Network &net, const Tensor &input,
     ScopedTimer fit_scope(fit_timer);
     std::size_t cell_idx = 0;
     for (NodeId node : nodes) {
-        EngineLayer el = timingLayer(net, node, injector.goldenActs());
+        EngineLayer el =
+            timingLayer(net, node, runner.injector().goldenActs());
         LayerTiming timing = estimateTiming(cfg.accel, el);
 
         LayerFitInput lfi;
@@ -988,12 +886,12 @@ runCampaign(const Network &net, const Tensor &input,
             WorkerTelemetry wt;
             wt.shards = slot.shards;
             wt.injections = slot.injections;
-            wt.engine = slot.engine;
-            wt.batched = slot.batched;
+            wt.engine = slot.engine.totals();
+            wt.batched = slot.batchedTotals();
             tel.workers.push_back(wt);
         }
-        tel.engine.mergeFrom(slot.engine);
-        tel.batched.mergeFrom(slot.batched);
+        tel.engine.mergeFrom(slot.engine.totals());
+        tel.batched.mergeFrom(slot.batchedTotals());
         tel.metrics.mergeFrom(slot.metrics);
     }
     // Result-cache observability via plan replay: drive the archived

@@ -332,33 +332,18 @@ std::vector<ShardPlanEntry> fixedShardPlan(const Network &net,
                                            const CampaignConfig &cfg);
 
 /**
- * Execute plan ordinals [first, first + count) of fixedShardPlan(net,
- * cfg) and return their shard journals, sorted by ordinal.  Rebuilds
- * the exact plan and per-shard Rng streams runCampaign would use, so
- * the records are byte-identical to the ones an in-process run journals
- * for the same ordinals — the worker half of the bit-identical merge.
- * Honors the engine/batch/result-cache performance knobs of `cfg`;
- * runs single-threaded (worker processes are the parallelism axis).
- */
-std::vector<ShardRecord> executeFixedShardRange(const Network &net,
-                                                const Tensor &input,
-                                                const CorrectnessFn &correct,
-                                                const CampaignConfig &cfg,
-                                                std::uint64_t first,
-                                                std::uint64_t count);
-
-/**
- * Reusable engine behind executeFixedShardRange.  Construction pays
- * the golden forward pass (Injector), the shard plan, the result
- * cache, and the incremental/batched engines once; each execute()
- * call then only re-derives its range's Rng streams — so a service
- * worker draining many small leases amortizes setup exactly like the
- * in-process fan-out, which holds one Injector and per-worker engines
- * for the whole campaign.  Engines and cache are pure performance
- * state: execute() records are byte-identical to a fresh
- * executeFixedShardRange call over the same range.  The referenced
- * network/input must outlive the executor; not thread-safe (worker
- * processes are the parallelism axis).
+ * Executes ranges of fixedShardPlan(net, cfg) — the worker half of the
+ * bit-identical distributed merge.  Shard i draws from the i-th
+ * Rng::fork() of the master seed, exactly as in runCampaign, and both
+ * run each shard through the same internal shard runner, so a record
+ * executed here is byte-identical to the one an in-process run
+ * journals for the same ordinal.  Construction pays the plan, its
+ * streams, the golden forward pass (Injector) and the result cache
+ * once; each execute() call then costs only its shards, with engine
+ * scratch reused across calls.  Honors the engine/batch/result-cache
+ * performance knobs of `cfg`, none of which changes a record.  The
+ * referenced network/input must outlive the executor; not thread-safe
+ * (worker processes are the parallelism axis).
  */
 class FixedShardExecutor
 {
@@ -371,8 +356,9 @@ class FixedShardExecutor
     /** Shards in the plan this executor serves. */
     std::uint64_t planSize() const;
 
-    /** Execute plan ordinals [first, first + count); see
-     *  executeFixedShardRange. */
+    /** Execute plan ordinals [first, first + count) and return their
+     *  shard journals, sorted by ordinal; fatals on a range outside
+     *  the plan. */
     std::vector<ShardRecord> execute(std::uint64_t first,
                                      std::uint64_t count);
 

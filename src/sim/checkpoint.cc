@@ -285,4 +285,28 @@ snapshotExists(const std::string &path)
     return static_cast<bool>(in);
 }
 
+std::map<std::uint64_t, ShardRecord>
+loadResumeShards(const std::string &path, const CampaignSnapshot *snap,
+                 std::uint64_t configHash)
+{
+    CampaignSnapshot loaded;
+    std::string source = "in-memory resume snapshot";
+    if (!path.empty()) {
+        if (!snapshotExists(path))
+            return {};
+        loaded = readSnapshot(path);
+        snap = &loaded;
+        source = "snapshot " + path;
+    }
+    if (!snap)
+        return {};
+    fatal_if(snap->configHash != configHash, source,
+             " was written by a campaign with a different sample "
+             "identity (config hash mismatch)");
+    std::map<std::uint64_t, ShardRecord> shards;
+    for (const ShardRecord &r : snap->shards)
+        shards.emplace(r.ordinal, r);
+    return shards;
+}
+
 } // namespace fidelity

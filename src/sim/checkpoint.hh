@@ -20,6 +20,7 @@
 #define FIDELITY_SIM_CHECKPOINT_HH
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -123,6 +124,18 @@ CampaignSnapshot readSnapshot(const std::string &path);
 
 /** True when `path` exists (the resume-if-present probe). */
 bool snapshotExists(const std::string &path);
+
+/**
+ * The journaled shards a resume restores, keyed by plan ordinal.  A
+ * non-empty `path` wins: its snapshot is read when the file exists,
+ * and a missing file restores nothing (a fresh start).  Otherwise
+ * `snap` is the source (null restores nothing).  Fatals when the
+ * source's configHash differs from `configHash`, so a journal of a
+ * campaign with a different sample identity is never merged.
+ */
+std::map<std::uint64_t, ShardRecord>
+loadResumeShards(const std::string &path, const CampaignSnapshot *snap,
+                 std::uint64_t configHash);
 
 } // namespace fidelity
 

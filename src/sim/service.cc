@@ -982,14 +982,8 @@ runCampaignCoordinator(const ServiceRequest &req,
     // Coordinator restart: restore the journals a previous run merged
     // and re-issue only the rest.  Partial chunks restore their
     // records too — re-execution overwrites them with identical bytes.
-    if (!opts.resumeFrom.empty() && snapshotExists(opts.resumeFrom)) {
-        CampaignSnapshot snap = readSnapshot(opts.resumeFrom);
-        fatal_if(snap.configHash != cfg_hash,
-                 "snapshot ", opts.resumeFrom, " was written by a "
-                 "campaign with a different sample identity "
-                 "(config hash mismatch)");
-        for (ShardRecord &r : snap.shards)
-            ctx.merged[r.ordinal] = std::move(r);
+    ctx.merged = loadResumeShards(opts.resumeFrom, nullptr, cfg_hash);
+    if (!ctx.merged.empty()) {
         for (std::uint64_t first = 0; first < plan.size();
              first += opts.leaseShards) {
             const std::uint64_t count =
@@ -1077,6 +1071,56 @@ runCampaignCoordinator(const ServiceRequest &req,
 
 // ----- Worker -------------------------------------------------------
 
+namespace
+{
+
+/**
+ * A worker's HEARTBEAT sender: one frame per period on `fd` (under the
+ * connection's write mutex) until destruction.  The period wait is a
+ * condition-variable wait the destructor interrupts, so stopping —
+ * and with it every worker exit — is immediate instead of waiting out
+ * the rest of a period.
+ */
+class HeartbeatThread
+{
+  public:
+    HeartbeatThread(int fd, std::mutex &write_mutex, double period_sec)
+        : thread_([this, fd, &write_mutex, period_sec] {
+              const auto period =
+                  std::chrono::duration<double>(period_sec);
+              std::unique_lock<std::mutex> lock(m_);
+              while (!cv_.wait_for(lock, period,
+                                   [this] { return stop_; })) {
+                  std::lock_guard<std::mutex> send_lock(write_mutex);
+                  if (!sendBytes(fd, encodeHeartbeat()))
+                      return;
+              }
+          })
+    {
+    }
+
+    ~HeartbeatThread()
+    {
+        {
+            std::lock_guard<std::mutex> lock(m_);
+            stop_ = true;
+        }
+        cv_.notify_all();
+        thread_.join();
+    }
+
+    HeartbeatThread(const HeartbeatThread &) = delete;
+    HeartbeatThread &operator=(const HeartbeatThread &) = delete;
+
+  private:
+    std::mutex m_;
+    std::condition_variable cv_;
+    bool stop_ = false;
+    std::thread thread_; //!< last: starts after the members it reads
+};
+
+} // namespace
+
 int
 runServiceWorker(const WorkerOptions &opts)
 {
@@ -1116,84 +1160,66 @@ runServiceWorker(const WorkerOptions &opts)
     fatal_if(!sendBytes(fd, encodeReady(ready)),
              "cannot send READY to ", opts.connectAddr);
 
-    // Heartbeats flow from a side thread while the main thread
-    // executes leases, so a long shard never looks like death.
-    std::atomic<bool> stop_heartbeat{false};
-    std::thread heartbeat([&] {
-        const auto period = std::chrono::duration<double>(
-            std::max(opts.heartbeatSec, 0.1));
-        while (!stop_heartbeat.load(std::memory_order_relaxed)) {
-            std::this_thread::sleep_for(period);
-            if (stop_heartbeat.load(std::memory_order_relaxed))
-                break;
-            std::lock_guard<std::mutex> lock(write_mutex);
-            if (!sendBytes(fd, encodeHeartbeat()))
-                break;
-        }
-    });
-    auto stopHeartbeat = [&] {
-        stop_heartbeat.store(true, std::memory_order_relaxed);
-        heartbeat.join();
-    };
+    // Why the lease loop ended: empty on DONE/DRAIN, else the fatal
+    // diagnostic.  The loop returns instead of exiting so the
+    // heartbeat thread it owns is stopped on every path.
+    auto serveLeases = [&]() -> std::string {
+        // Heartbeats flow from a side thread while this one executes
+        // leases, so a long shard never looks like death.
+        HeartbeatThread heartbeat(fd, write_mutex,
+                                  std::max(opts.heartbeatSec, 0.1));
 
-    // One executor for every lease this worker drains: the golden
-    // forward pass, result cache, and engines are paid once, as the
-    // in-process fan-out pays them — per-lease cost is just the
-    // shards themselves.  (The heartbeat thread above is already
-    // running, so a slow construction never looks like death.)
-    FixedShardExecutor executor(net, input, metric, cfg);
+        // One executor for every lease this worker drains: the golden
+        // forward pass, result cache, and engines are paid once, as
+        // the in-process fan-out pays them — per-lease cost is just
+        // the shards themselves.  (The heartbeat is already running,
+        // so a slow construction never looks like death.)
+        FixedShardExecutor executor(net, input, metric, cfg);
 
-    std::uint64_t results_sent = 0;
-    for (;;) {
-        FrameConn::Status st = conn.readFrame(f, -1.0, err);
-        if (st != FrameConn::Status::Frame) {
-            stopHeartbeat();
-            fatal("worker ", opts.name, " lost its coordinator: ",
-                  err);
-        }
-        if (f.type == FrameType::Done || f.type == FrameType::Drain) {
-            stopHeartbeat();
-            ::close(fd);
-            return 0;
-        }
-        if (f.type == FrameType::Error) {
-            std::string message;
-            tryParseText(f, FrameType::Error, message, err);
-            stopHeartbeat();
-            fatal("coordinator rejected worker ", opts.name, ": ",
-                  message);
-        }
-        LeasePayload lease;
-        if (!tryParseLease(f, lease, err)) {
-            stopHeartbeat();
-            fatal("worker ", opts.name, " got an unexpected frame: ",
-                  err);
-        }
-        // Deterministic fault hook: die mid-shard, holding this lease,
-        // once the configured number of RESULTs is out the door.
-        if (opts.dieAfterResults > 0 &&
-            results_sent >= opts.dieAfterResults)
-            ::raise(SIGKILL);
-
-        std::vector<ShardRecord> records =
-            executor.execute(lease.first, lease.count);
-        CampaignSnapshot journal;
-        journal.configHash = cfg_hash;
-        journal.shards = std::move(records);
-        ResultPayload result;
-        result.first = lease.first;
-        result.count = lease.count;
-        result.journal = encodeSnapshot(journal);
-        {
-            std::lock_guard<std::mutex> lock(write_mutex);
-            if (!sendBytes(fd, encodeResult(result))) {
-                stopHeartbeat();
-                fatal("worker ", opts.name,
-                      " lost its coordinator while sending RESULT");
+        std::uint64_t results_sent = 0;
+        for (;;) {
+            if (conn.readFrame(f, -1.0, err) != FrameConn::Status::Frame)
+                return "worker " + opts.name +
+                       " lost its coordinator: " + err;
+            if (f.type == FrameType::Done || f.type == FrameType::Drain)
+                return {};
+            if (f.type == FrameType::Error) {
+                std::string message;
+                tryParseText(f, FrameType::Error, message, err);
+                return "coordinator rejected worker " + opts.name +
+                       ": " + message;
             }
+            LeasePayload lease;
+            if (!tryParseLease(f, lease, err))
+                return "worker " + opts.name +
+                       " got an unexpected frame: " + err;
+            // Deterministic fault hook: die mid-shard, holding this
+            // lease, once the configured number of RESULTs is out the
+            // door.
+            if (opts.dieAfterResults > 0 &&
+                results_sent >= opts.dieAfterResults)
+                ::raise(SIGKILL);
+
+            CampaignSnapshot journal;
+            journal.configHash = cfg_hash;
+            journal.shards = executor.execute(lease.first, lease.count);
+            ResultPayload result;
+            result.first = lease.first;
+            result.count = lease.count;
+            result.journal = encodeSnapshot(journal);
+            {
+                std::lock_guard<std::mutex> lock(write_mutex);
+                if (!sendBytes(fd, encodeResult(result)))
+                    return "worker " + opts.name +
+                           " lost its coordinator while sending RESULT";
+            }
+            ++results_sent;
         }
-        ++results_sent;
-    }
+    };
+    const std::string failure = serveLeases();
+    ::close(fd);
+    fatal_if(!failure.empty(), failure);
+    return 0;
 }
 
 // ----- Daemon -------------------------------------------------------

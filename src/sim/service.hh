@@ -6,9 +6,9 @@
  * fixed-schedule shard plan of a campaign (core/campaign's
  * fixedShardPlan) and leases contiguous ordinal ranges of it to
  * worker processes over the sim/service_proto wire protocol (Unix or
- * TCP sockets).  Workers execute their ranges with
- * executeFixedShardRange — the exact streams an in-process run would
- * draw — and ship the shard journals back as FIDCKPT bytes (the
+ * TCP sockets).  Workers execute their ranges with one
+ * FixedShardExecutor — the shard path and streams an in-process run
+ * uses — and ship the shard journals back as FIDCKPT bytes (the
  * checkpoint encoding).  The coordinator merges by handing the
  * complete journal set to runCampaign as an in-memory resume
  * snapshot, so the merge, campaignChecksum, and the manifest

@@ -10,8 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -62,6 +65,22 @@ referenceJournal()
     b.samples = {{0.25, true}, {3.5, false}};
     snap.shards = {a, b};
     return snap;
+}
+
+/** Field-by-field equality of two shard journals. */
+void
+expectSameRecords(const std::vector<ShardRecord> &got,
+                  const std::vector<ShardRecord> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        SCOPED_TRACE("record " + std::to_string(i));
+        EXPECT_EQ(got[i].ordinal, want[i].ordinal);
+        EXPECT_EQ(got[i].cell, want[i].cell);
+        EXPECT_EQ(got[i].maskedCount, want[i].maskedCount);
+        EXPECT_EQ(got[i].trials, want[i].trials);
+        EXPECT_EQ(got[i].samples, want[i].samples);
+    }
 }
 
 } // namespace
@@ -704,9 +723,11 @@ TEST(ServiceShardPlan, AdaptiveCampaignsHaveNoStaticPlan)
 
 TEST(ServiceShardPlan, WorkerRangeExecutionMatchesInProcessStreams)
 {
-    // The distributed contract in miniature, no sockets: executing the
-    // plan in two disjoint ranges and resuming from the union must be
-    // bit-identical to an uninterrupted in-process run.
+    // The distributed contract in miniature, no sockets: under every
+    // engine / result-cache / thread-count combination, an executor
+    // working through out-of-order ranges must journal exactly the
+    // records the in-process run checkpoints, field by field, and
+    // resuming from the union must reproduce the uninterrupted run.
     ServiceRequest req;
     req.samplesPerCategory = 8;
     req.shardGrain = 4;
@@ -714,29 +735,75 @@ TEST(ServiceShardPlan, WorkerRangeExecutionMatchesInProcessStreams)
     Network net = buildServiceNetwork(req);
     Tensor x = serviceInput(req);
     CorrectnessFn metric = serviceMetric(req);
-    CampaignConfig cfg = campaignConfigFor(req);
+    const std::string ckpt = testing::TempDir() + "fidelity_range_" +
+                             std::to_string(::getpid()) + ".ckpt";
 
-    const std::vector<ShardPlanEntry> plan = fixedShardPlan(net, cfg);
-    ASSERT_GT(plan.size(), 2u);
-    const std::uint64_t split = plan.size() / 3;
+    struct Engine
+    {
+        const char *name;
+        bool incremental;
+        int batchWidth;
+    };
+    const Engine engines[] = {{"dense", false, 1},
+                              {"incremental B=1", true, 1},
+                              {"incremental B=8", true, 8}};
+    std::vector<ShardRecord> reference; // dense, cache off, 1 thread
+    for (const Engine &engine : engines) {
+        for (bool cache : {false, true}) {
+            for (int threads : {1, 4}) {
+                SCOPED_TRACE(std::string(engine.name) + ", cache " +
+                             (cache ? "on" : "off") + ", " +
+                             std::to_string(threads) + " threads");
+                CampaignConfig cfg = campaignConfigFor(req);
+                cfg.incremental = engine.incremental;
+                cfg.batchWidth = engine.batchWidth;
+                cfg.resultCacheEnabled = cache;
+                cfg.numThreads = threads;
 
-    auto snap = std::make_shared<CampaignSnapshot>();
-    snap->configHash = campaignConfigHash(net, x, cfg);
-    for (const ShardRecord &r :
-         executeFixedShardRange(net, x, metric, cfg, 0, split))
-        snap->shards.push_back(r);
-    for (const ShardRecord &r : executeFixedShardRange(
-             net, x, metric, cfg, split, plan.size() - split))
-        snap->shards.push_back(r);
-    ASSERT_EQ(snap->shards.size(), plan.size());
+                CampaignConfig whole_cfg = cfg;
+                whole_cfg.checkpointPath = ckpt;
+                const CampaignResult whole =
+                    runCampaign(net, x, metric, whole_cfg);
+                const std::vector<ShardRecord> journal =
+                    readSnapshot(ckpt).shards;
+                std::remove(ckpt.c_str());
 
-    CampaignConfig merge = cfg;
-    merge.resumeSnapshot = snap;
-    CampaignResult merged = runCampaign(net, x, metric, merge);
-    CampaignResult whole = runCampaign(net, x, metric, cfg);
-    EXPECT_TRUE(merged.complete);
-    EXPECT_EQ(campaignChecksum(merged), campaignChecksum(whole));
-    EXPECT_EQ(merged.totalInjections, whole.totalInjections);
+                FixedShardExecutor executor(net, x, metric, cfg);
+                const std::uint64_t total = executor.planSize();
+                ASSERT_EQ(journal.size(), total);
+                ASSERT_GE(total, 3u);
+                const std::uint64_t a = total / 3;
+                const std::uint64_t b = 2 * total / 3;
+                std::vector<ShardRecord> records =
+                    executor.execute(b, total - b);
+                for (ShardRecord &r : executor.execute(0, a))
+                    records.push_back(std::move(r));
+                for (ShardRecord &r : executor.execute(a, b - a))
+                    records.push_back(std::move(r));
+                std::sort(records.begin(), records.end(),
+                          [](const ShardRecord &l, const ShardRecord &r) {
+                              return l.ordinal < r.ordinal;
+                          });
+                expectSameRecords(records, journal);
+                if (reference.empty())
+                    reference = journal;
+                else
+                    expectSameRecords(journal, reference);
+
+                auto snap = std::make_shared<CampaignSnapshot>();
+                snap->configHash = campaignConfigHash(net, x, cfg);
+                snap->shards = std::move(records);
+                CampaignConfig merge = cfg;
+                merge.resumeSnapshot = snap;
+                const CampaignResult merged =
+                    runCampaign(net, x, metric, merge);
+                EXPECT_TRUE(merged.complete);
+                EXPECT_EQ(campaignChecksum(merged),
+                          campaignChecksum(whole));
+                EXPECT_EQ(merged.totalInjections, whole.totalInjections);
+            }
+        }
+    }
 }
 
 TEST(ServiceShardPlan, ReusedExecutorMatchesFreshCallsLeaseByLease)
@@ -744,8 +811,8 @@ TEST(ServiceShardPlan, ReusedExecutorMatchesFreshCallsLeaseByLease)
     // The worker holds one FixedShardExecutor across every lease it
     // drains, so the golden forward pass / cache / engines are paid
     // once.  All of that is performance state: each lease's records
-    // must be byte-identical to a fresh executeFixedShardRange call
-    // over the same range, in any lease order.
+    // must be byte-identical to a fresh executor's over the same
+    // range, in any lease order.
     ServiceRequest req;
     req.samplesPerCategory = 8;
     req.shardGrain = 4;
@@ -770,16 +837,10 @@ TEST(ServiceShardPlan, ReusedExecutorMatchesFreshCallsLeaseByLease)
     firsts.push_back(0);
     for (std::uint64_t f : firsts) {
         const std::uint64_t n = std::min(chunk, total - f);
-        const std::vector<ShardRecord> reused = executor.execute(f, n);
-        const std::vector<ShardRecord> fresh =
-            executeFixedShardRange(net, x, metric, cfg, f, n);
-        ASSERT_EQ(reused.size(), fresh.size());
-        for (std::size_t i = 0; i < reused.size(); ++i) {
-            EXPECT_EQ(reused[i].ordinal, fresh[i].ordinal);
-            EXPECT_EQ(reused[i].maskedCount, fresh[i].maskedCount);
-            EXPECT_EQ(reused[i].trials, fresh[i].trials);
-            EXPECT_EQ(reused[i].samples, fresh[i].samples);
-        }
+        SCOPED_TRACE("lease at " + std::to_string(f));
+        expectSameRecords(
+            executor.execute(f, n),
+            FixedShardExecutor(net, x, metric, cfg).execute(f, n));
     }
 }
 
@@ -792,7 +853,7 @@ TEST(ServiceShardPlan, OutOfRangeLeaseIsFatal)
     Tensor x = serviceInput(req);
     CampaignConfig cfg = campaignConfigFor(req);
     const std::size_t shards = fixedShardPlan(net, cfg).size();
-    EXPECT_DEATH((void)executeFixedShardRange(net, x, serviceMetric(req),
-                                              cfg, shards, 1),
+    FixedShardExecutor executor(net, x, serviceMetric(req), cfg);
+    EXPECT_DEATH((void)executor.execute(shards, 1),
                  "exceeds the .*-shard plan");
 }

@@ -16,6 +16,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -76,23 +77,28 @@ readWholeFile(const std::string &path)
                        std::istreambuf_iterator<char>());
 }
 
-/** fork/exec one real worker process of the service binary. */
+/** fork/exec one real worker process of the service binary.  A
+ *  heartbeat_sec <= 0 leaves --heartbeat at the binary's default. */
 pid_t
 spawnWorker(const std::string &addr, const std::string &name,
-            std::uint64_t die_after_results = 0)
+            std::uint64_t die_after_results = 0,
+            double heartbeat_sec = 0.2)
 {
     const pid_t pid = ::fork();
     if (pid != 0)
         return pid;
-    const std::string connect = "--connect=" + addr;
-    const std::string worker_name = "--name=" + name;
-    const std::string heartbeat = "--heartbeat=0.2";
-    const std::string die =
-        "--die-after-results=" + std::to_string(die_after_results);
-    ::execl(FIDELITY_SERVICE_BIN, FIDELITY_SERVICE_BIN, "worker",
-            connect.c_str(), worker_name.c_str(), heartbeat.c_str(),
-            die.c_str(), static_cast<char *>(nullptr));
-    std::perror("execl fidelity_service");
+    std::vector<std::string> args = {
+        FIDELITY_SERVICE_BIN, "worker", "--connect=" + addr,
+        "--name=" + name,
+        "--die-after-results=" + std::to_string(die_after_results)};
+    if (heartbeat_sec > 0.0)
+        args.push_back("--heartbeat=" + std::to_string(heartbeat_sec));
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    argv.push_back(nullptr);
+    ::execv(FIDELITY_SERVICE_BIN, argv.data());
+    std::perror("execv fidelity_service");
     ::_exit(127);
 }
 
@@ -322,6 +328,31 @@ TEST(ServiceResilience, WorkerKilledMidShardIsReIssuedAndBitIdentical)
     EXPECT_GE(expired, 1u);
     EXPECT_EQ(victim_shards, copts.leaseShards);
     EXPECT_GT(survivor_shards, 0u);
+}
+
+TEST(ServiceResilience, DefaultHeartbeatWorkerExitsPromptlyAfterDone)
+{
+    // The heartbeat period (5 s by default) must not bound how long a
+    // worker takes to exit: DONE stops the heartbeat immediately, so
+    // the worker is reaped well within a second of the coordinator
+    // returning.
+    const ServiceRequest req = testRequest();
+    const std::string sock = uniqueSocketPath("exit");
+    const pid_t worker = spawnWorker("unix:" + sock, "w0",
+                                     /*die_after_results=*/0,
+                                     /*heartbeat_sec=*/0.0);
+
+    CoordinatorOptions copts;
+    copts.listenAddr = "unix:" + sock;
+    copts.leaseShards = 8;
+    CoordinatorRun run = runCampaignCoordinator(req, copts);
+    const auto returned = std::chrono::steady_clock::now();
+    EXPECT_TRUE(reapCleanExit(worker));
+    const double reap_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - returned)
+                              .count();
+    EXPECT_TRUE(run.complete);
+    EXPECT_LT(reap_s, 1.0) << "worker exit stalled after DONE";
 }
 
 TEST(ServiceResilience, CoordinatorRestartResumesFromCheckpoint)

@@ -420,23 +420,50 @@ TEST(Manifest, ResultsSectionIsByteIdenticalAcrossThreadCounts)
     Network net = buildResNet(3);
     Tensor x = defaultInputFor("resnet", 4);
 
-    std::string want;
-    for (int threads : {1, 4, 8}) {
-        ScopedPath report("manifest_t" + std::to_string(threads) +
-                          ".json");
-        CampaignConfig cfg = smallConfig();
-        cfg.numThreads = threads;
-        cfg.reportPath = report.str();
-        (void)runCampaign(net, x, top1Metric(), cfg);
+    // The results section is identical with the result cache on or
+    // off.  Deterministic counters are asserted the same way: with the
+    // cache off (a live shared table hits in scheduling order), the
+    // campaign-wide engine and batched totals are a pure function of
+    // the shard plan, whichever worker slot ran each shard.
+    std::string want, want_engine, want_batched;
+    for (bool cache : {true, false}) {
+        for (int threads : {1, 4, 8}) {
+            SCOPED_TRACE(std::to_string(threads) + " threads, cache " +
+                         (cache ? "on" : "off"));
+            ScopedPath report("manifest_t" + std::to_string(threads) +
+                              ".json");
+            CampaignConfig cfg = smallConfig();
+            cfg.numThreads = threads;
+            cfg.resultCacheEnabled = cache;
+            cfg.reportPath = report.str();
+            (void)runCampaign(net, x, top1Metric(), cfg);
 
-        const std::string results =
-            jsonSection(slurp(report.str()), "results");
-        ASSERT_FALSE(results.empty());
-        if (want.empty())
-            want = results;
-        else
-            EXPECT_EQ(results, want)
-                << "results diverged at " << threads << " threads";
+            const std::string doc = slurp(report.str());
+            const std::string results = jsonSection(doc, "results");
+            ASSERT_FALSE(results.empty());
+            if (want.empty())
+                want = results;
+            else
+                EXPECT_EQ(results, want) << "results diverged";
+            if (cache)
+                continue;
+
+            const std::string exec = jsonSection(doc, "execution");
+            const std::string engine = jsonSection(exec, "engine");
+            const std::string batched = jsonSection(exec, "batched");
+            ASSERT_FALSE(engine.empty());
+            ASSERT_FALSE(batched.empty());
+            EXPECT_EQ(engine.find("\"runs\": 0,"), std::string::npos)
+                << engine;
+            if (want_engine.empty()) {
+                want_engine = engine;
+                want_batched = batched;
+            } else {
+                EXPECT_EQ(engine, want_engine) << "engine totals diverged";
+                EXPECT_EQ(batched, want_batched)
+                    << "batched totals diverged";
+            }
+        }
     }
 }
 
