@@ -22,6 +22,15 @@
  *
  * All three outputs are compared bit-for-bit as a side effect.
  *
+ * Phase 1 also times fault-model application: microseconds per
+ * FaultModels::apply for each dtype x datapath category on the ResNet
+ * campaign network's first residual 3x3 conv (the `fault_apply_us`
+ * rows).  Before timing, Conv2D::forwardWithSub is bit-compared
+ * against computeNeuron for every bit flip of sampled weights and
+ * inputs on that layer; a mismatch fails the run like a kernel
+ * mismatch.  Every JSON row carries the host stamp (cores, CPU,
+ * dispatch mode, source revision).
+ *
  * Phase 2 runs a small injection campaign twice — SIMD on and off —
  * and exits non-zero if the campaign checksums differ: the CI smoke
  * gate for the kernels' bit-identity contract.
@@ -44,6 +53,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <bit>
 #include <cstring>
 #include <memory>
 
@@ -234,9 +244,11 @@ usage(const char *argv0)
         << "usage: " << argv0 << " [options] [benchmark options]\n"
         << "  --kernel=<substr>   only kernels whose name contains "
            "<substr>\n"
-        << "                      (conv3x3, conv1x1, fc, matmul); "
-           "also skips the\n"
-        << "                      campaign checksum gate\n"
+        << "                      (conv3x3, conv1x1, fc, matmul, "
+           "fault_apply);\n"
+        << "                      a kernel filter also skips the "
+           "campaign\n"
+        << "                      checksum gate\n"
         << "  --dtype=<name>      only one dtype: fp32, fp16, int8, "
            "int16\n"
         << "  --backend=<name>    force the dispatch backend (scalar, "
@@ -255,7 +267,8 @@ usage(const char *argv0)
 }
 
 int
-runThroughput(const Options &opt)
+runThroughput(const Options &opt,
+              std::vector<bench::KernelThroughputRecord> &records)
 {
     const double minSeconds =
         (opt.minMs / 1000.0) * bench::scaledSamples(10) / 10.0;
@@ -265,7 +278,6 @@ runThroughput(const Options &opt)
     cases.push_back(fcCase("fc", 256, 256));
     cases.push_back(matmulCase("matmul", 64, 64, 64, false));
 
-    std::vector<bench::KernelThroughputRecord> records;
     int failures = 0;
     for (KernelCase &kc : cases) {
         if (!opt.kernel.empty() &&
@@ -320,22 +332,142 @@ runThroughput(const Options &opt)
                       << tRef / tSimd << "x vs scalar)\n";
         }
     }
-    if (records.empty()) {
-        std::cerr << "no kernel/dtype matches --kernel="
-                  << opt.kernel << " --dtype=" << opt.dtype << "\n";
-        return 1;
+    return failures;
+}
+
+/**
+ * Bit check of Conv2D's substituted re-execution (forwardWithSub) on
+ * one layer: every bit flip of sampled weights (position lanes, one
+ * output plane) and inputs (channel lanes, every consumer) against
+ * per-neuron computeNeuron.  Runs under whichever kernel table is
+ * dispatched, so the forced-backend legs check every table.  Returns
+ * the number of mismatching neurons.
+ */
+int
+checkSubstitutions(const Conv2D &conv, const std::vector<const Tensor *> &ins,
+                   const Tensor &golden, const char *dtype)
+{
+    Rng rng(19);
+    const Precision p = conv.precision();
+    const int bits = FaultModels::operandBits(p);
+    Tensor out = golden;
+    int mismatches = 0;
+    auto compare = [&](const OperandSub &sub,
+                       const std::vector<NeuronIndex> &cons,
+                       const std::vector<Region> &boxes) {
+        if (!conv.forwardWithSub(ins, &sub, boxes.data(), boxes.size(),
+                                 out)) {
+            ++mismatches; // both kinds must take their vector path
+            return;
+        }
+        for (const NeuronIndex &n : cons)
+            if (std::bit_cast<std::uint32_t>(out.at(n)) !=
+                std::bit_cast<std::uint32_t>(
+                    conv.computeNeuron(ins, n, &sub)))
+                ++mismatches;
+    };
+    for (int draw = 0; draw < 8; ++draw) {
+        std::size_t widx = rng.below(
+            static_cast<std::uint32_t>(conv.weightCount(ins)));
+        int oc = static_cast<int>(widx % conv.spec().outC);
+        auto cons = conv.weightConsumers(ins, widx);
+        std::vector<Region> plane;
+        for (int n = 0; n < golden.n(); ++n)
+            plane.push_back(
+                {n, n + 1, 0, golden.h(), 0, golden.w(), oc, oc + 1});
+        for (int bit = 0; bit < bits; ++bit) {
+            OperandSub sub;
+            sub.kind = OperandSub::Kind::Weight;
+            sub.flatIndex = widx;
+            sub.value = FaultModels::flipStoredOperand(
+                conv.weightAt(ins, widx), p, conv.weightQuant(), bit);
+            compare(sub, cons, plane);
+        }
     }
-    // mergeJsonLines replaces all of a bench's rows at once, so a
-    // filtered or backend-forced run would clobber the full tracked
-    // row set with a partial one — only the default full sweep under
-    // the dispatched backend updates the trajectory file.
-    if (opt.kernel.empty() && opt.dtype.empty() && opt.backend.empty()) {
-        bench::writeKernelThroughputJson("bench_kernels", records);
-        std::cout << "wrote BENCH_kernel_throughput.json ("
-                  << simd::backendName() << " vs scalar)\n";
-    } else {
-        std::cout << "filtered run: BENCH_kernel_throughput.json "
-                     "not rewritten\n";
+    for (int draw = 0; draw < 8; ++draw) {
+        std::size_t elem =
+            rng.below(static_cast<std::uint32_t>(ins[0]->size()));
+        auto cons = conv.inputConsumers(ins, elem);
+        std::vector<Region> runs; // channel runs at one position
+        for (const NeuronIndex &n : cons) {
+            if (!runs.empty() && runs.back().h0 == n.h &&
+                runs.back().w0 == n.w && runs.back().c1 == n.c)
+                ++runs.back().c1;
+            else
+                runs.push_back(Region::of(n));
+        }
+        for (int bit = 0; bit < bits; ++bit) {
+            OperandSub sub;
+            sub.kind = OperandSub::Kind::Input;
+            sub.flatIndex = elem;
+            sub.value = FaultModels::flipStoredOperand(
+                (*ins[0])[elem], p, conv.inputQuant(), bit);
+            compare(sub, cons, runs);
+        }
+    }
+    if (mismatches)
+        std::cerr << "FAIL: " << conv.name() << " " << dtype << ": "
+                  << mismatches
+                  << " forwardWithSub neurons differ from computeNeuron\n";
+    return mismatches;
+}
+
+/**
+ * Microseconds per FaultModels::apply for every datapath category on
+ * the ResNet campaign network's first residual 3x3 conv, at each
+ * dtype, after the layer's substitution bit check.  Returns the
+ * number of failed checks.
+ */
+int
+runFaultApply(const Options &opt, std::vector<bench::FaultApplyRecord> &records)
+{
+    const double minSeconds =
+        (opt.minMs / 1000.0) * bench::scaledSamples(10) / 10.0;
+    const std::string layerName = "block0.c1";
+    int failures = 0;
+    for (const DtypeSpec &dt : kDtypes) {
+        if (!opt.dtype.empty() && opt.dtype != dt.name)
+            continue;
+        Network net = buildNetwork("resnet", 2020);
+        Tensor input = defaultInputFor("resnet", 2021);
+        net.setPrecision(dt.precision);
+        if (dt.precision == Precision::INT8 ||
+            dt.precision == Precision::INT16)
+            net.calibrate(input);
+        std::vector<Tensor> acts = net.forwardAll(input);
+        NodeId id = -1;
+        for (NodeId m : net.macNodes())
+            if (net.layer(m).name() == layerName)
+                id = m;
+        const auto &conv = dynamic_cast<const Conv2D &>(net.layer(id));
+        auto ins = net.gatherInputs(id, acts);
+        failures += checkSubstitutions(conv, ins, acts[id], dt.name) > 0;
+
+        NvdlaConfig cfg;
+        FaultModels models(cfg);
+        std::cout << "fault_apply resnet." << layerName << " " << dt.name
+                  << " (us/apply):";
+        for (FFCategory cat : allFFCategories()) {
+            if (!isDatapathCategory(cat))
+                continue;
+            Rng rng(5);
+            int calls = 0;
+            double elapsed = 0.0;
+            while (elapsed < minSeconds) {
+                elapsed += bench::timeSeconds([&] {
+                    for (int i = 0; i < 16; ++i)
+                        benchmark::DoNotOptimize(
+                            models.apply(cat, conv, ins, acts[id], rng));
+                });
+                calls += 16;
+            }
+            double us = 1e6 * elapsed / calls;
+            records.push_back({"resnet." + layerName, dt.name,
+                               ffCategoryName(cat), simd::backendName(),
+                               us});
+            std::cout << " " << ffCategoryName(cat) << " " << us;
+        }
+        std::cout << "\n";
     }
     return failures;
 }
@@ -532,9 +664,31 @@ main(int argc, char **argv)
     std::cout << "dispatch backend " << simd::backendName() << " ("
               << simd::dispatchMode() << ")\n";
 
-    int failures = runThroughput(opt);
+    std::vector<bench::KernelThroughputRecord> records;
+    std::vector<bench::FaultApplyRecord> applies;
+    int failures = runThroughput(opt, records);
+    if (std::string("fault_apply").find(opt.kernel) != std::string::npos)
+        failures += runFaultApply(opt, applies);
+    if (records.empty() && applies.empty()) {
+        std::cerr << "no kernel/dtype matches --kernel=" << opt.kernel
+                  << " --dtype=" << opt.dtype << "\n";
+        return 1;
+    }
+    // mergeJsonLines replaces all of a bench's rows at once, so a
+    // filtered or backend-forced run would clobber the full tracked
+    // row set with a partial one — only the default full sweep under
+    // the dispatched backend updates the trajectory file.
+    if (opt.kernel.empty() && opt.dtype.empty() && opt.backend.empty()) {
+        bench::writeKernelThroughputJson("bench_kernels", records,
+                                         applies);
+        std::cout << "wrote BENCH_kernel_throughput.json ("
+                  << simd::backendName() << " vs scalar)\n";
+    } else {
+        std::cout << "filtered run: BENCH_kernel_throughput.json "
+                     "not rewritten\n";
+    }
     // The campaign gate is whole-network; a kernel filter means a
-    // targeted microbench run, so only the filtered phase executes.
+    // targeted microbench run, so only the filtered phases execute.
     if (opt.kernel.empty())
         failures += runChecksumGate(opt);
     if (failures) {

@@ -18,11 +18,17 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
 
 #include "core/campaign.hh"
 #include "sim/json.hh"
 #include "sim/table.hh"
+#include "simd/simd.hh"
 #include "workloads/metrics.hh"
 #include "workloads/models.hh"
 
@@ -159,6 +165,54 @@ writeThroughputJson(const std::string &bench,
     mergeJsonLines(path, bench, rows);
 }
 
+/** The CPU's brand string from CPUID, or "unknown". */
+inline std::string
+cpuModel()
+{
+    std::string model;
+#if defined(__x86_64__) || defined(__i386__)
+    if (__get_cpuid_max(0x80000000u, nullptr) >= 0x80000004u) {
+        for (unsigned leaf = 0x80000002u; leaf <= 0x80000004u; ++leaf) {
+            unsigned r[4] = {0, 0, 0, 0};
+            __get_cpuid(leaf, &r[0], &r[1], &r[2], &r[3]);
+            model.append(reinterpret_cast<const char *>(r), sizeof(r));
+        }
+        model = model.c_str(); // drop the NUL padding
+        const std::size_t first = model.find_first_not_of(' ');
+        model = first == std::string::npos ? "" : model.substr(first);
+    }
+#endif
+    return model.empty() ? "unknown" : model;
+}
+
+/**
+ * Source revision the bench was built from: the git revision at
+ * configure time (FIDELITY_GIT_REV, set by bench/CMakeLists.txt), or
+ * "unknown" outside a git checkout.
+ */
+inline const char *
+sourceRev()
+{
+#ifdef FIDELITY_GIT_REV
+    return FIDELITY_GIT_REV;
+#else
+    return "unknown";
+#endif
+}
+
+/** Append the host stamp (cores, CPU, dispatch mode, revision) that
+ *  makes a bench row comparable across machines and commits. */
+inline JsonLineBuilder &
+stampHost(JsonLineBuilder &row)
+{
+    return row
+        .field("nproc",
+               static_cast<int>(std::thread::hardware_concurrency()))
+        .field("cpu", cpuModel())
+        .field("simd_dispatch", simd::dispatchMode())
+        .field("rev", sourceRev());
+}
+
 /** One per-kernel throughput measurement (scalar vs SIMD). */
 struct KernelThroughputRecord
 {
@@ -170,23 +224,49 @@ struct KernelThroughputRecord
     double wallSeconds = 0.0;
 };
 
-/** Merge per-kernel GFLOP/s records into the kernel trajectory file. */
+/** Cost of one fault-model application on one layer. */
+struct FaultApplyRecord
+{
+    std::string layer;    //!< e.g. "resnet.block0.c1"
+    std::string dtype;    //!< "fp32", "fp16", "int8", "int16"
+    std::string category; //!< ffCategoryName()
+    std::string backend;  //!< simd::backendName()
+    double us = 0.0;      //!< microseconds per FaultModels::apply
+};
+
+/**
+ * Merge per-kernel GFLOP/s records and fault-application costs into
+ * the kernel trajectory file.  Every row carries the host stamp.
+ */
 inline void
 writeKernelThroughputJson(const std::string &bench,
                           const std::vector<KernelThroughputRecord> &records,
+                          const std::vector<FaultApplyRecord> &applies,
                           const std::string &path =
                               "BENCH_kernel_throughput.json")
 {
     std::vector<std::string> rows;
-    for (const KernelThroughputRecord &r : records)
-        rows.push_back(JsonLineBuilder()
-                           .field("bench", bench)
-                           .field("kernel", r.kernel)
-                           .field("dtype", r.dtype)
-                           .field("backend", r.backend)
-                           .field("gflops", r.gflops)
-                           .field("wall_s", r.wallSeconds)
-                           .str());
+    for (const KernelThroughputRecord &r : records) {
+        JsonLineBuilder row;
+        row.field("bench", bench)
+            .field("kernel", r.kernel)
+            .field("dtype", r.dtype)
+            .field("backend", r.backend)
+            .field("gflops", r.gflops)
+            .field("wall_s", r.wallSeconds);
+        rows.push_back(stampHost(row).str());
+    }
+    for (const FaultApplyRecord &r : applies) {
+        JsonLineBuilder row;
+        row.field("bench", bench)
+            .field("kernel", "fault_apply")
+            .field("layer", r.layer)
+            .field("dtype", r.dtype)
+            .field("category", r.category)
+            .field("backend", r.backend)
+            .field("fault_apply_us", r.us);
+        rows.push_back(stampHost(row).str());
+    }
     mergeJsonLines(path, bench, rows);
 }
 

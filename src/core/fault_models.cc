@@ -185,12 +185,16 @@ appendChanged(FaultApplication &app, const Tensor &golden,
  * Evaluate the substituted value of every listed consumer and append
  * the changed ones, preserving list order.
  *
- * When the layer has a vector path (forwardWithSub) the consumers are
- * first coalesced into output boxes — channel runs at one position,
- * then w-runs of a single channel, matching the orders inputConsumers
- * and weightConsumers produce — and re-executed in one kernel sweep
- * into a thread-local scratch tensor; otherwise each neuron recomputes
- * via computeNeuron().  Both paths are bit-identical by contract.
+ * The consumers are first coalesced into output boxes, matching the
+ * orders inputConsumers and weightConsumers produce: channel runs at
+ * one position, w-runs of a single channel, and consecutive full-width
+ * w-runs of one channel folded into one h-range box (a weight's whole
+ * output plane becomes one box per sample).  When the layer has a
+ * vector path for the substitution (forwardWithSub: input and weight
+ * substitutions of Conv2D) the boxes are re-executed in one kernel
+ * sweep into a thread-local scratch tensor; otherwise each neuron
+ * recomputes via computeNeuron().  Both paths are bit-identical by
+ * contract.
  */
 void
 evalConsumers(FaultApplication &app, const MacLayer &layer,
@@ -203,6 +207,7 @@ evalConsumers(FaultApplication &app, const MacLayer &layer,
     static thread_local Tensor scratch;
     static thread_local std::vector<Region> boxes;
     boxes.clear();
+    const int width = golden.w();
     for (std::size_t i = 0; i < count; ++i) {
         const NeuronIndex &n = cons[i];
         if (!boxes.empty()) {
@@ -218,6 +223,17 @@ evalConsumers(FaultApplication &app, const MacLayer &layer,
                 b.h1 == b.h0 + 1 && n.n == b.n0 && n.h == b.h0 &&
                 n.w == b.w1 && n.c == b.c0) {
                 ++b.w1; // extend the w-run of this single channel
+                // A completed full-width row continues the rows above
+                // it when they are the same channel's full rows.
+                if (b.w0 == 0 && b.w1 == width && boxes.size() > 1) {
+                    Region &a = boxes[boxes.size() - 2];
+                    if (a.n0 == b.n0 && a.n1 == b.n1 && a.c0 == b.c0 &&
+                        a.c1 == b.c1 && a.w0 == 0 && a.w1 == width &&
+                        a.h1 == b.h0) {
+                        a.h1 = b.h1;
+                        boxes.pop_back();
+                    }
+                }
                 continue;
             }
         }

@@ -464,6 +464,69 @@ convBatchedNarrow(const simd::KernelTable &kt, const ConvSpec &spec,
     }
 }
 
+/** Output positions per MAC row of the weight-substitution kernel. */
+constexpr int kPosLanes = 8;
+
+/**
+ * Position-lane gather for one substituted weight: the SIMD lanes hold
+ * kPosLanes output *positions* of one channel instead of output
+ * channels, so a corrupted weight's whole output plane runs through the
+ * lane-minor MAC rows of the fault-batched engine.  `xg[k*kPosLanes+l]`
+ * receives the stored-form operand of term k (computeNeuron's cig, kh,
+ * kw order) at the l-th queued position, read from `xs`: a zero-padded
+ * stored-form copy of the group's input channels over the padded rows
+ * the boxes read, laid out channel-major as [n - n0][cig][padded row -
+ * hp0][padded col] with `rows` x `cols` elements per plane.  `off[k]`
+ * is term k's offset from the window's first operand, so a position
+ * costs one base address, and the kPosLanes positions of a stride-1
+ * row segment read each term as one contiguous run.  Each time
+ * kPosLanes positions are queued, and once for the tail, `mac(xg, pos,
+ * count)` runs one MAC row and writes back the first `count` lanes;
+ * the tail's unused lanes hold stale, in-range operands.
+ */
+template <class T, class Mac>
+void
+convPositionLanes(const ConvSpec &spec, const Region *boxes,
+                  std::size_t numBoxes, const T *xs, int n0, int hp0,
+                  int rows, int cols, int cpg, const std::int32_t *off,
+                  int redLen, T *xg, Mac mac)
+{
+    constexpr int L = kPosLanes;
+    NeuronIndex pos[L] = {};
+    const T *win[L] = {};
+    int cnt = 0;
+    auto flush = [&] {
+        if (cnt == L && win[L - 1] - win[0] == L - 1) {
+            for (int k = 0; k < redLen; ++k)
+                std::memcpy(xg + k * L, win[0] + off[k], L * sizeof(T));
+        } else {
+            for (int k = 0; k < redLen; ++k)
+                for (int l = 0; l < cnt; ++l)
+                    xg[k * L + l] = win[l][off[k]];
+        }
+        mac(xg, pos, cnt);
+        cnt = 0;
+    };
+    for (std::size_t i = 0; i < numBoxes; ++i) {
+        const Region &b = boxes[i];
+        for (int n = b.n0; n < b.n1; ++n) {
+            for (int oh = b.h0; oh < b.h1; ++oh) {
+                const T *row =
+                    xs + (static_cast<std::size_t>(n - n0) * cpg * rows +
+                          (oh * spec.stride - hp0)) * cols;
+                for (int ow = b.w0; ow < b.w1; ++ow) {
+                    win[cnt] = row + ow * spec.stride;
+                    pos[cnt] = {n, oh, ow, b.c0};
+                    if (++cnt == L)
+                        flush();
+                }
+            }
+        }
+    }
+    if (cnt)
+        flush();
+}
+
 } // namespace
 
 Conv2D::Conv2D(std::string name, const ConvSpec &spec,
@@ -911,14 +974,21 @@ Conv2D::forwardWithSub(const std::vector<const Tensor *> &ins,
                        const OperandSub *sub, const Region *boxes,
                        std::size_t numBoxes, Tensor &out) const
 {
-    // The vector path covers single input-operand substitutions: their
-    // consumer fan-out (kh*kw window positions times a whole output
-    // channel group) dominates fault-model application cost, and the
-    // substitution folds into the gather lambda as one index compare.
-    // Everything else (weight subs, psum flips, chains, padded-term
-    // substitutions) stays on per-neuron computeNeuron().
-    if (!sub || sub->next || sub->kind != OperandSub::Kind::Input ||
-        sub->termIndex >= 0)
+    // Two vector paths, one per single-operand substitution kind.  An
+    // input substitution's consumers are channel runs at a few window
+    // positions: the channel-lane block kernels recompute them, with
+    // the substitution folded into the gather as one index compare.  A
+    // weight substitution's consumers are one channel's output plane:
+    // forwardWeightSub() puts output positions in the lanes instead.
+    // Psum flips, chains and padded-term substitutions stay on
+    // per-neuron computeNeuron().
+    if (!sub || sub->next)
+        return false;
+    if (sub->kind == OperandSub::Kind::Weight) {
+        checkInput(ins);
+        return forwardWeightSub(*ins[0], *sub, boxes, numBoxes, out);
+    }
+    if (sub->kind != OperandSub::Kind::Input || sub->termIndex >= 0)
         return false;
     checkInput(ins);
     if (numBoxes == 0)
@@ -1004,6 +1074,134 @@ Conv2D::forwardWithSub(const std::vector<const Tensor *> &ins,
                             boxes[i], out, xgF.data(), accF.data(),
                             loadX, wb);
     }
+    return true;
+}
+
+bool
+Conv2D::forwardWeightSub(const Tensor &x, const OperandSub &sub,
+                         const Region *boxes, std::size_t numBoxes,
+                         Tensor &out) const
+{
+    // Every consumer of weight (kh, kw, cig, oc) lies in channel oc, so
+    // the lanes hold output positions of that channel: one gathered
+    // operand row per term, the channel's weight column with the
+    // substituted entry, one lane-minor MAC row per kPosLanes
+    // positions.  The per-lane arithmetic is computeNeuron's (same
+    // stored-form operands, canonical term order, unfused multiply-adds,
+    // same writeback), and multiplication commutes, so every lane is
+    // bit-identical to it.  A box outside channel oc is not a consumer
+    // of the substitution; the caller recomputes it per neuron.
+    const int oc = static_cast<int>(sub.flatIndex % spec_.outC);
+    for (std::size_t i = 0; i < numBoxes; ++i)
+        if (boxes[i].empty() || boxes[i].c0 != oc ||
+            boxes[i].c1 != oc + 1)
+            return false;
+    if (numBoxes == 0)
+        return true;
+    const bool integer = precision_ == Precision::INT8 ||
+                         precision_ == Precision::INT16;
+    const int cpg = spec_.inC / spec_.groups;
+    const int g = oc / (spec_.outC / spec_.groups);
+    const int redLen = spec_.kh * spec_.kw * cpg;
+
+    // The input, converted to stored form once per call: the group's
+    // channels over the padded rows the boxes' windows read, laid out
+    // channel-major so a stride-1 row segment is contiguous.  Padding
+    // holds raw zeros, which convert to the zero stored-form operand
+    // computeNeuron uses for padded terms, so the gather needs no range
+    // tests.
+    const int xh = x.h(), xw = x.w(), xc = x.c();
+    const int effKh = (spec_.kh - 1) * spec_.dilation + 1;
+    int n0 = boxes[0].n0, n1 = boxes[0].n1;
+    int hp0 = boxes[0].h0 * spec_.stride;
+    int hp1 = (boxes[0].h1 - 1) * spec_.stride + effKh;
+    for (std::size_t i = 1; i < numBoxes; ++i) {
+        n0 = std::min(n0, boxes[i].n0);
+        n1 = std::max(n1, boxes[i].n1);
+        hp0 = std::min(hp0, boxes[i].h0 * spec_.stride);
+        hp1 = std::max(hp1, (boxes[i].h1 - 1) * spec_.stride + effKh);
+    }
+    const int rows = hp1 - hp0;
+    const int cols = xw + 2 * spec_.pad;
+    const std::size_t plane = static_cast<std::size_t>(rows) * cols;
+    const std::size_t xsLen =
+        static_cast<std::size_t>(n1 - n0) * cpg * plane;
+    Arena &arena = Arena::local();
+    auto xs = arena.floats(xsLen);
+    std::fill(xs.data(), xs.data() + xsLen, 0.0f);
+    for (int n = n0; n < n1; ++n)
+        for (int hp = std::max(hp0, spec_.pad);
+             hp < std::min(hp1, xh + spec_.pad); ++hp) {
+            const float *src = x.data().data() +
+                               x.offset(n, hp - spec_.pad, 0, g * cpg);
+            float *dst = xs.data() +
+                         static_cast<std::size_t>(n - n0) * cpg * plane +
+                         static_cast<std::size_t>(hp - hp0) * cols +
+                         spec_.pad;
+            for (int iw = 0; iw < xw; ++iw)
+                for (int cig = 0; cig < cpg; ++cig)
+                    dst[cig * plane + iw] = src[iw * xc + cig];
+        }
+
+    // Term k's operand offset from its window's first operand, and the
+    // raw weight it meets — matched against the substitution exactly as
+    // computeNeuron matches it.
+    auto off = arena.ints(redLen);
+    auto wcol = arena.floats(redLen);
+    for (int cig = 0, k = 0; cig < cpg; ++cig)
+        for (int kh = 0; kh < spec_.kh; ++kh)
+            for (int kw = 0; kw < spec_.kw; ++kw, ++k) {
+                off[k] = static_cast<std::int32_t>(
+                    cig * plane + kh * spec_.dilation * cols +
+                    kw * spec_.dilation);
+                std::size_t widx = weightIndex(kh, kw, cig, oc);
+                wcol[k] = widx == sub.flatIndex ? sub.value
+                                                : weights_[widx];
+            }
+    const float b = spec_.bias ? bias_[oc] : 0.0f;
+    const simd::KernelTable &kt = simd::table();
+
+    if (integer) {
+        auto xq = arena.ints(xsLen);
+        auto wq = arena.ints(redLen);
+        auto xg = arena.ints(static_cast<std::size_t>(redLen) * kPosLanes);
+        simd::quantizeBatch(xs.data(), xq.data(), xsLen, inQuant_);
+        simd::quantizeBatch(wcol.data(), wq.data(), redLen, wQuant_);
+        std::fill(xg.data(), xg.data() + xg.size(), 0);
+        std::int64_t acc[kPosLanes] = {};
+        convPositionLanes(
+            spec_, boxes, numBoxes, xq.data(), n0, hp0, rows, cols, cpg,
+            off.data(), redLen, xg.data(),
+            [&](const std::int32_t *rowsG, const NeuronIndex *pos,
+                int count) {
+                kt.batchMacI64(rowsG, wq.data(), redLen, 1, kPosLanes,
+                               acc);
+                // Left-associated like computeNeuron: the double
+                // rounding order is part of the bit contract.
+                for (int l = 0; l < count; ++l)
+                    out.at(pos[l]) = writeback(
+                        static_cast<double>(acc[l]) * inQuant_.scale *
+                            wQuant_.scale,
+                        b);
+            });
+        return true;
+    }
+
+    if (precision_ == Precision::FP16) {
+        simd::roundToHalfBatch(xs.data(), xs.data(), xsLen);
+        simd::roundToHalfBatch(wcol.data(), wcol.data(), redLen);
+    }
+    auto xg = arena.floats(static_cast<std::size_t>(redLen) * kPosLanes);
+    std::fill(xg.data(), xg.data() + xg.size(), 0.0f);
+    float acc[kPosLanes] = {};
+    convPositionLanes(
+        spec_, boxes, numBoxes, xs.data(), n0, hp0, rows, cols, cpg,
+        off.data(), redLen, xg.data(),
+        [&](const float *rowsG, const NeuronIndex *pos, int count) {
+            kt.batchMacF32(rowsG, wcol.data(), redLen, 1, kPosLanes, acc);
+            for (int l = 0; l < count; ++l)
+                out.at(pos[l]) = writeback(static_cast<double>(acc[l]), b);
+        });
     return true;
 }
 

@@ -84,6 +84,12 @@ class Conv2D : public MacLayer
     int reductionLength() const override;
     bool hasBias() const override { return spec_.bias; }
 
+    /**
+     * Vector paths for a single Input substitution (output-channel
+     * lanes, as in forward()) and a single Weight substitution (output
+     * positions of the weight's channel in the lanes); psum flips,
+     * chains and termIndex substitutions return false.
+     */
     bool forwardWithSub(const std::vector<const Tensor *> &ins,
                         const OperandSub *sub, const Region *boxes,
                         std::size_t numBoxes, Tensor &out) const override;
@@ -116,6 +122,15 @@ class Conv2D : public MacLayer
 
     /** Re-pack weights into the lane-blocked kernel layout. */
     void packWeights() const;
+
+    /**
+     * forwardWithSub() for one Weight substitution: recompute the
+     * boxes (all in the weight's output channel; false otherwise) with
+     * output positions in the SIMD lanes.
+     */
+    bool forwardWeightSub(const Tensor &x, const OperandSub &sub,
+                          const Region *boxes, std::size_t numBoxes,
+                          Tensor &out) const;
 
     /** Batched kernel body for a compile-time lane width. */
     template <int W>

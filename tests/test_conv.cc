@@ -7,13 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <set>
 
+#include "core/fault_models.hh"
 #include "nn/conv.hh"
 #include "nn/init.hh"
 #include "sim/rng.hh"
 #include "tensor/float16.hh"
+#include "tensor/quant.hh"
 
 using namespace fidelity;
 
@@ -349,4 +352,215 @@ TEST(ConvDeath, RejectsWeightCountMismatch)
     EXPECT_DEATH(Conv2D("bad", spec, std::vector<float>(3, 0.0f),
                         std::vector<float>(2, 0.0f)),
                  "expected");
+}
+
+namespace
+{
+
+/** Single-channel boxes of one output plane: whole planes per sample,
+ *  plus a run that starts mid-row and spans rows — the box shapes the
+ *  PreBufWeight and OperandWeight models produce. */
+std::vector<Region>
+planeBoxes(const Tensor &out, int oc)
+{
+    std::vector<Region> boxes;
+    for (int n = 0; n < out.n(); ++n)
+        boxes.push_back({n, n + 1, 0, out.h(), 0, out.w(), oc, oc + 1});
+    return boxes;
+}
+
+std::vector<Region>
+runBoxes(const Tensor &out, int oc)
+{
+    // Tail of row 1 from w = 1, then rows 2..3, then the head of row 4.
+    int w = out.w(), last = std::min(out.h(), 5);
+    std::vector<Region> boxes{{0, 1, 1, 2, 1, w, oc, oc + 1}};
+    if (last > 3)
+        boxes.push_back({0, 1, 2, last - 1, 0, w, oc, oc + 1});
+    if (last > 4)
+        boxes.push_back({0, 1, last - 1, last, 0, (w + 1) / 2, oc,
+                         oc + 1});
+    return boxes;
+}
+
+/** Channel runs at one position, coalesced from a consumer list. */
+std::vector<Region>
+channelRunBoxes(const std::vector<NeuronIndex> &cons)
+{
+    std::vector<Region> boxes;
+    for (const NeuronIndex &n : cons) {
+        if (!boxes.empty()) {
+            Region &b = boxes.back();
+            if (n.n == b.n0 && n.h == b.h0 && n.w == b.w0 && n.c == b.c1) {
+                ++b.c1;
+                continue;
+            }
+        }
+        boxes.push_back(Region::of(n));
+    }
+    return boxes;
+}
+
+/**
+ * forwardWithSub over `boxes` must equal computeNeuron bit for bit on
+ * every box element, and must leave every other element untouched.
+ * Returns the number of compared neurons.
+ */
+std::size_t
+expectSubMatches(const Conv2D &conv, const std::vector<const Tensor *> &ins,
+                 const OperandSub &sub, const std::vector<Region> &boxes,
+                 const std::string &what)
+{
+    constexpr std::uint32_t kSentinel = 0x7fa5a5a5u; // a NaN payload
+    Tensor out = conv.makeOutput(ins);
+    for (float &v : out.data())
+        v = std::bit_cast<float>(kSentinel);
+    EXPECT_TRUE(conv.forwardWithSub(ins, &sub, boxes.data(), boxes.size(),
+                                    out))
+        << what;
+    std::size_t compared = 0;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        NeuronIndex n = out.indexOf(i);
+        bool inBox = std::any_of(boxes.begin(), boxes.end(),
+                                 [&](const Region &b) {
+                                     return b.contains(n);
+                                 });
+        std::uint32_t got = std::bit_cast<std::uint32_t>(out[i]);
+        if (!inBox) {
+            EXPECT_EQ(got, kSentinel) << what << " wrote " << n.str();
+            continue;
+        }
+        std::uint32_t want = std::bit_cast<std::uint32_t>(
+            conv.computeNeuron(ins, n, &sub));
+        EXPECT_EQ(got, want) << what << " at " << n.str();
+        ++compared;
+    }
+    return compared;
+}
+
+} // namespace
+
+TEST(Conv, ForwardWithSubMatchesComputeNeuron)
+{
+    // Differential check of both vector paths of forwardWithSub —
+    // channel lanes for input substitutions, position lanes for weight
+    // substitutions — against the per-neuron reference, over every bit
+    // flip of sampled operands in every precision.  Exponent flips
+    // produce Inf/NaN weights (and NaN products with padded zeros);
+    // int8 flips of a zero weight reach -128, one past the magnitude
+    // the narrow kernels' pack-time overflow proof assumed.
+    struct Geo
+    {
+        const char *name;
+        int inC, outC, k, stride, pad, dilation, groups, n, h, w;
+    };
+    const Geo geos[] = {
+        {"3x3", 4, 8, 3, 1, 1, 1, 1, 2, 7, 9},
+        {"stride2", 4, 8, 3, 2, 1, 1, 1, 1, 9, 8},
+        {"dilation2", 4, 8, 3, 1, 2, 2, 1, 1, 9, 9},
+        {"depthwise", 6, 6, 3, 1, 1, 1, 6, 1, 6, 7},
+        {"grouped-nopad", 8, 12, 3, 1, 0, 1, 2, 1, 7, 6},
+        {"1x1", 5, 9, 1, 1, 0, 1, 1, 1, 5, 5},
+    };
+    const Precision precs[] = {Precision::FP32, Precision::FP16,
+                               Precision::INT16, Precision::INT8};
+    std::size_t compared = 0;
+    bool hitMinInt8 = false;
+    for (const Geo &geo : geos) {
+        Rng rng(1234);
+        ConvSpec spec;
+        spec.inC = geo.inC;
+        spec.outC = geo.outC;
+        spec.kh = spec.kw = geo.k;
+        spec.stride = geo.stride;
+        spec.pad = geo.pad;
+        spec.dilation = geo.dilation;
+        spec.groups = geo.groups;
+        std::size_t nw = static_cast<std::size_t>(geo.k) * geo.k *
+                         (geo.inC / geo.groups) * geo.outC;
+        auto w = heWeights(rng, nw, geo.k * geo.k * geo.inC / geo.groups);
+        w[nw / 2] = 0.0f; // an int8 sign-bit flip turns it into -128
+        Conv2D conv("c", spec, w, smallBiases(rng, geo.outC));
+        Tensor x(geo.n, geo.h, geo.w, geo.inC);
+        for (auto &v : x.data())
+            v = static_cast<float>(rng.normal(0, 1));
+        std::vector<const Tensor *> ins{&x};
+        conv.setPrecision(Precision::FP32);
+        conv.calibrate(ins, conv.forward(ins));
+        const std::size_t widxs[] = {0, nw / 2, nw - 1,
+                                     rng.below(static_cast<std::uint32_t>(
+                                         nw))};
+        const std::size_t xidxs[] = {
+            0, x.size() - 1,
+            rng.below(static_cast<std::uint32_t>(x.size()))};
+
+        for (Precision p : precs) {
+            conv.setPrecision(p);
+            Tensor out = conv.forward(ins);
+            const int bits = FaultModels::operandBits(p);
+            for (std::size_t widx : widxs) {
+                int oc = static_cast<int>(widx % geo.outC);
+                for (int bit = 0; bit < bits; ++bit) {
+                    OperandSub sub;
+                    sub.kind = OperandSub::Kind::Weight;
+                    sub.flatIndex = widx;
+                    sub.value = FaultModels::flipStoredOperand(
+                        w[widx], p, conv.weightQuant(), bit);
+                    if (p == Precision::INT8 &&
+                        quantize(sub.value, conv.weightQuant()) == -128)
+                        hitMinInt8 = true;
+                    std::string what = std::string(geo.name) + " " +
+                                       precisionName(p) + " weight " +
+                                       std::to_string(widx) + " bit " +
+                                       std::to_string(bit);
+                    compared += expectSubMatches(
+                        conv, ins, sub, planeBoxes(out, oc), what);
+                    compared += expectSubMatches(
+                        conv, ins, sub, runBoxes(out, oc), what + " run");
+                }
+            }
+            for (std::size_t xidx : xidxs) {
+                auto cons = conv.inputConsumers(ins, xidx);
+                if (cons.empty())
+                    continue;
+                for (int bit = 0; bit < bits; ++bit) {
+                    OperandSub sub;
+                    sub.kind = OperandSub::Kind::Input;
+                    sub.flatIndex = xidx;
+                    sub.value = FaultModels::flipStoredOperand(
+                        x[xidx], p, conv.inputQuant(), bit);
+                    compared += expectSubMatches(
+                        conv, ins, sub, channelRunBoxes(cons),
+                        std::string(geo.name) + " " + precisionName(p) +
+                            " input " + std::to_string(xidx) + " bit " +
+                            std::to_string(bit));
+                }
+            }
+        }
+    }
+    EXPECT_TRUE(hitMinInt8);
+    EXPECT_GT(compared, 100000u);
+}
+
+TEST(Conv, ForwardWithSubDeclinesOtherChannelsAndChains)
+{
+    // A box outside the substituted weight's channel, a chained
+    // substitution, or a psum flip has no vector path: the caller
+    // falls back to computeNeuron.
+    Fixture f;
+    Tensor out = f.conv->makeOutput(f.ins);
+    OperandSub sub;
+    sub.kind = OperandSub::Kind::Weight;
+    sub.flatIndex = f.conv->weightIndex(1, 1, 0, 3);
+    sub.value = 2.0f;
+    Region other{0, 1, 0, 2, 0, 2, 2, 3};
+    EXPECT_FALSE(f.conv->forwardWithSub(f.ins, &sub, &other, 1, out));
+    OperandSub chained = sub;
+    chained.next = &sub;
+    Region own{0, 1, 0, 2, 0, 2, 3, 4};
+    EXPECT_FALSE(f.conv->forwardWithSub(f.ins, &chained, &own, 1, out));
+    OperandSub psum;
+    psum.kind = OperandSub::Kind::PsumFlip;
+    EXPECT_FALSE(f.conv->forwardWithSub(f.ins, &psum, &own, 1, out));
+    EXPECT_TRUE(f.conv->forwardWithSub(f.ins, &sub, &own, 1, out));
 }

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <set>
+#include <thread>
 
 #include "core/fault_models.hh"
 #include "nn/conv.hh"
@@ -301,5 +303,55 @@ TEST(FaultModels, RandomOutputValueUsesRepresentation)
         float v = FaultModels::randomOutputValue(Precision::INT8, qp,
                                                  rng);
         EXPECT_LE(std::fabs(v), 128.0 * qp.scale + 1e-6);
+    }
+}
+
+TEST(FaultModels, ConcurrentWeightFaultsMatchSerial)
+{
+    // The weight-substitution vector path takes its scratch from
+    // Arena::local() and evalConsumers' thread-local boxes and tensor:
+    // threads applying weight faults to one warmed layer at once must
+    // each get exactly the serial result (run under TSan in CI).
+    for (Precision p : {Precision::FP16, Precision::INT8}) {
+        Fixture f(p); // its golden forward warms the layer's packs
+        constexpr int kThreads = 4;
+        constexpr int kDraws = 16;
+        auto run = [&](int t) {
+            Rng rng(100 + t);
+            std::vector<FaultApplication> apps;
+            for (int i = 0; i < kDraws; ++i)
+                apps.push_back(f.models.apply(
+                    i % 2 ? FFCategory::OperandWeight
+                          : FFCategory::PreBufWeight,
+                    *f.conv, f.ins, f.golden, rng));
+            return apps;
+        };
+        std::vector<std::vector<FaultApplication>> serial, parallel(
+                                                               kThreads);
+        for (int t = 0; t < kThreads; ++t)
+            serial.push_back(run(t));
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t)
+            threads.emplace_back([&, t] { parallel[t] = run(t); });
+        for (std::thread &th : threads)
+            th.join();
+
+        std::size_t neurons = 0;
+        for (int t = 0; t < kThreads; ++t) {
+            ASSERT_EQ(parallel[t].size(), serial[t].size());
+            for (int i = 0; i < kDraws; ++i) {
+                const FaultApplication &a = parallel[t][i];
+                const FaultApplication &b = serial[t][i];
+                ASSERT_EQ(a.neurons.size(), b.neurons.size());
+                neurons += a.neurons.size();
+                for (std::size_t k = 0; k < a.neurons.size(); ++k) {
+                    EXPECT_EQ(a.neurons[k], b.neurons[k]);
+                    EXPECT_EQ(std::bit_cast<std::uint32_t>(a.values[k]),
+                              std::bit_cast<std::uint32_t>(b.values[k]));
+                }
+                EXPECT_EQ(a.maxAbsDelta, b.maxAbsDelta);
+            }
+        }
+        EXPECT_GT(neurons, 0u) << precisionName(p);
     }
 }
