@@ -8,6 +8,7 @@
  * for every thread count (the engine's determinism contract).
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 
@@ -77,21 +78,22 @@ main()
                       ? "\nresults bit-identical across thread counts\n"
                       : "\nERROR: results differ across thread counts\n");
 
-    // Crash-safety leg: stop the same campaign mid-flight, snapshot,
-    // resume from the snapshot at a different thread count, and check
-    // the merged result is bit-identical to the uninterrupted runs.
+    // Crash-safety leg: stop the same campaign mid-flight (after half
+    // of its shards, whatever the sample scale), snapshot, resume from
+    // the snapshot at a different thread count, and check the merged
+    // result is bit-identical to the uninterrupted runs.
     const std::string ckpt = "bench_parallel_scaling.ckpt";
+    const int slice = std::max<int>(
+        1, static_cast<int>(fixedShardPlan(net, cfg).size() / 2));
+    bool sliced = true;
     bool resume_identical = true;
     for (int threads : {1, 8}) {
         cfg.numThreads = threads;
         cfg.checkpointPath = ckpt;
-        cfg.stopAfterShards = 64;
+        cfg.stopAfterShards = slice;
         cfg.resumeFrom.clear();
         CampaignResult part = runCampaign(net, input, top1Metric(), cfg);
-        if (part.complete) {
-            std::cout << "ERROR: time-sliced campaign finished early\n";
-            resume_identical = false;
-        }
+        sliced = sliced && !part.complete;
         cfg.stopAfterShards = 0;
         cfg.resumeFrom = ckpt;
         cfg.numThreads = threads == 1 ? 8 : 1; // resume elsewhere
@@ -102,11 +104,15 @@ main()
     }
     cfg.checkpointPath.clear();
     cfg.resumeFrom.clear();
+    if (!sliced)
+        std::cout << "ERROR: time-sliced campaign finished early (stop "
+                     "after "
+                  << slice << " shards)\n";
     std::cout << (resume_identical
                       ? "checkpoint/resume bit-identical to "
                         "uninterrupted runs\n"
                       : "ERROR: resumed campaign diverged from the "
                         "uninterrupted result\n")
               << std::flush;
-    return all_identical && resume_identical ? 0 : 1;
+    return all_identical && sliced && resume_identical ? 0 : 1;
 }

@@ -143,28 +143,6 @@ struct ThroughputRecord
 // and rows are rendered through JsonLineBuilder so string fields are
 // escaped instead of pasted.
 
-/** Merge this bench's throughput records into the trajectory file. */
-inline void
-writeThroughputJson(const std::string &bench,
-                    const std::vector<ThroughputRecord> &records,
-                    const std::string &path =
-                        "BENCH_injection_throughput.json")
-{
-    std::vector<std::string> rows;
-    for (const ThroughputRecord &r : records)
-        rows.push_back(JsonLineBuilder()
-                           .field("bench", bench)
-                           .field("network", r.network)
-                           .field("mode", r.mode)
-                           .field("threads", r.threads)
-                           .field("batch_width", r.batchWidth)
-                           .field("injections", r.injections)
-                           .field("wall_s", r.wallSeconds)
-                           .field("inj_per_s", r.injPerSec())
-                           .str());
-    mergeJsonLines(path, bench, rows);
-}
-
 /** The CPU's brand string from CPUID, or "unknown". */
 inline std::string
 cpuModel()
@@ -211,6 +189,32 @@ stampHost(JsonLineBuilder &row)
         .field("cpu", cpuModel())
         .field("simd_dispatch", simd::dispatchMode())
         .field("rev", sourceRev());
+}
+
+/**
+ * Merge this bench's throughput records into the trajectory file.
+ * Every row carries the host stamp.
+ */
+inline void
+writeThroughputJson(const std::string &bench,
+                    const std::vector<ThroughputRecord> &records,
+                    const std::string &path =
+                        "BENCH_injection_throughput.json")
+{
+    std::vector<std::string> rows;
+    for (const ThroughputRecord &r : records) {
+        JsonLineBuilder row;
+        row.field("bench", bench)
+            .field("network", r.network)
+            .field("mode", r.mode)
+            .field("threads", r.threads)
+            .field("batch_width", r.batchWidth)
+            .field("injections", r.injections)
+            .field("wall_s", r.wallSeconds)
+            .field("inj_per_s", r.injPerSec());
+        rows.push_back(stampHost(row).str());
+    }
+    mergeJsonLines(path, bench, rows);
 }
 
 /** One per-kernel throughput measurement (scalar vs SIMD). */
@@ -283,7 +287,10 @@ struct AdaptiveRecord
     double wallSeconds = 0.0;
 };
 
-/** Merge adaptive-sampling records into their trajectory file. */
+/**
+ * Merge adaptive-sampling records into their trajectory file.  Every
+ * row carries the host stamp.
+ */
 inline void
 writeAdaptiveJson(const std::string &bench,
                   const std::vector<AdaptiveRecord> &records,
@@ -291,17 +298,18 @@ writeAdaptiveJson(const std::string &bench,
                       "BENCH_adaptive_sampling.json")
 {
     std::vector<std::string> rows;
-    for (const AdaptiveRecord &r : records)
-        rows.push_back(JsonLineBuilder()
-                           .field("bench", bench)
-                           .field("network", r.network)
-                           .field("mode", r.mode)
-                           .field("target_half_width", r.targetHalfWidth)
-                           .field("z", r.confidenceZ)
-                           .field("injections", r.injections)
-                           .field("max_half_width", r.maxHalfWidth)
-                           .field("wall_s", r.wallSeconds)
-                           .str());
+    for (const AdaptiveRecord &r : records) {
+        JsonLineBuilder row;
+        row.field("bench", bench)
+            .field("network", r.network)
+            .field("mode", r.mode)
+            .field("target_half_width", r.targetHalfWidth)
+            .field("z", r.confidenceZ)
+            .field("injections", r.injections)
+            .field("max_half_width", r.maxHalfWidth)
+            .field("wall_s", r.wallSeconds);
+        rows.push_back(stampHost(row).str());
+    }
     mergeJsonLines(path, bench, rows);
 }
 

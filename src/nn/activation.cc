@@ -73,21 +73,6 @@ Activation::propagateRegion(const std::vector<const Tensor *> &, int,
     return in.clipped(out);
 }
 
-void
-Activation::forwardRegion(const std::vector<const Tensor *> &ins,
-                          const Region &region, Tensor &out) const
-{
-    const Tensor &x = *ins[0];
-    bool half = precision_ == Precision::FP16;
-    for (int n = region.n0; n < region.n1; ++n)
-        for (int h = region.h0; h < region.h1; ++h)
-            for (int w = region.w0; w < region.w1; ++w)
-                for (int c = region.c0; c < region.c1; ++c) {
-                    float v = apply(x.at(n, h, w, c));
-                    out.at(n, h, w, c) = half ? roundToHalf(v) : v;
-                }
-}
-
 bool
 Activation::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                                  LanePlane *const *inPlanes,

@@ -36,8 +36,6 @@ class Activation : public Layer
                            int inputIdx, const Region &in,
                            const Tensor &out) const override;
 
-    void forwardRegion(const std::vector<const Tensor *> &ins,
-                       const Region &region, Tensor &out) const override;
 
     bool forwardRegionBatched(const std::vector<const Tensor *> &ins,
                               LanePlane *const *inPlanes,

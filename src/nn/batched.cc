@@ -320,9 +320,10 @@ BatchedEngineT<BMAX>::execute()
 }
 
 /**
- * Per-lane fallback for layers without a batched kernel (FC / matmul /
+ * Per-lane fallback for layers without a region kernel (FC / matmul /
  * softmax — small, post-pooling tensors): materialise each live lane's
- * inputs as plain tensors, run the scalar forwardRegion, and scatter
+ * inputs as plain tensors, run the layer's dense forward() (directly,
+ * or through forwardRegion, which has no kernel to call), and scatter
  * the result back into the output plane's lane column.
  */
 template <int BMAX>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 
 #include "nn/lanes.hh"
 #include "sim/arena.hh"
@@ -19,124 +20,110 @@ namespace
 {
 
 /**
- * Float-mode block kernel over one output region.
- *
- * Vectorizes across output-channel lanes: each lane accumulates its
- * own output in the canonical (ci, kh, kw) order with an unfused
- * multiply-add per term, so every lane is bit-identical to the scalar
- * kernel and to computeNeuron().  `loadX(n, ih, iw, ci)` returns the
- * stored-form operand (the zero stored-form when out of range), and
- * `wb(acc, oc)` applies bias and the writeback path.
- *
- * The operands for one output pixel are gathered into `xg` (caller
- * scratch of `cpg * kh * kw` elements) once per group, then one
- * dispatched-table GEMM microkernel call covers every touched lane
- * block of the group; `acc` is caller scratch for the padded block
- * results (packBlocks(opg, kF32Lanes) * kF32Lanes elements).
+ * Where a group's weights sit in the lane-blocked pack of operand type
+ * T (simd/pack.hh): per group, blocks of `lanes` output channels, each
+ * holding the reduction lane-minor — one weight per row for the float
+ * and wide int32 packs, one int16 pair per row for the narrow
+ * pair-interleaved pack.
  */
-template <class LoadX, class WB>
-void
-convRegionFloat(const simd::KernelTable &kt, const ConvSpec &spec,
-                int cpg, int opg, const float *packed, const Region &r,
-                Tensor &out, float *xg, float *acc, LoadX loadX, WB wb)
+template <class T>
+struct WeightPack
 {
-    constexpr int L = simd::kF32Lanes;
-    const int blocksPerGroup = simd::packBlocks(opg, L);
-    const int redLen = cpg * spec.kh * spec.kw;
-    const std::size_t blkStride = static_cast<std::size_t>(redLen) * L;
-    const std::size_t gStride = blocksPerGroup * blkStride;
-    const int g0 = r.c0 / opg;
-    const int g1 = (r.c1 - 1) / opg;
+    static constexpr int pairs = std::is_same_v<T, std::int16_t> ? 2 : 1;
+    static constexpr int lanes = std::is_same_v<T, float> ? simd::kF32Lanes
+                                 : pairs == 2        ? simd::kNarrowLanes
+                                                     : simd::kI64Lanes;
 
-    for (int n = r.n0; n < r.n1; ++n) {
-        for (int oh = r.h0; oh < r.h1; ++oh) {
-            for (int ow = r.w0; ow < r.w1; ++ow) {
-                std::size_t base = out.offset(n, oh, ow, 0);
-                for (int g = g0; g <= g1; ++g) {
-                    std::size_t t = 0;
-                    for (int cig = 0; cig < cpg; ++cig) {
-                        int ci = g * cpg + cig;
-                        for (int kh = 0; kh < spec.kh; ++kh) {
-                            int ih = oh * spec.stride - spec.pad +
-                                     kh * spec.dilation;
-                            for (int kw = 0; kw < spec.kw; ++kw) {
-                                int iw = ow * spec.stride - spec.pad +
-                                         kw * spec.dilation;
-                                xg[t++] = loadX(n, ih, iw, ci);
-                            }
-                        }
-                    }
-                    int lo = std::max(r.c0, g * opg);
-                    int hi = std::min(r.c1, (g + 1) * opg);
-                    int b0 = (lo - g * opg) / L;
-                    int b1 = (hi - 1 - g * opg) / L;
-                    kt.gemmF32(xg, redLen, b1 - b0 + 1,
-                               packed + g * gStride + b0 * blkStride,
-                               acc);
-                    for (int blk = b0; blk <= b1; ++blk) {
-                        int ocb = g * opg + blk * L;
-                        int s = std::max(lo, ocb);
-                        int e = std::min(hi, ocb + L);
-                        const float *ab = acc + (blk - b0) * L;
-                        for (int oc = s; oc < e; ++oc)
-                            out[base + oc] = wb(
-                                static_cast<double>(ab[oc - ocb]), oc);
-                    }
-                }
+    const T *data;
+    std::size_t blkStride;
+    std::size_t gStride;
+
+    WeightPack(const T *d, int redLen, int opg)
+        : data(d),
+          blkStride(static_cast<std::size_t>(
+                        pairs == 2 ? 2 * simd::packPairs(redLen) : redLen) *
+                    lanes),
+          gStride(simd::packBlocks(opg, lanes) * blkStride)
+    {
+    }
+
+    /** Lane block `b` of group `g`. */
+    const T *
+    block(int g, int b) const
+    {
+        return data + g * gStride + b * blkStride;
+    }
+
+    /** Weight column of channel `ocg` of group `g`; rows are
+     *  lanes * pairs elements apart. */
+    const T *
+    column(int g, int ocg) const
+    {
+        return block(g, ocg / lanes) + (ocg % lanes) * pairs;
+    }
+};
+
+/**
+ * Visit the MAC terms of output pixel (oh, ow) in group `g` in the
+ * canonical (ci, kh, kw) order: `fn(t, ih, iw, ci)` for term t, where
+ * out-of-range (ih, iw) is padding.
+ */
+template <class Fn>
+void
+forEachTerm(const ConvSpec &spec, int cpg, int g, int oh, int ow, Fn fn)
+{
+    std::size_t t = 0;
+    for (int cig = 0; cig < cpg; ++cig) {
+        int ci = g * cpg + cig;
+        for (int kh = 0; kh < spec.kh; ++kh) {
+            int ih = oh * spec.stride - spec.pad + kh * spec.dilation;
+            for (int kw = 0; kw < spec.kw; ++kw) {
+                int iw = ow * spec.stride - spec.pad + kw * spec.dilation;
+                fn(t++, ih, iw, ci);
             }
         }
     }
 }
 
-/** Wide integer twin: int64 lane accumulators over int32 operands. */
-template <class LoadX, class WB>
+/**
+ * Channel-lane kernel: the width-1 back end.  Vectorizes across
+ * output-channel lanes: each lane accumulates its own output in the
+ * canonical (ci, kh, kw) order with an unfused multiply-add per term,
+ * so every lane is bit-identical to computeNeuron().  Per output pixel
+ * and group, `load(dst, n, ih, iw, ci)` gathers the stored-form
+ * operands into `xg` (the zero stored form when out of range), one
+ * dispatched-table microkernel call `gemm(xg, nblocks, block, acc)`
+ * covers every touched lane block, and `wb(acc, oc)` applies bias and
+ * the writeback path into `od` (laid out like `shape`).  `acc` is
+ * caller scratch for the padded block results.
+ */
+template <class T, class Acc, class Load, class Gemm, class WB>
 void
-convRegionInt(const simd::KernelTable &kt, const ConvSpec &spec,
-              int cpg, int opg, const std::int32_t *packed,
-              const Region &r, Tensor &out, std::int32_t *xg,
-              std::int64_t *acc, LoadX loadX, WB wb)
+convChannelLanes(const ConvSpec &spec, int cpg, int opg,
+                 const WeightPack<T> &pk, const Region &r,
+                 const Tensor &shape, float *od, T *xg, Acc *acc,
+                 Load load, Gemm gemm, WB wb)
 {
-    constexpr int L = simd::kI64Lanes;
-    const int blocksPerGroup = simd::packBlocks(opg, L);
-    const int redLen = cpg * spec.kh * spec.kw;
-    const std::size_t blkStride = static_cast<std::size_t>(redLen) * L;
-    const std::size_t gStride = blocksPerGroup * blkStride;
     const int g0 = r.c0 / opg;
     const int g1 = (r.c1 - 1) / opg;
-
     for (int n = r.n0; n < r.n1; ++n) {
         for (int oh = r.h0; oh < r.h1; ++oh) {
             for (int ow = r.w0; ow < r.w1; ++ow) {
-                std::size_t base = out.offset(n, oh, ow, 0);
+                std::size_t base = shape.offset(n, oh, ow, 0);
                 for (int g = g0; g <= g1; ++g) {
-                    std::size_t t = 0;
-                    for (int cig = 0; cig < cpg; ++cig) {
-                        int ci = g * cpg + cig;
-                        for (int kh = 0; kh < spec.kh; ++kh) {
-                            int ih = oh * spec.stride - spec.pad +
-                                     kh * spec.dilation;
-                            for (int kw = 0; kw < spec.kw; ++kw) {
-                                int iw = ow * spec.stride - spec.pad +
-                                         kw * spec.dilation;
-                                xg[t++] = loadX(n, ih, iw, ci);
-                            }
-                        }
-                    }
+                    forEachTerm(spec, cpg, g, oh, ow,
+                                [&](std::size_t t, int ih, int iw,
+                                    int ci) {
+                                    load(xg + t, n, ih, iw, ci);
+                                });
                     int lo = std::max(r.c0, g * opg);
                     int hi = std::min(r.c1, (g + 1) * opg);
-                    int b0 = (lo - g * opg) / L;
-                    int b1 = (hi - 1 - g * opg) / L;
-                    kt.gemmI64(xg, redLen, b1 - b0 + 1,
-                               packed + g * gStride + b0 * blkStride,
-                               acc);
-                    for (int blk = b0; blk <= b1; ++blk) {
-                        int ocb = g * opg + blk * L;
-                        int s = std::max(lo, ocb);
-                        int e = std::min(hi, ocb + L);
-                        const std::int64_t *ab = acc + (blk - b0) * L;
-                        for (int oc = s; oc < e; ++oc)
-                            out[base + oc] = wb(ab[oc - ocb], oc);
-                    }
+                    int b0 = (lo - g * opg) / pk.lanes;
+                    int b1 = (hi - 1 - g * opg) / pk.lanes;
+                    gemm(xg, b1 - b0 + 1, pk.block(g, b0), acc);
+                    const int ob = g * opg + b0 * pk.lanes;
+                    for (int oc = lo; oc < hi; ++oc)
+                        od[base + oc] = wb(acc[oc - ob], oc);
                 }
             }
         }
@@ -144,101 +131,26 @@ convRegionInt(const simd::KernelTable &kt, const ConvSpec &spec,
 }
 
 /**
- * Narrow integer kernel over the pair-interleaved int16 pack.  The
- * gather narrows the quantised operands to int16 (lossless, bits <=
- * 16) into `xg`, which the caller sizes to 2 * packPairs(redLen)
- * elements with the pad element (odd reductions) pre-zeroed; the
- * kernel never writes past redLen, so the pad survives re-use.  Exact
- * by the chunk bound, hence bit-identical to convRegionInt.
+ * Injection-lane kernel: the width-4/8 back end of the fault-batched
+ * engine.  The SIMD lanes hold W *injections* of the same fault cell
+ * instead of output channels: the window math, padding tests and
+ * packed-weight stream are shared by the batch, `load` fills W
+ * stored-form lane operands per term, and `rowMac(xg, column, op, oc)`
+ * runs the dispatched table's lane-minor MAC row over one output
+ * channel's weight column (canonical k order, unfused per-lane
+ * multiply-adds, so every lane is bit-identical to the channel-lane
+ * kernel) and writes the lane row `op` back through bias and the
+ * output path.  Only the cover's row and channel spans are walked.
  */
-template <class LoadX, class WB>
+template <int W, class T, class Load, class RowMac>
 void
-convRegionNarrow(const simd::KernelTable &kt, const ConvSpec &spec,
-                 int cpg, int opg, const std::int16_t *packed,
-                 int chunkPairs, const Region &r, Tensor &out,
-                 std::int16_t *xg, std::int64_t *acc, LoadX loadX,
-                 WB wb)
+convInjectionLanes(const ConvSpec &spec, int cpg, int opg,
+                   const WeightPack<T> &pk, const Region &r,
+                   const BatchCover *cover, const Tensor &golden,
+                   LanePlane &out, T *xg, Load load, RowMac rowMac)
 {
-    constexpr int L = simd::kNarrowLanes;
-    const int blocksPerGroup = simd::packBlocks(opg, L);
-    const int redLen = cpg * spec.kh * spec.kw;
-    const int redPairs = simd::packPairs(redLen);
-    const std::size_t blkStride =
-        static_cast<std::size_t>(redPairs) * 2 * L;
-    const std::size_t gStride = blocksPerGroup * blkStride;
     const int g0 = r.c0 / opg;
     const int g1 = (r.c1 - 1) / opg;
-
-    for (int n = r.n0; n < r.n1; ++n) {
-        for (int oh = r.h0; oh < r.h1; ++oh) {
-            for (int ow = r.w0; ow < r.w1; ++ow) {
-                std::size_t base = out.offset(n, oh, ow, 0);
-                for (int g = g0; g <= g1; ++g) {
-                    std::size_t t = 0;
-                    for (int cig = 0; cig < cpg; ++cig) {
-                        int ci = g * cpg + cig;
-                        for (int kh = 0; kh < spec.kh; ++kh) {
-                            int ih = oh * spec.stride - spec.pad +
-                                     kh * spec.dilation;
-                            for (int kw = 0; kw < spec.kw; ++kw) {
-                                int iw = ow * spec.stride - spec.pad +
-                                         kw * spec.dilation;
-                                xg[t++] = static_cast<std::int16_t>(
-                                    loadX(n, ih, iw, ci));
-                            }
-                        }
-                    }
-                    int lo = std::max(r.c0, g * opg);
-                    int hi = std::min(r.c1, (g + 1) * opg);
-                    int b0 = (lo - g * opg) / L;
-                    int b1 = (hi - 1 - g * opg) / L;
-                    kt.gemmNarrow(xg, redPairs, b1 - b0 + 1,
-                                  packed + g * gStride + b0 * blkStride,
-                                  chunkPairs, acc);
-                    for (int blk = b0; blk <= b1; ++blk) {
-                        int ocb = g * opg + blk * L;
-                        int s = std::max(lo, ocb);
-                        int e = std::min(hi, ocb + L);
-                        const std::int64_t *ab = acc + (blk - b0) * L;
-                        for (int oc = s; oc < e; ++oc)
-                            out[base + oc] = wb(ab[oc - ocb], oc);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/**
- * Fault-batched float kernel: the SIMD lanes hold W *injections* of
- * the same fault cell instead of W output channels.  The window math,
- * padding tests, and packed-weight stream are shared by the batch; the
- * dispatched table's lane-minor MAC row accumulates all W lanes of one
- * output channel per call (canonical k order, unfused per-lane
- * multiply-adds, so every lane is bit-identical to the scalar
- * kernels).  `loadG(dst, n, ih, iw, ci)` fills W stored-form lane
- * operands (the zero stored-form when out of range), and `wbRow(op,
- * oc)` applies bias and the writeback path to the whole lane row in
- * place (rounding the row as one batch).
- */
-template <int W, class LoadG, class WBRow>
-void
-convBatchedFloat(const simd::KernelTable &kt, const ConvSpec &spec,
-                 int cpg, int opg, const float *packed, const Region &r,
-                 const BatchCover *cover, const Tensor &golden,
-                 LanePlane &out, float *xg, LoadG loadG, WBRow wbRow)
-{
-    // The weight pack is laid out for the *channel* kernels' lane
-    // width; here it is walked scalar, one output channel at a time.
-    constexpr int PL = simd::kF32Lanes;
-    const int blocksPerGroup = simd::packBlocks(opg, PL);
-    const std::size_t redLen =
-        static_cast<std::size_t>(cpg) * spec.kh * spec.kw;
-    const std::size_t blkStride = redLen * PL;
-    const std::size_t gStride = blocksPerGroup * blkStride;
-    const int g0 = r.c0 / opg;
-    const int g1 = (r.c1 - 1) / opg;
-
     const BatchCover::Span full{r.w0, r.w1};
     const BatchCover::Span cfull{r.c0, r.c1};
     const BatchCover::Span *csp = &cfull;
@@ -263,199 +175,17 @@ convBatchedFloat(const simd::KernelTable &kt, const ConvSpec &spec,
                               std::max(lo, csp[cs].w0);
                     if (!any)
                         continue; // no covered channel in this group
-                    std::size_t t = 0;
-                    for (int cig = 0; cig < cpg; ++cig) {
-                        int ci = g * cpg + cig;
-                        for (int kh = 0; kh < spec.kh; ++kh) {
-                            int ih = oh * spec.stride - spec.pad +
-                                     kh * spec.dilation;
-                            for (int kw = 0; kw < spec.kw; ++kw) {
-                                int iw = ow * spec.stride - spec.pad +
-                                         kw * spec.dilation;
-                                loadG(xg + t * W, n, ih, iw, ci);
-                                ++t;
-                            }
-                        }
-                    }
+                    forEachTerm(spec, cpg, g, oh, ow,
+                                [&](std::size_t t, int ih, int iw,
+                                    int ci) {
+                                    load(xg + t * W, n, ih, iw, ci);
+                                });
                     for (int cs = 0; cs < ncs; ++cs) {
                     int clo = std::max(lo, csp[cs].w0);
                     int chi = std::min(hi, csp[cs].w1);
-                    for (int oc = clo; oc < chi; ++oc) {
-                        int ocg = oc - g * opg;
-                        const float *wrow = packed + g * gStride +
-                                            (ocg / PL) * blkStride +
-                                            (ocg % PL);
-                        float *op = out.lanes(base + oc);
-                        kt.batchMacF32(xg, wrow, redLen, PL, W, op);
-                        wbRow(op, oc);
-                    }
-                    }
-                }
-            }
-            }
-        }
-    }
-}
-
-/**
- * Integer-mode twin: W int64 lane accumulators.  The weight scalar
- * and the lane-operand pointer swap roles relative to the channel
- * kernel — multiplication commutes, so the lane-minor MAC row is the
- * exact product either way.  `wbRow(lanes, op, oc)` turns the W int64
- * accumulators into the lane row's stored outputs in one batch.
- */
-template <int W, class LoadG, class WBRow>
-void
-convBatchedInt(const simd::KernelTable &kt, const ConvSpec &spec,
-               int cpg, int opg, const std::int32_t *packed,
-               const Region &r, const BatchCover *cover,
-               const Tensor &golden, LanePlane &out, std::int32_t *xg,
-               LoadG loadG, WBRow wbRow)
-{
-    constexpr int PL = simd::kI64Lanes;
-    const int blocksPerGroup = simd::packBlocks(opg, PL);
-    const std::size_t redLen =
-        static_cast<std::size_t>(cpg) * spec.kh * spec.kw;
-    const std::size_t blkStride = redLen * PL;
-    const std::size_t gStride = blocksPerGroup * blkStride;
-    const int g0 = r.c0 / opg;
-    const int g1 = (r.c1 - 1) / opg;
-
-    std::int64_t lanes[W];
-    const BatchCover::Span full{r.w0, r.w1};
-    const BatchCover::Span cfull{r.c0, r.c1};
-    const BatchCover::Span *csp = &cfull;
-    int ncs = 1;
-    if (cover)
-        csp = cover->chanSpans(ncs);
-    for (int n = r.n0; n < r.n1; ++n) {
-        for (int oh = r.h0; oh < r.h1; ++oh) {
-            const BatchCover::Span *sp = &full;
-            int nsp = 1;
-            if (cover)
-                sp = cover->row(n, oh, nsp);
-            for (int si = 0; si < nsp; ++si) {
-            for (int ow = sp[si].w0; ow < sp[si].w1; ++ow) {
-                std::size_t base = golden.offset(n, oh, ow, 0);
-                for (int g = g0; g <= g1; ++g) {
-                    int lo = std::max(r.c0, g * opg);
-                    int hi = std::min(r.c1, (g + 1) * opg);
-                    bool any = false;
-                    for (int cs = 0; cs < ncs && !any; ++cs)
-                        any = std::min(hi, csp[cs].w1) >
-                              std::max(lo, csp[cs].w0);
-                    if (!any)
-                        continue; // no covered channel in this group
-                    std::size_t t = 0;
-                    for (int cig = 0; cig < cpg; ++cig) {
-                        int ci = g * cpg + cig;
-                        for (int kh = 0; kh < spec.kh; ++kh) {
-                            int ih = oh * spec.stride - spec.pad +
-                                     kh * spec.dilation;
-                            for (int kw = 0; kw < spec.kw; ++kw) {
-                                int iw = ow * spec.stride - spec.pad +
-                                         kw * spec.dilation;
-                                loadG(xg + t * W, n, ih, iw, ci);
-                                ++t;
-                            }
-                        }
-                    }
-                    for (int cs = 0; cs < ncs; ++cs) {
-                    int clo = std::max(lo, csp[cs].w0);
-                    int chi = std::min(hi, csp[cs].w1);
-                    for (int oc = clo; oc < chi; ++oc) {
-                        int ocg = oc - g * opg;
-                        const std::int32_t *wrow =
-                            packed + g * gStride +
-                            (ocg / PL) * blkStride + (ocg % PL);
-                        kt.batchMacI64(xg, wrow, redLen, PL, W, lanes);
-                        wbRow(lanes, out.lanes(base + oc), oc);
-                    }
-                    }
-                }
-            }
-            }
-        }
-    }
-}
-
-/**
- * Narrow integer batched kernel: int16 lane rows against the
- * pair-interleaved pack.  `xg` holds 2 * packPairs(redLen) rows of W
- * lanes; the caller zeroes the pad row (odd reductions) once — the
- * gather only writes redLen rows.  Exact by the chunk bound, hence
- * bit-identical to convBatchedInt.
- */
-template <int W, class LoadG, class WBRow>
-void
-convBatchedNarrow(const simd::KernelTable &kt, const ConvSpec &spec,
-                  int cpg, int opg, const std::int16_t *packed,
-                  int chunkPairs, const Region &r,
-                  const BatchCover *cover, const Tensor &golden,
-                  LanePlane &out, std::int16_t *xg, LoadG loadG,
-                  WBRow wbRow)
-{
-    constexpr int PL = simd::kNarrowLanes;
-    const int blocksPerGroup = simd::packBlocks(opg, PL);
-    const int redLen = cpg * spec.kh * spec.kw;
-    const int redPairs = simd::packPairs(redLen);
-    const std::size_t blkStride =
-        static_cast<std::size_t>(redPairs) * 2 * PL;
-    const std::size_t gStride = blocksPerGroup * blkStride;
-    const int g0 = r.c0 / opg;
-    const int g1 = (r.c1 - 1) / opg;
-
-    std::int64_t lanes[W];
-    const BatchCover::Span full{r.w0, r.w1};
-    const BatchCover::Span cfull{r.c0, r.c1};
-    const BatchCover::Span *csp = &cfull;
-    int ncs = 1;
-    if (cover)
-        csp = cover->chanSpans(ncs);
-    for (int n = r.n0; n < r.n1; ++n) {
-        for (int oh = r.h0; oh < r.h1; ++oh) {
-            const BatchCover::Span *sp = &full;
-            int nsp = 1;
-            if (cover)
-                sp = cover->row(n, oh, nsp);
-            for (int si = 0; si < nsp; ++si) {
-            for (int ow = sp[si].w0; ow < sp[si].w1; ++ow) {
-                std::size_t base = golden.offset(n, oh, ow, 0);
-                for (int g = g0; g <= g1; ++g) {
-                    int lo = std::max(r.c0, g * opg);
-                    int hi = std::min(r.c1, (g + 1) * opg);
-                    bool any = false;
-                    for (int cs = 0; cs < ncs && !any; ++cs)
-                        any = std::min(hi, csp[cs].w1) >
-                              std::max(lo, csp[cs].w0);
-                    if (!any)
-                        continue; // no covered channel in this group
-                    std::size_t t = 0;
-                    for (int cig = 0; cig < cpg; ++cig) {
-                        int ci = g * cpg + cig;
-                        for (int kh = 0; kh < spec.kh; ++kh) {
-                            int ih = oh * spec.stride - spec.pad +
-                                     kh * spec.dilation;
-                            for (int kw = 0; kw < spec.kw; ++kw) {
-                                int iw = ow * spec.stride - spec.pad +
-                                         kw * spec.dilation;
-                                loadG(xg + t * W, n, ih, iw, ci);
-                                ++t;
-                            }
-                        }
-                    }
-                    for (int cs = 0; cs < ncs; ++cs) {
-                    int clo = std::max(lo, csp[cs].w0);
-                    int chi = std::min(hi, csp[cs].w1);
-                    for (int oc = clo; oc < chi; ++oc) {
-                        int ocg = oc - g * opg;
-                        const std::int16_t *wrow =
-                            packed + g * gStride +
-                            (ocg / PL) * blkStride + (ocg % PL) * 2;
-                        kt.batchMacNarrow(xg, wrow, redPairs, PL * 2,
-                                          chunkPairs, W, lanes);
-                        wbRow(lanes, out.lanes(base + oc), oc);
-                    }
+                    for (int oc = clo; oc < chi; ++oc)
+                        rowMac(xg, pk.column(g, oc - g * opg),
+                               out.lanes(base + oc), oc);
                     }
                 }
             }
@@ -773,94 +503,11 @@ Conv2D::packWeights() const
 Tensor
 Conv2D::forward(const std::vector<const Tensor *> &ins) const
 {
-    // Fast path, bit-identical to computeNeuron(): operands are
-    // converted into their stored form once, then lane blocks of
-    // output channels accumulate in the canonical (ci, kh, kw) order
-    // with the same arithmetic.
+    // The region kernel over the full output: every input element
+    // converts to its stored form once, then the channel-lane kernel
+    // runs (bit-identical to computeNeuron()).
     Tensor out = makeOutput(ins);
-    const Tensor &x = *ins[0];
-    bool integer = precision_ == Precision::INT8 ||
-                   precision_ == Precision::INT16;
-    if (!wPackValid_)
-        packWeights();
-    const bool narrow = integer && chunkPairs_ > 0;
-
-    const int cpg = spec_.inC / spec_.groups;
-    const int opg = spec_.outC / spec_.groups;
-    const int redLen = spec_.kh * spec_.kw * cpg;
-    const int redPairs = simd::packPairs(redLen);
-    Arena &arena = Arena::local();
-    auto xs = arena.floats(
-        integer || precision_ == Precision::FP32 ? 0 : x.size());
-    auto xq = arena.ints(integer ? x.size() : 0);
-    auto xgF = arena.floats(integer ? 0 : redLen);
-    auto xgI = arena.ints(integer && !narrow ? redLen : 0);
-    auto xgN = arena.shorts(narrow ? 2 * redPairs : 0);
-    auto accF = arena.floats(
-        integer ? 0
-                : simd::packSize(1, opg, simd::kF32Lanes));
-    auto accL = arena.longs(
-        integer ? (narrow ? simd::packSize(1, opg, simd::kNarrowLanes)
-                          : simd::packSize(1, opg, simd::kI64Lanes))
-                : 0);
-    if (narrow)
-        for (int k = redLen; k < 2 * redPairs; ++k)
-            xgN[k] = 0;
-    const float *xf = x.data().data();
-    if (integer) {
-        simd::quantizeBatch(xf, xq.data(), x.size(), inQuant_);
-    } else if (precision_ == Precision::FP16) {
-        simd::roundToHalfBatch(xf, xs.data(), x.size());
-        xf = xs.data();
-    }
-
-    const int xh = x.h(), xw = x.w(), xc = x.c();
-    const Region full = Region::full(out);
-    auto biasAt = [&](int oc) {
-        return spec_.bias ? bias_[oc] : 0.0f;
-    };
-
-    const simd::KernelTable &kt = simd::table();
-    if (integer) {
-        const std::int32_t *xqd = xq.data();
-        const std::int32_t zero_q = quantInput(0.0f);
-        auto loadX = [&](int n, int ih, int iw, int ci) {
-            bool ok = ih >= 0 && ih < xh && iw >= 0 && iw < xw;
-            return ok
-                ? xqd[((static_cast<std::size_t>(n) * xh + ih) * xw +
-                       iw) * xc + ci]
-                : zero_q;
-        };
-        auto wb = [&](std::int64_t iacc, int oc) {
-            // Left-associated like computeNeuron: the double
-            // rounding order is part of the bit contract.
-            return writeback(static_cast<double>(iacc) *
-                                 inQuant_.scale * wQuant_.scale,
-                             biasAt(oc));
-        };
-        if (narrow)
-            convRegionNarrow(kt, spec_, cpg, opg, wPackN_.data(),
-                             chunkPairs_, full, out, xgN.data(),
-                             accL.data(), loadX, wb);
-        else
-            convRegionInt(kt, spec_, cpg, opg, wPackI_.data(), full,
-                          out, xgI.data(), accL.data(), loadX, wb);
-    } else {
-        const float zero_s = storeInput(0.0f);
-        convRegionFloat(
-            kt, spec_, cpg, opg, wPackF_.data(), full, out, xgF.data(),
-            accF.data(),
-            [&](int n, int ih, int iw, int ci) {
-                bool ok = ih >= 0 && ih < xh && iw >= 0 && iw < xw;
-                return ok
-                    ? xf[((static_cast<std::size_t>(n) * xh + ih) *
-                              xw + iw) * xc + ci]
-                    : zero_s;
-            },
-            [&](double acc, int oc) {
-                return writeback(acc, biasAt(oc));
-            });
-    }
+    forwardRegion(ins, Region::full(out), out);
     return out;
 }
 
@@ -885,90 +532,6 @@ Conv2D::propagateRegion(const std::vector<const Tensor *> &ins, int,
     return r.clipped(out);
 }
 
-void
-Conv2D::forwardRegion(const std::vector<const Tensor *> &ins,
-                      const Region &region, Tensor &out) const
-{
-    // Same block kernels as forward(), restricted to the requested
-    // output box; operands convert on the fly (once per broadcast
-    // term, not once per output channel).
-    checkInput(ins);
-    if (region.empty())
-        return;
-    const Tensor &x = *ins[0];
-    bool integer = precision_ == Precision::INT8 ||
-                   precision_ == Precision::INT16;
-    if (!wPackValid_)
-        packWeights();
-    const bool narrow = integer && chunkPairs_ > 0;
-
-    const int cpg = spec_.inC / spec_.groups;
-    const int opg = spec_.outC / spec_.groups;
-    const int xh = x.h(), xw = x.w(), xc = x.c();
-    const float *xd = x.data().data();
-    const int redLen = spec_.kh * spec_.kw * cpg;
-    const int redPairs = simd::packPairs(redLen);
-    Arena &arena = Arena::local();
-    auto xgF = arena.floats(integer ? 0 : redLen);
-    auto xgI = arena.ints(integer && !narrow ? redLen : 0);
-    auto xgN = arena.shorts(narrow ? 2 * redPairs : 0);
-    auto accF = arena.floats(
-        integer ? 0 : simd::packSize(1, opg, simd::kF32Lanes));
-    auto accL = arena.longs(
-        integer ? (narrow ? simd::packSize(1, opg, simd::kNarrowLanes)
-                          : simd::packSize(1, opg, simd::kI64Lanes))
-                : 0);
-    if (narrow)
-        for (int k = redLen; k < 2 * redPairs; ++k)
-            xgN[k] = 0;
-    auto biasAt = [&](int oc) {
-        return spec_.bias ? bias_[oc] : 0.0f;
-    };
-
-    const simd::KernelTable &kt = simd::table();
-    if (integer) {
-        const std::int32_t zero_q = quantInput(0.0f);
-        auto loadX = [&](int n, int ih, int iw, int ci) {
-            bool ok = ih >= 0 && ih < xh && iw >= 0 && iw < xw;
-            return ok
-                ? quantInput(
-                      xd[((static_cast<std::size_t>(n) * xh + ih) *
-                          xw + iw) * xc + ci])
-                : zero_q;
-        };
-        auto wb = [&](std::int64_t iacc, int oc) {
-            // Left-associated like computeNeuron: the double
-            // rounding order is part of the bit contract.
-            return writeback(static_cast<double>(iacc) *
-                                 inQuant_.scale * wQuant_.scale,
-                             biasAt(oc));
-        };
-        if (narrow)
-            convRegionNarrow(kt, spec_, cpg, opg, wPackN_.data(),
-                             chunkPairs_, region, out, xgN.data(),
-                             accL.data(), loadX, wb);
-        else
-            convRegionInt(kt, spec_, cpg, opg, wPackI_.data(), region,
-                          out, xgI.data(), accL.data(), loadX, wb);
-    } else {
-        const float zero_s = storeInput(0.0f);
-        convRegionFloat(
-            kt, spec_, cpg, opg, wPackF_.data(), region, out,
-            xgF.data(), accF.data(),
-            [&](int n, int ih, int iw, int ci) {
-                bool ok = ih >= 0 && ih < xh && iw >= 0 && iw < xw;
-                return ok
-                    ? storeInput(
-                          xd[((static_cast<std::size_t>(n) * xh +
-                               ih) * xw + iw) * xc + ci])
-                    : zero_s;
-            },
-            [&](double acc, int oc) {
-                return writeback(acc, biasAt(oc));
-            });
-    }
-}
-
 bool
 Conv2D::forwardWithSub(const std::vector<const Tensor *> &ins,
                        const OperandSub *sub, const Region *boxes,
@@ -991,89 +554,34 @@ Conv2D::forwardWithSub(const std::vector<const Tensor *> &ins,
     if (sub->kind != OperandSub::Kind::Input || sub->termIndex >= 0)
         return false;
     checkInput(ins);
-    if (numBoxes == 0)
-        return true;
     const Tensor &x = *ins[0];
-    bool integer = precision_ == Precision::INT8 ||
-                   precision_ == Precision::INT16;
-    if (!wPackValid_)
-        packWeights();
-    const bool narrow = integer && chunkPairs_ > 0;
-
-    const int cpg = spec_.inC / spec_.groups;
-    const int opg = spec_.outC / spec_.groups;
     const int xh = x.h(), xw = x.w(), xc = x.c();
     const float *xd = x.data().data();
     const std::size_t flat = sub->flatIndex;
-    const int redLen = spec_.kh * spec_.kw * cpg;
-    const int redPairs = simd::packPairs(redLen);
-    Arena &arena = Arena::local();
-    auto xgF = arena.floats(integer ? 0 : redLen);
-    auto xgI = arena.ints(integer && !narrow ? redLen : 0);
-    auto xgN = arena.shorts(narrow ? 2 * redPairs : 0);
-    auto accF = arena.floats(
-        integer ? 0 : simd::packSize(1, opg, simd::kF32Lanes));
-    auto accL = arena.longs(
-        integer ? (narrow ? simd::packSize(1, opg, simd::kNarrowLanes)
-                          : simd::packSize(1, opg, simd::kI64Lanes))
-                : 0);
-    if (narrow)
-        for (int k = redLen; k < 2 * redPairs; ++k)
-            xgN[k] = 0;
-    auto biasAt = [&](int oc) {
-        return spec_.bias ? bias_[oc] : 0.0f;
+    const bool integer = precision_ == Precision::INT8 ||
+                         precision_ == Precision::INT16;
+    const float zero_s = integer ? 0.0f : storeInput(0.0f);
+    const float sub_s = integer ? 0.0f : storeInput(sub->value);
+    const std::int32_t zero_q = integer ? quantInput(0.0f) : 0;
+    const std::int32_t sub_q = integer ? quantInput(sub->value) : 0;
+    // Operands convert on the fly, the substituted one by index.
+    auto load = [=, this](auto *dst, int n, int ih, int iw, int ci) {
+        using T = std::remove_pointer_t<decltype(dst)>;
+        const bool ok = ih >= 0 && ih < xh && iw >= 0 && iw < xw;
+        const std::size_t off =
+            ((static_cast<std::size_t>(n) * xh + ih) * xw + iw) * xc + ci;
+        if constexpr (std::is_same_v<T, float>)
+            *dst = !ok ? zero_s
+                 : off == flat ? sub_s
+                               : storeInput(xd[off]);
+        else
+            *dst = static_cast<T>(!ok ? zero_q
+                                  : off == flat ? sub_q
+                                                : quantInput(xd[off]));
     };
-
-    const simd::KernelTable &kt = simd::table();
-    if (integer) {
-        const std::int32_t zero_q = quantInput(0.0f);
-        const std::int32_t sub_q = quantInput(sub->value);
-        auto loadX = [&](int n, int ih, int iw, int ci) {
-            bool ok = ih >= 0 && ih < xh && iw >= 0 && iw < xw;
-            if (!ok)
-                return zero_q;
-            std::size_t off =
-                ((static_cast<std::size_t>(n) * xh + ih) * xw + iw) *
-                    xc + ci;
-            return off == flat ? sub_q : quantInput(xd[off]);
-        };
-        auto wb = [&](std::int64_t iacc, int oc) {
-            // Left-associated like computeNeuron: the double
-            // rounding order is part of the bit contract.
-            return writeback(static_cast<double>(iacc) *
-                                 inQuant_.scale * wQuant_.scale,
-                             biasAt(oc));
-        };
-        for (std::size_t i = 0; i < numBoxes; ++i) {
-            if (narrow)
-                convRegionNarrow(kt, spec_, cpg, opg, wPackN_.data(),
-                                 chunkPairs_, boxes[i], out,
-                                 xgN.data(), accL.data(), loadX, wb);
-            else
-                convRegionInt(kt, spec_, cpg, opg, wPackI_.data(),
-                              boxes[i], out, xgI.data(), accL.data(),
-                              loadX, wb);
-        }
-    } else {
-        const float zero_s = storeInput(0.0f);
-        const float sub_s = storeInput(sub->value);
-        auto loadX = [&](int n, int ih, int iw, int ci) {
-            bool ok = ih >= 0 && ih < xh && iw >= 0 && iw < xw;
-            if (!ok)
-                return zero_s;
-            std::size_t off =
-                ((static_cast<std::size_t>(n) * xh + ih) * xw + iw) *
-                    xc + ci;
-            return off == flat ? sub_s : storeInput(xd[off]);
-        };
-        auto wb = [&](double acc, int oc) {
-            return writeback(acc, biasAt(oc));
-        };
-        for (std::size_t i = 0; i < numBoxes; ++i)
-            convRegionFloat(kt, spec_, cpg, opg, wPackF_.data(),
-                            boxes[i], out, xgF.data(), accF.data(),
-                            loadX, wb);
-    }
+    LanePlane outView;
+    outView.borrow(out);
+    laneKernels<1>(boxes, numBoxes, nullptr, out, outView, load);
     return true;
 }
 
@@ -1205,18 +713,143 @@ Conv2D::forwardWeightSub(const Tensor &x, const OperandSub &sub,
     return true;
 }
 
+template <int W, class Load>
+void
+Conv2D::laneKernels(const Region *boxes, std::size_t numBoxes,
+                    const BatchCover *cover, const Tensor &shape,
+                    LanePlane &out, Load load) const
+{
+    const bool integer = precision_ == Precision::INT8 ||
+                         precision_ == Precision::INT16;
+    if (!wPackValid_)
+        packWeights();
+    const bool narrow = integer && chunkPairs_ > 0;
+    const int cpg = spec_.inC / spec_.groups;
+    const int opg = spec_.outC / spec_.groups;
+    const int redLen = spec_.kh * spec_.kw * cpg;
+    const int redPairs = simd::packPairs(redLen);
+    const std::size_t rows = narrow ? 2 * redPairs : redLen;
+    Arena &arena = Arena::local();
+    const simd::KernelTable &kt = simd::table();
+    auto biasAt = [&](int oc) {
+        return spec_.bias ? bias_[oc] : 0.0f;
+    };
+
+    // One loop nest per lane axis, shared by the three operand types.
+    // Width 1 runs the channel-lane kernel: `gemm` over lane blocks,
+    // then the scalar writeback `wb`.  Widths 4 and 8 run the
+    // injection-lane rows: `mac` per output channel, then `wbRow`,
+    // which is `wb` per element over the whole lane row.
+    auto run = [&](const auto &pk, auto *xg, auto *acc, auto gemm,
+                   auto mac, auto wb, auto wbRow) {
+        for (std::size_t i = 0; i < numBoxes; ++i) {
+            if constexpr (W == 1) {
+                convChannelLanes(spec_, cpg, opg, pk, boxes[i], shape,
+                                 out.lanes(0), xg, acc, load, gemm, wb);
+            } else {
+                convInjectionLanes<W>(
+                    spec_, cpg, opg, pk, boxes[i], cover, shape, out,
+                    xg, load,
+                    [&](const auto *x, const auto *col, float *op,
+                        int oc) {
+                        std::remove_pointer_t<decltype(acc)> row[W];
+                        mac(x, col, row);
+                        wbRow(row, op, oc);
+                    });
+            }
+        }
+    };
+
+    if (!integer) {
+        const bool half = precision_ == Precision::FP16;
+        WeightPack<float> pk(wPackF_.data(), redLen, opg);
+        auto xg = arena.floats(rows * W);
+        auto acc = arena.floats(
+            W == 1 ? simd::packSize(1, opg, pk.lanes) : 0);
+        run(pk, xg.data(), acc.data(),
+            [&](const float *x, int nb, const float *w, float *a) {
+                kt.gemmF32(x, redLen, nb, w, a);
+            },
+            [&](const float *x, const float *col, float *a) {
+                kt.batchMacF32(x, col, redLen, pk.lanes, W, a);
+            },
+            [&](float a, int oc) { return writeback(a, biasAt(oc)); },
+            [&](const float *row, float *op, int oc) {
+                const float b = biasAt(oc);
+                for (int l = 0; l < W; ++l)
+                    op[l] = row[l] + b;
+                if (half)
+                    simd::roundToHalfBatch(op, op, W);
+            });
+        return;
+    }
+
+    // Integer writeback, left-associated like computeNeuron: the double
+    // rounding order is part of the bit contract.  The row form splits
+    // it into real value, batch quantise and dequantise, which keeps
+    // each lane's arithmetic exactly the scalar sequence.
+    const double s = inQuant_.scale;
+    const double ws = wQuant_.scale;
+    auto wb = [&](std::int64_t a, int oc) {
+        return writeback(static_cast<double>(a) * s * ws, biasAt(oc));
+    };
+    auto wbRow = [&](const std::int64_t *row, float *op, int oc) {
+        const float b = biasAt(oc);
+        float real[W];
+        std::int32_t q[W];
+        for (int l = 0; l < W; ++l)
+            real[l] = static_cast<float>(static_cast<double>(row[l]) * s *
+                                         ws) +
+                      b;
+        simd::quantizeBatch(real, q, W, outQuant_);
+        for (int l = 0; l < W; ++l)
+            op[l] = dequantize(q[l], outQuant_);
+    };
+    auto acc = arena.longs(
+        W == 1 ? simd::packSize(1, opg,
+                                narrow ? simd::kNarrowLanes
+                                       : simd::kI64Lanes)
+               : 0);
+    if (narrow) {
+        WeightPack<std::int16_t> pk(wPackN_.data(), redLen, opg);
+        auto xg = arena.shorts(rows * W);
+        // The gather writes only redLen rows; an odd reduction's pad
+        // row stays zero.
+        std::fill(xg.data() + redLen * W, xg.data() + rows * W,
+                  std::int16_t{0});
+        run(pk, xg.data(), acc.data(),
+            [&](const std::int16_t *x, int nb, const std::int16_t *w,
+                std::int64_t *a) {
+                kt.gemmNarrow(x, redPairs, nb, w, chunkPairs_, a);
+            },
+            [&](const std::int16_t *x, const std::int16_t *col,
+                std::int64_t *a) {
+                kt.batchMacNarrow(x, col, redPairs, 2 * pk.lanes,
+                                  chunkPairs_, W, a);
+            },
+            wb, wbRow);
+    } else {
+        WeightPack<std::int32_t> pk(wPackI_.data(), redLen, opg);
+        auto xg = arena.ints(rows * W);
+        run(pk, xg.data(), acc.data(),
+            [&](const std::int32_t *x, int nb, const std::int32_t *w,
+                std::int64_t *a) { kt.gemmI64(x, redLen, nb, w, a); },
+            [&](const std::int32_t *x, const std::int32_t *col,
+                std::int64_t *a) {
+                kt.batchMacI64(x, col, redLen, pk.lanes, W, a);
+            },
+            wb, wbRow);
+    }
+}
+
 template <int W>
 void
 Conv2D::forwardBatchedImpl(const Tensor &x, LanePlane &xplane,
                            const Region &region, const BatchCover *cover,
                            const Tensor &golden, LanePlane &out) const
 {
-    bool integer = precision_ == Precision::INT8 ||
-                   precision_ == Precision::INT16;
-    if (!wPackValid_)
-        packWeights();
-    const bool narrow = integer && chunkPairs_ > 0;
-
+    const bool integer = precision_ == Precision::INT8 ||
+                         precision_ == Precision::INT16;
     const int cpg = spec_.inC / spec_.groups;
     const int opg = spec_.outC / spec_.groups;
     const int xh = x.h(), xw = x.w(), xc = x.c();
@@ -1240,36 +873,34 @@ Conv2D::forwardBatchedImpl(const Tensor &x, LanePlane &xplane,
     xplane.ensure(x, fp);
     const float *xlane = fp.empty() ? nullptr : xplane.lanes(0);
 
-    const int redLen = spec_.kh * spec_.kw * cpg;
-    const int redPairs = simd::packPairs(redLen);
-    Arena &arena = Arena::local();
-    auto xgF = arena.floats(integer ? 0 : static_cast<std::size_t>(redLen) * W);
-    auto xgI = arena.ints(
-        integer && !narrow ? static_cast<std::size_t>(redLen) * W : 0);
-    auto xgN = arena.shorts(
-        narrow ? static_cast<std::size_t>(2 * redPairs) * W : 0);
-    if (narrow && 2 * redPairs > redLen)
-        std::memset(xgN.data() + static_cast<std::size_t>(redLen) * W,
-                    0, W * sizeof(std::int16_t));
     // Stored-form lane operands over the footprint (same global
-    // lane-minor indexing as the plane, converted rows only).
-    // FP16 planes usually hold stored-form values already (golden
-    // fills and kernel writebacks both round through binary16, and
-    // rounding is idempotent), so the conversion pass is only needed
-    // when the plane carries raw bits: the injected node's fault
-    // values or the unrounded network input.  Integer modes always
-    // convert — the kernels consume quantised operands.
+    // lane-minor indexing as the plane, converted rows only), so a
+    // cone converts each input element once, not once per MAC term.
+    // FP16 planes of the batched engine usually hold stored-form
+    // values already (golden fills and kernel writebacks both round
+    // through binary16, and rounding is idempotent), so the conversion
+    // pass is only needed when the plane carries raw bits: the injected
+    // node's fault values, the unrounded network input, or a borrowed
+    // width-1 plane.  Integer modes always convert — the kernels
+    // consume quantised operands.
     bool convert = !fp.empty() &&
                    (integer || (precision_ == Precision::FP16 &&
                                 !xplane.storedForm()));
+    Arena &arena = Arena::local();
     auto xsF = arena.floats(convert && !integer ? x.size() * W : 0);
     auto xsI = arena.ints(convert && integer ? x.size() * W : 0);
     if (convert) {
-        const std::size_t run =
-            static_cast<std::size_t>(fp.c1 - fp.c0) * W;
+        // With every channel in the footprint, a row's cells are one
+        // contiguous run.
+        const bool allC = fp.c0 == 0 && fp.c1 == xc;
         auto convRow = [&](int n, int ih, int w0, int w1) {
-            for (int w = w0; w < w1; ++w) {
-                std::size_t f0 = x.offset(n, ih, w, fp.c0) *
+            const int cells = allC ? 1 : w1 - w0;
+            const std::size_t run =
+                static_cast<std::size_t>(allC ? (w1 - w0) * xc
+                                              : fp.c1 - fp.c0) *
+                W;
+            for (int i = 0; i < cells; ++i) {
+                std::size_t f0 = x.offset(n, ih, w0 + i, fp.c0) *
                                  static_cast<std::size_t>(W);
                 if (integer)
                     simd::quantizeBatch(xlane + f0, xsI.data() + f0,
@@ -1345,99 +976,33 @@ Conv2D::forwardBatchedImpl(const Tensor &x, LanePlane &xplane,
         }
     }
 
-    auto biasAt = [&](int oc) {
-        return spec_.bias ? bias_[oc] : 0.0f;
-    };
-
-    const simd::KernelTable &kt = simd::table();
-    if (integer) {
-        const std::int32_t *xsrc = xsI.data();
-        const std::int32_t zero_q = quantInput(0.0f);
-        auto wb = [&](const std::int64_t *lanes, float *op, int oc) {
-            // Left-associated like computeNeuron: the double rounding
-            // order is part of the bit contract.  Splitting writeback
-            // into real-value, batch-quantise, dequantise steps keeps
-            // each lane's arithmetic exactly the scalar sequence.
-            const float b = biasAt(oc);
-            float real[W];
-            std::int32_t q[W];
+    // The loader copies its few scalars (by-value capture), so the
+    // kernels behind laneKernels' call boundary need not reload them
+    // from this frame after every table call.
+    const float *srcF = convert ? xsF.data() : xlane;
+    const std::int32_t *srcQ = xsI.data();
+    const float zero_s = integer ? 0.0f : storeInput(0.0f);
+    const std::int32_t zero_q = integer ? quantInput(0.0f) : 0;
+    auto load = [=](auto *dst, int n, int ih, int iw, int ci) {
+        using T = std::remove_pointer_t<decltype(dst)>;
+        constexpr bool isFloat = std::is_same_v<T, float>;
+        if (ih < 0 || ih >= xh || iw < 0 || iw >= xw) {
             for (int l = 0; l < W; ++l)
-                real[l] = static_cast<float>(
-                              static_cast<double>(lanes[l]) *
-                              inQuant_.scale * wQuant_.scale) +
-                          b;
-            simd::quantizeBatch(real, q, W, outQuant_);
-            for (int l = 0; l < W; ++l)
-                op[l] = dequantize(q[l], outQuant_);
-        };
-        if (narrow) {
-            auto loadG = [&](std::int16_t *dst, int n, int ih, int iw,
-                             int ci) {
-                bool ok = ih >= 0 && ih < xh && iw >= 0 && iw < xw;
-                if (!ok) {
-                    for (int l = 0; l < W; ++l)
-                        dst[l] = static_cast<std::int16_t>(zero_q);
-                    return;
-                }
-                const std::int32_t *src =
-                    xsrc +
-                    (((static_cast<std::size_t>(n) * xh + ih) * xw +
-                      iw) * xc + ci) * W;
-                for (int l = 0; l < W; ++l)
-                    dst[l] = static_cast<std::int16_t>(src[l]);
-            };
-            convBatchedNarrow<W>(kt, spec_, cpg, opg, wPackN_.data(),
-                                 chunkPairs_, region, cover, golden,
-                                 out, xgN.data(), loadG, wb);
-        } else {
-            auto loadG = [&](std::int32_t *dst, int n, int ih, int iw,
-                             int ci) {
-                bool ok = ih >= 0 && ih < xh && iw >= 0 && iw < xw;
-                if (!ok) {
-                    for (int l = 0; l < W; ++l)
-                        dst[l] = zero_q;
-                    return;
-                }
-                std::size_t off =
-                    ((static_cast<std::size_t>(n) * xh + ih) * xw +
-                     iw) * xc + ci;
-                std::memcpy(dst, xsrc + off * W,
-                            W * sizeof(std::int32_t));
-            };
-            convBatchedInt<W>(kt, spec_, cpg, opg, wPackI_.data(),
-                              region, cover, golden, out, xgI.data(),
-                              loadG, wb);
+                dst[l] = static_cast<T>(isFloat ? zero_s : zero_q);
+            return;
         }
-    } else {
-        const float *xsrc = convert ? xsF.data() : xlane;
-        const float zero_s = storeInput(0.0f);
-        auto loadG = [&](float *dst, int n, int ih, int iw, int ci) {
-            bool ok = ih >= 0 && ih < xh && iw >= 0 && iw < xw;
-            if (!ok) {
-                for (int l = 0; l < W; ++l)
-                    dst[l] = zero_s;
-                return;
-            }
-            std::size_t off =
-                ((static_cast<std::size_t>(n) * xh + ih) * xw + iw) *
-                    xc + ci;
-            std::memcpy(dst, xsrc + off * W, W * sizeof(float));
-        };
-        const bool half = precision_ == Precision::FP16;
-        auto wb = [&](float *op, int oc) {
-            // writeback(acc, bias) over the row: the accumulators are
-            // already in op, so add bias in place and round the whole
-            // lane row as one batch (identical per element).
-            const float b = biasAt(oc);
+        const std::size_t off =
+            (((static_cast<std::size_t>(n) * xh + ih) * xw + iw) * xc +
+             ci) * W;
+        if constexpr (isFloat)
+            std::memcpy(dst, srcF + off, W * sizeof(T));
+        else if constexpr (std::is_same_v<T, std::int32_t>)
+            std::memcpy(dst, srcQ + off, W * sizeof(T));
+        else
             for (int l = 0; l < W; ++l)
-                op[l] += b;
-            if (half)
-                simd::roundToHalfBatch(op, op, W);
-        };
-        convBatchedFloat<W>(kt, spec_, cpg, opg, wPackF_.data(),
-                            region, cover, golden, out, xgF.data(),
-                            loadG, wb);
-    }
+                dst[l] = static_cast<T>(srcQ[off + l]);
+    };
+    laneKernels<W>(&region, 1, cover, golden, out, load);
 }
 
 bool
@@ -1451,6 +1016,10 @@ Conv2D::forwardRegionBatched(const std::vector<const Tensor *> &ins,
     if (region.empty())
         return true;
     switch (out.laneWidth()) {
+      case 1:
+        forwardBatchedImpl<1>(*ins[0], *inPlanes[0], region, nullptr,
+                              golden, out);
+        return true;
       case 4:
         forwardBatchedImpl<4>(*ins[0], *inPlanes[0], region, cover,
                               golden, out);

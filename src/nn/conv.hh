@@ -62,8 +62,6 @@ class Conv2D : public MacLayer
                            int inputIdx, const Region &in,
                            const Tensor &out) const override;
 
-    void forwardRegion(const std::vector<const Tensor *> &ins,
-                       const Region &region, Tensor &out) const override;
 
     std::size_t
     weightCount(const std::vector<const Tensor *> &ins) const override;
@@ -94,6 +92,11 @@ class Conv2D : public MacLayer
                         const OperandSub *sub, const Region *boxes,
                         std::size_t numBoxes, Tensor &out) const override;
 
+    /**
+     * The region kernel (also forward() over the full output): lane
+     * width 1 runs the channel-lane kernel, widths 4 and 8 the
+     * injection-lane rows; other widths return false.
+     */
     bool forwardRegionBatched(const std::vector<const Tensor *> &ins,
                               LanePlane *const *inPlanes,
                               const Region &region,
@@ -132,12 +135,28 @@ class Conv2D : public MacLayer
                           const Region *boxes, std::size_t numBoxes,
                           Tensor &out) const;
 
-    /** Batched kernel body for a compile-time lane width. */
+    /**
+     * Region kernel front end for a compile-time lane width: ensure and
+     * convert the region's input footprint once, then run laneKernels.
+     */
     template <int W>
     void forwardBatchedImpl(const Tensor &x, LanePlane &xplane,
                             const Region &region,
                             const BatchCover *cover,
                             const Tensor &golden, LanePlane &out) const;
+
+    /**
+     * The back ends: the channel-lane kernel at W = 1, the
+     * injection-lane rows at W = 4 and 8, over each box, for the active
+     * precision's operand type, into `out` (indexed like `shape`).
+     * `load(dst, n, ih, iw, ci)` writes the W stored-form operands of
+     * input cell (n, ih, iw, ci), the zero stored form when it is
+     * padding.
+     */
+    template <int W, class Load>
+    void laneKernels(const Region *boxes, std::size_t numBoxes,
+                     const BatchCover *cover, const Tensor &shape,
+                     LanePlane &out, Load load) const;
 
     ConvSpec spec_;
     std::vector<float> weights_;

@@ -65,35 +65,6 @@ Elementwise::propagateRegion(const std::vector<const Tensor *> &, int,
     return in.clipped(out);
 }
 
-void
-Elementwise::forwardRegion(const std::vector<const Tensor *> &ins,
-                           const Region &region, Tensor &out) const
-{
-    const Tensor &a = *ins[0];
-    const Tensor &b = *ins[1];
-    bool half = precision_ == Precision::FP16;
-    for (int n = region.n0; n < region.n1; ++n)
-        for (int h = region.h0; h < region.h1; ++h)
-            for (int w = region.w0; w < region.w1; ++w)
-                for (int c = region.c0; c < region.c1; ++c) {
-                    float av = a.at(n, h, w, c);
-                    float bv = b.at(n, h, w, c);
-                    float v = 0.0f;
-                    switch (op_) {
-                      case Op::Add:
-                        v = av + bv;
-                        break;
-                      case Op::Mul:
-                        v = av * bv;
-                        break;
-                      case Op::Sub:
-                        v = av - bv;
-                        break;
-                    }
-                    out.at(n, h, w, c) = half ? roundToHalf(v) : v;
-                }
-}
-
 bool
 Elementwise::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                                   LanePlane *const *inPlanes,
@@ -192,21 +163,6 @@ ConcatC::propagateRegion(const std::vector<const Tensor *> &ins,
         r.c1 += ins[0]->c();
     }
     return r.clipped(out);
-}
-
-void
-ConcatC::forwardRegion(const std::vector<const Tensor *> &ins,
-                       const Region &region, Tensor &out) const
-{
-    const Tensor &a = *ins[0];
-    const Tensor &b = *ins[1];
-    for (int n = region.n0; n < region.n1; ++n)
-        for (int h = region.h0; h < region.h1; ++h)
-            for (int w = region.w0; w < region.w1; ++w)
-                for (int c = region.c0; c < region.c1; ++c)
-                    out.at(n, h, w, c) = c < a.c()
-                        ? a.at(n, h, w, c)
-                        : b.at(n, h, w, c - a.c());
 }
 
 bool
@@ -315,21 +271,6 @@ Slice::propagateRegion(const std::vector<const Tensor *> &, int,
     return r.clipped(out);
 }
 
-void
-Slice::forwardRegion(const std::vector<const Tensor *> &ins,
-                     const Region &region, Tensor &out) const
-{
-    const Tensor &x = *ins[0];
-    for (int n = region.n0; n < region.n1; ++n)
-        for (int h = region.h0; h < region.h1; ++h)
-            for (int w = region.w0; w < region.w1; ++w)
-                for (int c = region.c0; c < region.c1; ++c) {
-                    int sh = axis_ == Axis::H ? h + offset_ : h;
-                    int sc = axis_ == Axis::C ? c + offset_ : c;
-                    out.at(n, h, w, c) = x.at(n, sh, w, sc);
-                }
-}
-
 bool
 Slice::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                             LanePlane *const *inPlanes,
@@ -407,21 +348,6 @@ ScaleShift::propagateRegion(const std::vector<const Tensor *> &, int,
                             const Region &in, const Tensor &out) const
 {
     return in.clipped(out);
-}
-
-void
-ScaleShift::forwardRegion(const std::vector<const Tensor *> &ins,
-                          const Region &region, Tensor &out) const
-{
-    const Tensor &x = *ins[0];
-    bool half = precision_ == Precision::FP16;
-    for (int n = region.n0; n < region.n1; ++n)
-        for (int h = region.h0; h < region.h1; ++h)
-            for (int w = region.w0; w < region.w1; ++w)
-                for (int c = region.c0; c < region.c1; ++c) {
-                    float v = scale_ * x.at(n, h, w, c) + shift_;
-                    out.at(n, h, w, c) = half ? roundToHalf(v) : v;
-                }
 }
 
 bool

@@ -38,8 +38,6 @@ class Elementwise : public Layer
                            int inputIdx, const Region &in,
                            const Tensor &out) const override;
 
-    void forwardRegion(const std::vector<const Tensor *> &ins,
-                       const Region &region, Tensor &out) const override;
 
     bool forwardRegionBatched(const std::vector<const Tensor *> &ins,
                               LanePlane *const *inPlanes,
@@ -69,8 +67,6 @@ class ConcatC : public Layer
                            int inputIdx, const Region &in,
                            const Tensor &out) const override;
 
-    void forwardRegion(const std::vector<const Tensor *> &ins,
-                       const Region &region, Tensor &out) const override;
 
     bool forwardRegionBatched(const std::vector<const Tensor *> &ins,
                               LanePlane *const *inPlanes,
@@ -101,8 +97,6 @@ class Slice : public Layer
                            int inputIdx, const Region &in,
                            const Tensor &out) const override;
 
-    void forwardRegion(const std::vector<const Tensor *> &ins,
-                       const Region &region, Tensor &out) const override;
 
     bool forwardRegionBatched(const std::vector<const Tensor *> &ins,
                               LanePlane *const *inPlanes,
@@ -135,8 +129,6 @@ class ScaleShift : public Layer
                            int inputIdx, const Region &in,
                            const Tensor &out) const override;
 
-    void forwardRegion(const std::vector<const Tensor *> &ins,
-                       const Region &region, Tensor &out) const override;
 
     bool forwardRegionBatched(const std::vector<const Tensor *> &ins,
                               LanePlane *const *inPlanes,

@@ -11,6 +11,11 @@
  * golden activation by construction, so readers first `ensure` the box
  * they need: newly covered cells are broadcast-filled with golden
  * values while previously written lane columns survive.
+ *
+ * At lane width 1 the lane-minor layout is the tensor's own NHWC
+ * layout, so a plane can also borrow a tensor's storage: that is how
+ * Layer::forwardRegion runs a layer's one region kernel on plain
+ * tensors.
  */
 
 #ifndef FIDELITY_NN_LANES_HH
@@ -40,6 +45,22 @@ class LanePlane
         lanes_ = lanes;
         valid_ = Region{};
         stored_ = true;
+        data_ = soa_.data();
+    }
+
+    /**
+     * A width-1 view of `t`'s storage.  The whole tensor counts as
+     * valid, so ensure() does nothing, and the plane counts as raw
+     * (values need not be in stored form).  Kernels only write their
+     * output plane, so borrowing a const input is safe.
+     */
+    void
+    borrow(const Tensor &t)
+    {
+        lanes_ = 1;
+        valid_ = Region::full(t);
+        stored_ = false;
+        data_ = const_cast<float *>(t.data().data());
     }
 
     /**
@@ -71,20 +92,19 @@ class LanePlane
     ensure(const Tensor &golden, const Region &need)
     {
         Region nd = need.clipped(golden);
-        if (nd.empty())
-            return;
+        Region merged = valid_;
+        merged.merge(nd);
+        if (merged == valid_)
+            return; // includes every borrowed plane
         std::size_t want = golden.size() * lanes_;
         if (soa_.size() < want)
             soa_.resize(want);
+        data_ = soa_.data();
         if (valid_.empty()) {
             fillRows(golden, nd, nd.c0, nd.c1);
             valid_ = nd;
             return;
         }
-        Region merged = valid_;
-        merged.merge(nd);
-        if (merged == valid_)
-            return;
         for (int n = merged.n0; n < merged.n1; ++n) {
             for (int h = merged.h0; h < merged.h1; ++h) {
                 for (int w = merged.w0; w < merged.w1; ++w) {
@@ -104,12 +124,12 @@ class LanePlane
     }
 
     /** The lane column of one flat tensor element. */
-    float *lanes(std::size_t flat) { return soa_.data() + flat * lanes_; }
+    float *lanes(std::size_t flat) { return data_ + flat * lanes_; }
 
     const float *
     lanes(std::size_t flat) const
     {
-        return soa_.data() + flat * lanes_;
+        return data_ + flat * lanes_;
     }
 
   private:
@@ -128,7 +148,7 @@ class LanePlane
         if (c0 >= c1)
             return;
         std::size_t flat = golden.offset(n, h, w, c0);
-        float *p = soa_.data() + flat * lanes_;
+        float *p = data_ + flat * lanes_;
         if (lanes_ == kMaxBatchLanes) {
             // Fixed-width splat: the compiler turns the constant-count
             // inner loop into one broadcast store per cell.
@@ -147,6 +167,7 @@ class LanePlane
     }
 
     std::vector<float> soa_;
+    float *data_ = nullptr; //!< soa_, or a borrowed tensor's storage
     Region valid_;
     int lanes_ = 0;
     bool stored_ = true;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "nn/lanes.hh"
 #include "sim/logging.hh"
 #include "tensor/bitops.hh"
 #include "tensor/float16.hh"
@@ -81,9 +82,24 @@ Layer::propagateRegion(const std::vector<const Tensor *> &, int,
 
 void
 Layer::forwardRegion(const std::vector<const Tensor *> &ins,
-                     const Region &, Tensor &out) const
+                     const Region &region, Tensor &out) const
 {
-    out = forward(ins);
+    // Width-1 views: the region kernel reads the inputs and writes the
+    // output tensor in place.
+    constexpr std::size_t kMaxInputs = 2;
+    panic_if(ins.size() > kMaxInputs, "layer ", name_, " has ",
+             ins.size(), " inputs");
+    LanePlane views[kMaxInputs];
+    LanePlane *inPlanes[kMaxInputs] = {};
+    for (std::size_t i = 0; i < ins.size(); ++i) {
+        views[i].borrow(*ins[i]);
+        inPlanes[i] = &views[i];
+    }
+    LanePlane outView;
+    outView.borrow(out);
+    if (!forwardRegionBatched(ins, inPlanes, region, nullptr, out,
+                              outView))
+        out = forward(ins);
 }
 
 bool

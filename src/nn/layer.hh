@@ -161,27 +161,30 @@ class Layer
      * activation).  Every element inside the region must be
      * bit-identical to what forward() would produce on the same inputs
      * — same operand conversions, same canonical accumulation order.
-     * The default recomputes densely via forward().
+     * Runs the layer's region kernel (forwardRegionBatched) at lane
+     * width 1 on views of `ins` and `out`; a layer without one
+     * recomputes densely via forward().
      */
-    virtual void forwardRegion(const std::vector<const Tensor *> &ins,
-                               const Region &region, Tensor &out) const;
+    void forwardRegion(const std::vector<const Tensor *> &ins,
+                       const Region &region, Tensor &out) const;
 
     /**
-     * Fault-batched twin of forwardRegion: recompute `region` for every
-     * SIMD lane at once, where lanes are independent injections of the
-     * same fault cell.  `ins` are the golden inputs; `inPlanes[i]` is
-     * the SoA plane of input i (lane values inside its valid box,
-     * golden outside — callees ensure() the footprint they read).
-     * `golden` is the golden output (shape / offset reference) and
-     * `out` the output plane, already ensured over `region` by the
-     * caller.  `cover`, when non-null, is the union-of-cones coverage
-     * of `region`: cells outside it provably recompute golden bits, so
-     * kernels walk only the covered row spans (skipped cells keep the
-     * plane's golden fill).  Every written lane value must be
-     * bit-identical to what forwardRegion would produce from that
-     * lane's inputs.  Returns false when the layer has no batched path
-     * (the engine then falls back to per-lane forwardRegion); the
-     * default has none.
+     * The layer's one region kernel: recompute `region` for every
+     * lane of the planes, where lanes are independent injections of the
+     * same fault cell (width 4 or 8, from the batched engine) or the
+     * plain tensors of forwardRegion (width 1).  `ins` are the golden
+     * inputs; `inPlanes[i]` is the SoA plane of input i (lane values
+     * inside its valid box, golden outside — callees ensure() the
+     * footprint they read).  `golden` is the golden output (shape /
+     * offset reference) and `out` the output plane, already ensured
+     * over `region` by the caller.  `cover`, when non-null, is the
+     * union-of-cones coverage of `region`: cells outside it provably
+     * recompute golden bits, so kernels walk only the covered row spans
+     * (skipped cells keep the plane's golden fill).  Every written lane
+     * value must be bit-identical to what forward() would produce from
+     * that lane's inputs.  Returns false when the layer has no region
+     * kernel (the batched engine then falls back to per-lane
+     * forwardRegion, i.e. a dense forward()); the default has none.
      */
     virtual bool
     forwardRegionBatched(const std::vector<const Tensor *> &ins,

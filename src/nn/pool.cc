@@ -96,43 +96,6 @@ Pool::propagateRegion(const std::vector<const Tensor *> &, int,
     return r.clipped(out);
 }
 
-void
-Pool::forwardRegion(const std::vector<const Tensor *> &ins,
-                    const Region &region, Tensor &out) const
-{
-    // Mirrors forward() per element, including the FP16 rounding pass.
-    const Tensor &x = *ins[0];
-    bool half = precision_ == Precision::FP16;
-    for (int n = region.n0; n < region.n1; ++n) {
-        for (int oh = region.h0; oh < region.h1; ++oh) {
-            for (int ow = region.w0; ow < region.w1; ++ow) {
-                for (int c = region.c0; c < region.c1; ++c) {
-                    float acc = mode_ == Mode::Max
-                        ? -std::numeric_limits<float>::infinity()
-                        : 0.0f;
-                    for (int ph = 0; ph < window_; ++ph) {
-                        for (int pw = 0; pw < window_; ++pw) {
-                            int ih = oh * stride_ - pad_ + ph;
-                            int iw = ow * stride_ - pad_ + pw;
-                            float v = 0.0f;
-                            if (ih >= 0 && ih < x.h() && iw >= 0 &&
-                                iw < x.w())
-                                v = x.at(n, ih, iw, c);
-                            if (mode_ == Mode::Max)
-                                acc = std::max(acc, v);
-                            else
-                                acc += v;
-                        }
-                    }
-                    if (mode_ == Mode::Avg)
-                        acc /= static_cast<float>(window_ * window_);
-                    out.at(n, oh, ow, c) = half ? roundToHalf(acc) : acc;
-                }
-            }
-        }
-    }
-}
-
 bool
 Pool::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                            LanePlane *const *inPlanes,
@@ -141,9 +104,8 @@ Pool::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                            const Tensor &golden,
                            LanePlane &out) const
 {
-    // Per-lane scalar twin of forwardRegion: the window walk and
-    // padding tests run once per output cell, the pool reduction per
-    // lane column.
+    // The window walk and padding tests run once per output cell, the
+    // pool reduction per lane column.
     if (region.empty())
         return true;
     const Tensor &x = *ins[0];
@@ -255,25 +217,6 @@ GlobalAvgPool::propagateRegion(const std::vector<const Tensor *> &, int,
     return r.clipped(out);
 }
 
-void
-GlobalAvgPool::forwardRegion(const std::vector<const Tensor *> &ins,
-                             const Region &region, Tensor &out) const
-{
-    const Tensor &x = *ins[0];
-    bool half = precision_ == Precision::FP16;
-    double denom = static_cast<double>(x.h()) * x.w();
-    for (int n = region.n0; n < region.n1; ++n) {
-        for (int c = region.c0; c < region.c1; ++c) {
-            double acc = 0.0;
-            for (int h = 0; h < x.h(); ++h)
-                for (int w = 0; w < x.w(); ++w)
-                    acc += x.at(n, h, w, c);
-            float v = static_cast<float>(acc / denom);
-            out.at(n, 0, 0, c) = half ? roundToHalf(v) : v;
-        }
-    }
-}
-
 bool
 GlobalAvgPool::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                                     LanePlane *const *inPlanes,
@@ -283,8 +226,8 @@ GlobalAvgPool::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                                     LanePlane &out) const
 {
     // The spatial collapse reads the whole H x W extent of every
-    // region channel; without a batched path the engine would have to
-    // materialise a full input copy per lane.
+    // region channel; without a lane kernel the batched engine would
+    // have to materialise a full input copy per lane.
     if (region.empty())
         return true;
     const Tensor &x = *ins[0];

@@ -38,8 +38,6 @@ class Pool : public Layer
                            int inputIdx, const Region &in,
                            const Tensor &out) const override;
 
-    void forwardRegion(const std::vector<const Tensor *> &ins,
-                       const Region &region, Tensor &out) const override;
 
     bool forwardRegionBatched(const std::vector<const Tensor *> &ins,
                               LanePlane *const *inPlanes,
@@ -73,8 +71,6 @@ class GlobalAvgPool : public Layer
                            int inputIdx, const Region &in,
                            const Tensor &out) const override;
 
-    void forwardRegion(const std::vector<const Tensor *> &ins,
-                       const Region &region, Tensor &out) const override;
 
     bool forwardRegionBatched(const std::vector<const Tensor *> &ins,
                               LanePlane *const *inPlanes,

@@ -173,9 +173,9 @@ TEST(BatchedEngine, FactoryWidthsAndValidation)
 TEST(BatchedEngine, BitIdenticalToScalarAcrossPrecisions)
 {
     // Every lane of every batch must reproduce the scalar engine's
-    // output bit-for-bit — full batches, ragged tails, and
-    // non-contiguous lane sets, with one-to-three corrupted neurons
-    // per injection and a NaN value mixed in.
+    // output and Network::forwardFrom's bit-for-bit — full batches,
+    // ragged tails, and non-contiguous lane sets, with one-to-three
+    // corrupted neurons per injection and a NaN value mixed in.
     const std::vector<std::vector<int>> laneSets = {
         {0, 1, 2, 3, 4, 5, 6, 7}, // full width
         {0, 1, 2},                // ragged tail
@@ -231,6 +231,14 @@ TEST(BatchedEngine, BitIdenticalToScalarAcrossPrecisions)
                         bitIdentical(ref, eng->laneOutput(lanes[i])))
                         << "node " << node << " lane " << lanes[i]
                         << " precision " << static_cast<int>(p);
+                    // The scalar engine runs the same region kernels
+                    // at width 1, so also anchor to the dense path.
+                    EXPECT_TRUE(bitIdentical(
+                        net.forwardFrom(node, corrupted, acts),
+                        eng->laneOutput(lanes[i])))
+                        << "dense: node " << node << " lane "
+                        << lanes[i] << " precision "
+                        << static_cast<int>(p);
                     if (node != net.outputNode()) {
                         EXPECT_EQ(eng->laneEarlyMasked(lanes[i]),
                                   scalar.lastStats().earlyMasked)

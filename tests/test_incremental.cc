@@ -16,7 +16,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <string>
 
 #include "core/campaign.hh"
 #include "nn/activation.hh"
@@ -277,27 +279,105 @@ TEST(Region, ConcatPropagatesBothInputs)
     EXPECT_FALSE(rb.contains({0, 1, 2, 1}));
 }
 
+/** Random tensor with NaN and signed zeros mixed in. */
+Tensor
+specialTensor(std::uint64_t seed, int n, int h, int w, int c)
+{
+    Tensor t = randomTensor(seed, n, h, w, c);
+    for (std::size_t i = 0; i < t.size(); i += 7)
+        t[i] = i % 2 ? -0.0f : std::numeric_limits<float>::quiet_NaN();
+    t[t.size() - 1] = 0.0f;
+    return t;
+}
+
 TEST(Incremental, ForwardRegionPatchMatchesDense)
 {
-    // forwardRegion over the full region must reproduce forward()
-    // bit-for-bit in every precision (same kernels, same order).
-    Tensor x = randomTensor(51, 1, 6, 6, 4);
-    for (Precision p : {Precision::FP32, Precision::FP16,
-                        Precision::INT8}) {
-        auto conv = makeConv(
-            "conv", {.inC = 4, .outC = 6, .pad = 1, .groups = 2}, 52);
-        conv->setPrecision(p);
-        std::vector<const Tensor *> ins{&x};
-        if (p == Precision::INT8) {
-            Tensor out = conv->forward(ins);
-            conv->calibrate(ins, out);
+    // Every region-capable layer: forwardRegion (the region kernel at
+    // lane width 1) over full, interior, border and single-element
+    // boxes must reproduce forward() bit-for-bit inside the box and
+    // leave the rest of the output untouched, with NaN and -0.0 among
+    // the inputs.
+    struct Case
+    {
+        std::string what;
+        std::unique_ptr<Layer> layer;
+        bool int8 = false; //!< also run INT8 (MAC layers)
+    };
+    std::vector<Case> cases;
+    cases.push_back({"conv",
+                     makeConv("conv",
+                              {.inC = 4, .outC = 6, .pad = 1, .groups = 2},
+                              52),
+                     true});
+    cases.push_back({"maxpool", std::make_unique<Pool>(
+                                    "mp", Pool::Mode::Max, 3, 2, 1)});
+    cases.push_back({"avgpool", std::make_unique<Pool>(
+                                    "ap", Pool::Mode::Avg, 3, 1, 1)});
+    cases.push_back({"gap", std::make_unique<GlobalAvgPool>("gap")});
+    for (auto f : {Activation::Func::ReLU, Activation::Func::LeakyReLU,
+                   Activation::Func::Sigmoid, Activation::Func::Tanh})
+        cases.push_back({"act" + std::to_string(static_cast<int>(f)),
+                         std::make_unique<Activation>("act", f, 0.1f)});
+    for (auto op : {Elementwise::Op::Add, Elementwise::Op::Mul,
+                    Elementwise::Op::Sub})
+        cases.push_back({"elt" + std::to_string(static_cast<int>(op)),
+                         std::make_unique<Elementwise>("elt", op)});
+    cases.push_back({"concat", std::make_unique<ConcatC>("cat")});
+    cases.push_back({"sliceH", std::make_unique<Slice>(
+                                   "slh", Slice::Axis::H, 1, 4)});
+    cases.push_back({"sliceC", std::make_unique<Slice>(
+                                   "slc", Slice::Axis::C, 1, 2)});
+    cases.push_back(
+        {"scaleshift", std::make_unique<ScaleShift>("ss", 0.5f, -0.25f)});
+
+    Tensor x = specialTensor(51, 2, 6, 6, 4);
+    Tensor y = specialTensor(53, 2, 6, 6, 4);
+    // Quantising NaN is undefined, so the integer mode reads the same
+    // inputs with their NaNs replaced (signed zeros kept).
+    Tensor xq = x;
+    for (float &v : xq.data())
+        v = std::isnan(v) ? 1.5f : v;
+    for (Case &cs : cases) {
+        Layer &layer = *cs.layer;
+        std::vector<Precision> precs{Precision::FP32, Precision::FP16};
+        if (cs.int8)
+            precs.push_back(Precision::INT8);
+        for (Precision p : precs) {
+            const bool integer = p == Precision::INT8;
+            std::vector<const Tensor *> ins{integer ? &xq : &x};
+            if (layer.numInputs() == 2)
+                ins.push_back(&y);
+            layer.setPrecision(p);
+            if (integer)
+                layer.calibrate(ins, layer.forward(ins));
+            Tensor golden = layer.forward(ins);
+            const int H = golden.h(), W = golden.w(), C = golden.c();
+            auto in1 = [](int d) { return d > 2 ? 1 : 0; };
+            auto out1 = [](int d) { return d > 2 ? d - 1 : d; };
+            std::vector<Region> boxes{
+                Region::full(golden),
+                {0, 2, in1(H), out1(H), in1(W), out1(W), in1(C), out1(C)},
+                {1, 2, 0, H, W - 1, W, 0, C},
+                {1, 2, H - 1, H, 0, 1, C - 1, C},
+            };
+            if (layer.kind() == LayerKind::Concat) {
+                // One box inside each input's channel range.
+                boxes.push_back({0, 1, 0, H, 1, W, 0, x.c()});
+                boxes.push_back({0, 2, 1, H, 0, W, x.c(), C});
+            }
+            for (const Region &box : boxes) {
+                Tensor patched = golden;
+                for (int n = box.n0; n < box.n1; ++n)
+                    for (int h = box.h0; h < box.h1; ++h)
+                        for (int w = box.w0; w < box.w1; ++w)
+                            for (int c = box.c0; c < box.c1; ++c)
+                                patched.at(n, h, w, c) = -777.0f;
+                layer.forwardRegion(ins, box, patched);
+                EXPECT_TRUE(bitIdentical(golden, patched))
+                    << cs.what << " precision " << precisionName(p)
+                    << " box " << box.str();
+            }
         }
-        Tensor golden = conv->forward(ins);
-        Tensor patched(golden.n(), golden.h(), golden.w(), golden.c());
-        patched.fill(-777.0f);
-        conv->forwardRegion(ins, Region::full(golden), patched);
-        EXPECT_TRUE(bitIdentical(golden, patched))
-            << "precision " << static_cast<int>(p);
     }
 }
 

@@ -32,6 +32,7 @@
 #include "nn/conv.hh"
 #include "nn/elementwise.hh"
 #include "nn/fc.hh"
+#include "nn/lanes.hh"
 #include "nn/init.hh"
 #include "nn/matmul.hh"
 #include "nn/network.hh"
@@ -419,6 +420,10 @@ TEST(SimdKernels, ConvForwardMatchesScalarAcrossShapes)
 
 TEST(SimdKernels, ConvForwardRegionMatchesAcrossBoxes)
 {
+    // forward() runs the same region kernel, so every box element is
+    // anchored to computeNeuron instead; the injection-lane back end
+    // (widths 4 and 8, every lane holding the same input) must then
+    // reproduce the width-1 bits in every lane.
     ConvSpec spec{.inC = 6, .outC = 18, .kh = 3, .kw = 3, .pad = 1,
                   .groups = 2};
     for (Precision p : kAllPrecisions) {
@@ -447,9 +452,49 @@ TEST(SimdKernels, ConvForwardRegionMatchesAcrossBoxes)
                         for (int c = r.c0; c < r.c1; ++c)
                             out.at(0, h, w, c) = -1234.5f;
                 conv->forwardRegion(ins, r, out);
-                EXPECT_TRUE(bitIdentical(out, golden))
-                    << "box [" << box.c0 << ", " << box.c1
-                    << ") simd " << on;
+                for (std::size_t flat = 0; flat < out.size(); ++flat) {
+                    NeuronIndex idx = out.indexOf(flat);
+                    float want = r.contains(idx)
+                        ? conv->computeNeuron(ins, idx, nullptr)
+                        : golden[flat];
+                    ASSERT_EQ(std::bit_cast<std::uint32_t>(out[flat]),
+                              std::bit_cast<std::uint32_t>(want))
+                        << "box [" << box.c0 << ", " << box.c1
+                        << ") flat " << flat << " simd " << on;
+                }
+
+                for (int width : {4, 8}) {
+                    LanePlane xp, op;
+                    xp.reset(width);
+                    xp.ensure(x, Region::full(x));
+                    xp.markRaw(); // the raw input, like network node 0
+                    op.reset(width);
+                    op.ensure(golden, r);
+                    for (int h = r.h0; h < r.h1; ++h)
+                        for (int w = r.w0; w < r.w1; ++w)
+                            for (int c = r.c0; c < r.c1; ++c)
+                                for (int l = 0; l < width; ++l)
+                                    op.lanes(golden.offset(0, h, w, c))[l] =
+                                        -1234.5f;
+                    LanePlane *xpp = &xp;
+                    ASSERT_TRUE(conv->forwardRegionBatched(
+                        ins, &xpp, r, nullptr, golden, op));
+                    for (int h = r.h0; h < r.h1; ++h)
+                        for (int w = r.w0; w < r.w1; ++w)
+                            for (int c = r.c0; c < r.c1; ++c) {
+                                std::size_t flat =
+                                    golden.offset(0, h, w, c);
+                                for (int l = 0; l < width; ++l)
+                                    ASSERT_EQ(
+                                        std::bit_cast<std::uint32_t>(
+                                            op.lanes(flat)[l]),
+                                        std::bit_cast<std::uint32_t>(
+                                            out[flat]))
+                                        << "width " << width << " lane "
+                                        << l << " flat " << flat
+                                        << " simd " << on;
+                            }
+                }
             }
         }
     }
