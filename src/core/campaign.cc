@@ -326,12 +326,9 @@ class ShardRunner
             }
         };
 
-        IncrementalOptions opt;
-        opt.denseThreshold = cfg_.incrementalDenseThreshold;
-        slot.engine.setOptions(opt);
         if (cfg_.incremental && cfg_.batchWidth > 1) {
             if (!slot.batched)
-                slot.batched = makeBatchedEngine(cfg_.batchWidth, opt);
+                slot.batched = makeBatchedEngine(cfg_.batchWidth);
             slot.recs.resize(static_cast<std::size_t>(e.samples));
             injector_.injectBatch(e.node, e.category, correct_, rng,
                                   e.samples, cfg_.outputClampAbs,

@@ -77,10 +77,6 @@ struct CampaignConfig
      */
     bool incremental = true;
 
-    /** Cone-volume fraction of a layer output above which that layer
-     *  falls back to the dense kernel. */
-    double incrementalDenseThreshold = 0.5;
-
     /**
      * SIMD lanes of the fault-batched re-execution engine: up to this
      * many surviving injections of one (layer, category) shard are

@@ -24,15 +24,7 @@ template <int BMAX>
 class BatchedEngineT final : public BatchedEngine
 {
   public:
-    explicit BatchedEngineT(const IncrementalOptions &opt)
-        : opt_(opt)
-    {
-    }
-
     int maxLanes() const override { return BMAX; }
-
-    void setOptions(const IncrementalOptions &opt) override { opt_ = opt; }
-    const IncrementalOptions &options() const override { return opt_; }
 
     void begin(const Network &net, NodeId node,
                const std::vector<Tensor> &cached) override;
@@ -52,7 +44,6 @@ class BatchedEngineT final : public BatchedEngine
                        const Region &region,
                        const std::array<Region, BMAX> &cones);
 
-    IncrementalOptions opt_;
     BatchedTotals totals_;
 
     const Network *net_ = nullptr;
@@ -221,13 +212,13 @@ BatchedEngineT<BMAX>::execute()
         // The dense decision compares the *covered* volume — not the
         // bbox volume — against the threshold: scattered small cones
         // span a huge bbox but cost only their own cells to recompute.
-        bool dense = anyFull || !opt_.enabled;
+        bool dense = anyFull;
         if (!dense) {
             cover_.build(cones.data(), coneMask, BMAX, unionBox);
             const double coveredVol =
                 static_cast<double>(cover_.coveredCells()) *
                 cover_.coveredChans();
-            dense = coveredVol >= opt_.denseThreshold *
+            dense = coveredVol >= kDenseConeFraction *
                                       static_cast<double>(golden.size());
         }
         Region region = dense ? Region::full(golden) : unionBox;
@@ -255,64 +246,57 @@ BatchedEngineT<BMAX>::execute()
                                 static_cast<std::uint64_t>(
                                     std::popcount(coneMask));
 
-        if (opt_.earlyExit) {
-            // Shrink every live lane to the box that actually changed.
-            // Scanning the shared union region is equivalent to the
-            // scalar per-cone scan: outside its own cone a lane
-            // provably recomputes golden bits, so it cannot light the
-            // mask there.
-            std::array<Region, BMAX> diffs{};
-            const float *gd = golden.data().data();
-            const BatchCover::Span full{region.w0, region.w1};
-            const BatchCover::Span cfull{region.c0, region.c1};
-            const BatchCover::Span *csp = &cfull;
-            int ncs = 1;
-            if (cover)
-                csp = cover->chanSpans(ncs);
-            for (int n = region.n0; n < region.n1; ++n) {
-                for (int h = region.h0; h < region.h1; ++h) {
-                    const BatchCover::Span *sp = &full;
-                    int nsp = 1;
-                    if (cover)
-                        sp = cover->row(n, h, nsp);
-                    for (int si = 0; si < nsp; ++si) {
-                    for (int w = sp[si].w0; w < sp[si].w1; ++w) {
-                        for (int cs = 0; cs < ncs; ++cs) {
-                        std::size_t flat =
-                            golden.offset(n, h, w, csp[cs].w0);
-                        for (int c = csp[cs].w0; c < csp[cs].w1;
-                             ++c, ++flat) {
-                            std::uint32_t m =
-                                simd::laneNeMask(plane.lanes(flat),
-                                                 gd[flat], BMAX) &
-                                coneMask;
-                            if (!m)
-                                continue;
-                            while (m) {
-                                int l = std::countr_zero(m);
-                                m &= m - 1;
-                                diffs[l].include({n, h, w, c});
-                            }
-                        }
+        // Shrink every live lane to the box that actually changed.
+        // Scanning the shared union region is equivalent to the
+        // scalar per-cone scan: outside its own cone a lane
+        // provably recomputes golden bits, so it cannot light the
+        // mask there.
+        std::array<Region, BMAX> diffs{};
+        const float *gd = golden.data().data();
+        const BatchCover::Span full{region.w0, region.w1};
+        const BatchCover::Span cfull{region.c0, region.c1};
+        const BatchCover::Span *csp = &cfull;
+        int ncs = 1;
+        if (cover)
+            csp = cover->chanSpans(ncs);
+        for (int n = region.n0; n < region.n1; ++n) {
+            for (int h = region.h0; h < region.h1; ++h) {
+                const BatchCover::Span *sp = &full;
+                int nsp = 1;
+                if (cover)
+                    sp = cover->row(n, h, nsp);
+                for (int si = 0; si < nsp; ++si) {
+                for (int w = sp[si].w0; w < sp[si].w1; ++w) {
+                    for (int cs = 0; cs < ncs; ++cs) {
+                    std::size_t flat =
+                        golden.offset(n, h, w, csp[cs].w0);
+                    for (int c = csp[cs].w0; c < csp[cs].w1;
+                         ++c, ++flat) {
+                        std::uint32_t m =
+                            simd::laneNeMask(plane.lanes(flat),
+                                             gd[flat], BMAX) &
+                            coneMask;
+                        if (!m)
+                            continue;
+                        while (m) {
+                            int l = std::countr_zero(m);
+                            m &= m - 1;
+                            diffs[l].include({n, h, w, c});
                         }
                     }
                     }
                 }
+                }
             }
-            std::uint32_t live = 0;
-            for (int l = 0; l < BMAX; ++l) {
-                if (!((coneMask >> l) & 1u) || diffs[l].empty())
-                    continue;
-                live |= 1u << l;
-                laneRegions_[id][l] = diffs[l];
-            }
-            dirtyMask_[id] = live;
-        } else {
-            dirtyMask_[id] = coneMask;
-            for (int l = 0; l < BMAX; ++l)
-                if ((coneMask >> l) & 1u)
-                    laneRegions_[id][l] = cones[l];
         }
+        std::uint32_t live = 0;
+        for (int l = 0; l < BMAX; ++l) {
+            if (!((coneMask >> l) & 1u) || diffs[l].empty())
+                continue;
+            live |= 1u << l;
+            laneRegions_[id][l] = diffs[l];
+        }
+        dirtyMask_[id] = live;
     }
 
     outMask_ = dirtyMask_[out];
@@ -430,14 +414,14 @@ BatchedEngineT<BMAX>::laneOutput(int lane)
 } // namespace
 
 std::unique_ptr<BatchedEngine>
-makeBatchedEngine(int width, const IncrementalOptions &opt)
+makeBatchedEngine(int width)
 {
     panic_if(width < 1 || width > kMaxBatchLanes,
              "batched engine width must be in [1, ", kMaxBatchLanes,
              "], got ", width);
     if (width <= 4)
-        return std::make_unique<BatchedEngineT<4>>(opt);
-    return std::make_unique<BatchedEngineT<8>>(opt);
+        return std::make_unique<BatchedEngineT<4>>();
+    return std::make_unique<BatchedEngineT<8>>();
 }
 
 } // namespace fidelity

@@ -92,9 +92,6 @@ class BatchedEngine
     /** Lanes per batch (the template width of this instantiation). */
     virtual int maxLanes() const = 0;
 
-    virtual void setOptions(const IncrementalOptions &opt) = 0;
-    virtual const IncrementalOptions &options() const = 0;
-
     /**
      * Start a batch at `node`, against the golden activations `cached`
      * (both must stay alive until the last laneOutput() call).
@@ -138,8 +135,7 @@ class BatchedEngine
  * [1, kMaxBatchLanes]): widths up to 4 get the 4-lane instantiation,
  * wider ones the 8-lane.
  */
-std::unique_ptr<BatchedEngine>
-makeBatchedEngine(int width, const IncrementalOptions &opt);
+std::unique_ptr<BatchedEngine> makeBatchedEngine(int width);
 
 } // namespace fidelity
 

@@ -146,10 +146,9 @@ IncrementalEngine::runImpl(const Network &net, NodeId node,
         if (cone.empty())
             continue; // the change was clipped away (e.g. Slice)
 
-        bool dense = full || !opt_.enabled ||
-                     static_cast<double>(cone.volume()) >=
-                         opt_.denseThreshold *
-                             static_cast<double>(golden.size());
+        bool dense = full || static_cast<double>(cone.volume()) >=
+                                 kDenseConeFraction *
+                                     static_cast<double>(golden.size());
         Tensor &slot = scratch_[id];
         if (dense) {
             slot = layer.forward(ins_);
@@ -162,12 +161,9 @@ IncrementalEngine::runImpl(const Network &net, NodeId node,
         }
         stats_.elementsRecomputed += cone.volume();
 
-        if (opt_.earlyExit) {
-            Region diff = changedBox(slot, golden, cone);
-            if (diff.empty())
-                continue; // fault fully absorbed at this node
-            cone = diff;
-        }
+        cone = changedBox(slot, golden, cone);
+        if (cone.empty())
+            continue; // fault fully absorbed at this node
         dirty_[id] = 1;
         regions_[id] = cone;
         cur_[id] = &slot;

@@ -13,7 +13,7 @@
  *    Layer::forwardRegion; the rest of the output is the golden value.
  *  - Globally mixing layers (FC / matmul / softmax / attention / LSTM)
  *    report a full-tensor cone and recompute densely, as does any
- *    layer whose cone covers more than `denseThreshold` of its output.
+ *    layer whose cone covers kDenseConeFraction of its output or more.
  *  - After each recompute the engine compares the cone against the
  *    golden activation bit-for-bit and shrinks it to the box that
  *    actually changed.  When the delta dies (ReLU clipping, pooling,
@@ -42,20 +42,10 @@
 namespace fidelity
 {
 
-/** Tuning knobs of the incremental engine. */
-struct IncrementalOptions
-{
-    /** Master switch; false degrades every layer to dense recompute
-     *  (still reusing the engine's scratch buffers). */
-    bool enabled = true;
-
-    /** Cone-volume fraction of the output above which a layer falls
-     *  back to the dense kernel (region bookkeeping stops paying). */
-    double denseThreshold = 0.5;
-
-    /** Shrink cones to the observed delta and stop when it dies. */
-    bool earlyExit = true;
-};
+/** Cone-volume fraction of a layer output at which the sparse engines
+ *  (this one and nn/batched) recompute the layer densely: region
+ *  bookkeeping stops paying. */
+inline constexpr double kDenseConeFraction = 0.5;
 
 /** Per-run observability counters. */
 struct IncrementalStats
@@ -104,16 +94,6 @@ struct IncrementalTotals
 class IncrementalEngine
 {
   public:
-    IncrementalEngine() = default;
-
-    explicit IncrementalEngine(const IncrementalOptions &opt)
-        : opt_(opt)
-    {
-    }
-
-    void setOptions(const IncrementalOptions &opt) { opt_ = opt; }
-    const IncrementalOptions &options() const { return opt_; }
-
     /**
      * Reusable buffer for building the corrupted layer output; callers
      * typically copy the golden activation in (reusing capacity) and
@@ -155,7 +135,6 @@ class IncrementalEngine
                           const Region &faultRegion,
                           const std::vector<Tensor> &cached);
 
-    IncrementalOptions opt_;
     IncrementalStats stats_;
     IncrementalTotals totals_;
     Tensor replacement_;

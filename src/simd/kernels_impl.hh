@@ -814,11 +814,13 @@ lreluF32T(const float *x, float alpha, float *o, std::size_t n)
 // ---------------------------------------------------------------- //
 
 /** Local replica of tensor/quant.cc quantize(): same expression, same
- *  order, so results (NaN conversion included) are bit-identical.
+ *  order, so results (NaN → 0 included) are bit-identical.
  *  Internal linkage — tensor/quant.cc stays the public definition. */
 inline std::int32_t
 quantOne(float x, double scale, std::int32_t qmin, std::int32_t qmax)
 {
+    if (std::isnan(x))
+        return 0;
     double q = std::nearbyint(static_cast<double>(x) / scale);
     q = std::clamp(q, static_cast<double>(qmin),
                    static_cast<double>(qmax));
@@ -881,8 +883,7 @@ quantizeAvx2K(const float *in, std::int32_t *out, std::size_t n,
     for (; i + 4 <= n; i += 4) {
         __m128 xf = _mm_loadu_ps(in + i);
         if (_mm_movemask_ps(_mm_cmpunord_ps(xf, xf))) {
-            // NaN operands take the scalar path so the (platform-
-            // defined) NaN-to-int conversion stays identical.
+            // NaN operands take the scalar path, which maps them to 0.
             for (std::size_t j = i; j < i + 4; ++j)
                 out[j] = quantOne(in[j], scale, qmin, qmax);
             continue;

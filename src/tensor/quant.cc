@@ -33,6 +33,8 @@ calibrateAbsMax(double abs_max, int bits)
 std::int32_t
 quantize(float x, const QuantParams &qp)
 {
+    if (std::isnan(x))
+        return 0;
     double q = std::nearbyint(static_cast<double>(x) / qp.scale);
     q = std::clamp(q, static_cast<double>(qp.qmin()),
                    static_cast<double>(qp.qmax()));

@@ -46,7 +46,8 @@ QuantParams calibrate(const std::vector<float> &values, int bits);
 /** Derive symmetric params from a known absolute maximum. */
 QuantParams calibrateAbsMax(double abs_max, int bits);
 
-/** Quantise one value (round-to-nearest, clamp to range). */
+/** Quantise one value (round-to-nearest, clamp to range).  NaN
+ *  quantises to 0, the value the range checker flushes NaN to. */
 std::int32_t quantize(float x, const QuantParams &qp);
 
 /** Dequantise one value. */

@@ -7,166 +7,41 @@
  * on a multi-branch DAG with grouped/dilated/strided/padded
  * convolutions; ragged batches (fewer live lanes than the engine
  * width, non-contiguous lane indices); per-lane early-exit divergence
- * inside one batch; campaign-checksum invariance under batch width,
- * thread count, result cache, and kill-and-resume; and batch-width
- * validation at both the engine factory and the campaign config.
+ * inside one batch; and batch-width validation at both the engine
+ * factory and the campaign config.  Campaign checksums under every
+ * batch width are test_bit_identity's engine axis.
  */
 
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <limits>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/campaign.hh"
-#include "nn/activation.hh"
 #include "nn/batched.hh"
-#include "nn/conv.hh"
-#include "nn/elementwise.hh"
-#include "nn/fc.hh"
 #include "nn/incremental.hh"
-#include "nn/init.hh"
-#include "nn/network.hh"
-#include "nn/pool.hh"
 #include "nn/region.hh"
-#include "sim/rng.hh"
+#include "test_util.hh"
 #include "workloads/metrics.hh"
 #include "workloads/models.hh"
 
 using namespace fidelity;
-
-namespace
-{
-
-Tensor
-randomTensor(std::uint64_t seed, int n, int h, int w, int c)
-{
-    Rng rng(seed);
-    Tensor t(n, h, w, c);
-    for (auto &v : t.data())
-        v = static_cast<float>(rng.normal(0, 1));
-    return t;
-}
-
-bool
-bitIdentical(const Tensor &a, const Tensor &b)
-{
-    if (!a.sameShape(b))
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        if (std::bit_cast<std::uint32_t>(a[i]) !=
-            std::bit_cast<std::uint32_t>(b[i]))
-            return false;
-    return true;
-}
-
-std::unique_ptr<Conv2D>
-makeConv(std::string name, const ConvSpec &spec, std::uint64_t seed)
-{
-    Rng rng(seed);
-    std::size_t wcount = static_cast<std::size_t>(spec.kh) * spec.kw *
-                         (spec.inC / spec.groups) * spec.outC;
-    int fan_in = spec.kh * spec.kw * (spec.inC / spec.groups);
-    return std::make_unique<Conv2D>(
-        std::move(name), spec, heWeights(rng, wcount, fan_in),
-        spec.bias ? smallBiases(rng, spec.outC) : std::vector<float>{});
-}
-
-/** Same layer zoo as test_incremental's DAG: padded, depthwise,
- *  dilated, and strided convolutions on parallel branches, add, scale,
- *  concat, slice, max pool, global average pool, FC head (the FC rides
- *  the per-lane fallback, everything else a batched kernel). */
-Network
-makeBranchy(std::uint64_t seed)
-{
-    Rng rng(seed);
-    Network net("branchy");
-    NodeId c1 = net.add(
-        makeConv("c1", {.inC = 4, .outC = 8, .pad = 1}, seed + 1), 0);
-    NodeId r1 = net.add(
-        std::make_unique<Activation>("relu1", Activation::Func::ReLU),
-        c1);
-    NodeId dw = net.add(
-        makeConv("dw", {.inC = 8, .outC = 8, .pad = 1, .groups = 8},
-                 seed + 2),
-        r1);
-    NodeId dil = net.add(
-        makeConv("dil", {.inC = 8, .outC = 8, .pad = 2, .dilation = 2},
-                 seed + 3),
-        r1);
-    NodeId add = net.add(std::make_unique<Elementwise>(
-                             "add", Elementwise::Op::Add),
-                         std::vector<NodeId>{dw, dil});
-    NodeId ss = net.add(
-        std::make_unique<ScaleShift>("ss", 0.5f, 0.1f), add);
-    NodeId cat = net.add(std::make_unique<ConcatC>("cat"),
-                         std::vector<NodeId>{add, ss});
-    NodeId sl = net.add(
-        std::make_unique<Slice>("sl", Slice::Axis::C, 4, 8), cat);
-    NodeId p = net.add(
-        std::make_unique<Pool>("pool", Pool::Mode::Max, 2, 2), sl);
-    NodeId c2 = net.add(
-        makeConv("c2", {.inC = 8, .outC = 8, .stride = 2, .pad = 1},
-                 seed + 4),
-        p);
-    NodeId gap = net.add(std::make_unique<GlobalAvgPool>("gap"), c2);
-    net.add(std::make_unique<FC>("fc", 8, 5, heWeights(rng, 40, 8),
-                                 smallBiases(rng, 5)),
-            gap);
-    return net;
-}
-
-/** Unique snapshot path in gtest's temp dir; removed on destruction. */
-class ScopedSnapshotPath
-{
-  public:
-    explicit ScopedSnapshotPath(const std::string &name)
-        : path_(testing::TempDir() + "fidelity_" + name + ".ckpt")
-    {
-        std::remove(path_.c_str());
-    }
-
-    ~ScopedSnapshotPath()
-    {
-        std::remove(path_.c_str());
-        std::remove((path_ + ".tmp").c_str());
-    }
-
-    const std::string &str() const { return path_; }
-
-  private:
-    std::string path_;
-};
-
-CampaignConfig
-smallConfig()
-{
-    CampaignConfig cfg;
-    cfg.samplesPerCategory = 8;
-    cfg.shardGrain = 4;
-    cfg.seed = 17;
-    return cfg;
-}
-
-} // namespace
+using namespace fidelity::test;
 
 TEST(BatchedEngine, FactoryWidthsAndValidation)
 {
-    IncrementalOptions opt;
     // Widths up to 4 share the narrow instantiation, wider ones the
     // full SIMD width; out-of-range widths are rejected.
-    EXPECT_EQ(makeBatchedEngine(1, opt)->maxLanes(), 4);
-    EXPECT_EQ(makeBatchedEngine(4, opt)->maxLanes(), 4);
-    EXPECT_EQ(makeBatchedEngine(5, opt)->maxLanes(), 8);
-    EXPECT_EQ(makeBatchedEngine(kMaxBatchLanes, opt)->maxLanes(),
+    EXPECT_EQ(makeBatchedEngine(1)->maxLanes(), 4);
+    EXPECT_EQ(makeBatchedEngine(4)->maxLanes(), 4);
+    EXPECT_EQ(makeBatchedEngine(5)->maxLanes(), 8);
+    EXPECT_EQ(makeBatchedEngine(kMaxBatchLanes)->maxLanes(),
               kMaxBatchLanes);
-    EXPECT_DEATH((void)makeBatchedEngine(0, opt), "width must be in");
-    EXPECT_DEATH((void)makeBatchedEngine(kMaxBatchLanes + 1, opt),
+    EXPECT_DEATH((void)makeBatchedEngine(0), "width must be in");
+    EXPECT_DEATH((void)makeBatchedEngine(kMaxBatchLanes + 1),
                  "width must be in");
 }
 
@@ -190,8 +65,7 @@ TEST(BatchedEngine, BitIdenticalToScalarAcrossPrecisions)
             net.calibrate(input);
         auto acts = net.forwardAll(input);
         IncrementalEngine scalar;
-        auto eng = makeBatchedEngine(kMaxBatchLanes,
-                                     IncrementalOptions{});
+        auto eng = makeBatchedEngine(kMaxBatchLanes);
         Rng rng(102);
         for (NodeId node : net.macNodes()) {
             const Tensor &golden = acts[node];
@@ -272,7 +146,7 @@ TEST(BatchedEngine, PerLaneEarlyExitDivergence)
     ASSERT_LT(neg, golden.size()) << "no negative conv output";
     NeuronIndex at = golden.indexOf(neg);
 
-    auto eng = makeBatchedEngine(kMaxBatchLanes, IncrementalOptions{});
+    auto eng = makeBatchedEngine(kMaxBatchLanes);
     eng->begin(net, node, acts);
     float dead = -1234.5f;
     float live = 1234.5f;
@@ -300,89 +174,11 @@ TEST(BatchedEngine, PerLaneEarlyExitDivergence)
     EXPECT_TRUE(bitIdentical(ref, eng->laneOutput(3)));
 }
 
-TEST(BatchedCampaign, ChecksumInvariantUnderWidthThreadsCache)
-{
-    // The batch width is a pure performance knob: campaignChecksum
-    // must match the B = 1 result for every width x thread count x
-    // result-cache combination.
-    Network net = buildResNet(3);
-    net.setPrecision(Precision::FP16);
-    Tensor x = defaultInputFor("resnet", 4);
-
-    CampaignConfig ref = smallConfig();
-    ref.batchWidth = 1;
-    ref.resultCacheEnabled = false;
-    const std::uint64_t want =
-        campaignChecksum(runCampaign(net, x, top1Metric(), ref));
-
-    for (int width : {4, 8}) {
-        for (int threads : {1, 4, 8}) {
-            for (bool cache : {false, true}) {
-                CampaignConfig cfg = smallConfig();
-                cfg.batchWidth = width;
-                cfg.numThreads = threads;
-                cfg.resultCacheEnabled = cache;
-                CampaignResult res =
-                    runCampaign(net, x, top1Metric(), cfg);
-                EXPECT_EQ(campaignChecksum(res), want)
-                    << "width " << width << " threads " << threads
-                    << " cache " << cache;
-            }
-        }
-    }
-}
-
-TEST(BatchedCampaign, KillAndResumeBitIdentity)
-{
-    // A batched campaign interrupted mid-flight and resumed from its
-    // snapshot — even at a different batch width — must reproduce the
-    // uninterrupted B = 1 checksum, with the result cache on or off.
-    Network net = buildResNet(3);
-    net.setPrecision(Precision::FP16);
-    Tensor x = defaultInputFor("resnet", 4);
-
-    CampaignConfig ref = smallConfig();
-    ref.batchWidth = 1;
-    const std::uint64_t want =
-        campaignChecksum(runCampaign(net, x, top1Metric(), ref));
-
-    for (bool cache : {false, true}) {
-        for (int resumeWidth : {8, 1}) {
-            ScopedSnapshotPath path(
-                "batched_kill_" + std::to_string(cache) + "_" +
-                std::to_string(resumeWidth));
-
-            CampaignConfig cfg = smallConfig();
-            cfg.batchWidth = 8;
-            cfg.numThreads = 4;
-            cfg.resultCacheEnabled = cache;
-            cfg.checkpointPath = path.str();
-            cfg.stopAfterShards = 6;
-            CampaignResult partial =
-                runCampaign(net, x, top1Metric(), cfg);
-            ASSERT_FALSE(partial.complete);
-
-            CampaignConfig resume = smallConfig();
-            resume.batchWidth = resumeWidth;
-            resume.numThreads = 4;
-            resume.resultCacheEnabled = cache;
-            resume.checkpointPath = path.str();
-            resume.resumeFrom = path.str();
-            CampaignResult res =
-                runCampaign(net, x, top1Metric(), resume);
-            EXPECT_TRUE(res.complete);
-            EXPECT_EQ(campaignChecksum(res), want)
-                << "cache " << cache << " resume width "
-                << resumeWidth;
-        }
-    }
-}
-
 TEST(BatchedCampaign, BatchWidthValidation)
 {
     Network net = buildResNet(3);
     Tensor x = defaultInputFor("resnet", 4);
-    CampaignConfig cfg = smallConfig();
+    CampaignConfig cfg;
     cfg.batchWidth = 0;
     EXPECT_DEATH((void)runCampaign(net, x, top1Metric(), cfg),
                  "batchWidth must be in");

@@ -1,10 +1,10 @@
 /**
  * @file
- * Crash-safe checkpoint/resume: snapshot round-trips and the
+ * Crash-safe checkpoint/resume: snapshot round-trips, corrupt-snapshot
+ * rejection, resume refusal and config-hash identity.  The
  * kill-and-resume bit-identity contract — a campaign interrupted
- * mid-flight and resumed from its snapshot in a fresh "process"
- * produces a CampaignResult bit-identical (campaignChecksum) to an
- * uninterrupted run, for any thread count.
+ * mid-flight and resumed from its snapshot, under any knobs, equals
+ * an uninterrupted run — is test_bit_identity's stop/resume axis.
  */
 
 #include <gtest/gtest.h>
@@ -18,35 +18,15 @@
 
 #include "core/campaign.hh"
 #include "sim/checkpoint.hh"
+#include "test_util.hh"
 #include "workloads/metrics.hh"
 #include "workloads/models.hh"
 
 using namespace fidelity;
+using namespace fidelity::test;
 
 namespace
 {
-
-/** Unique snapshot path in gtest's temp dir; removed on destruction. */
-class ScopedSnapshotPath
-{
-  public:
-    explicit ScopedSnapshotPath(const std::string &name)
-        : path_(testing::TempDir() + "fidelity_" + name + ".ckpt")
-    {
-        std::remove(path_.c_str());
-    }
-
-    ~ScopedSnapshotPath()
-    {
-        std::remove(path_.c_str());
-        std::remove((path_ + ".tmp").c_str());
-    }
-
-    const std::string &str() const { return path_; }
-
-  private:
-    std::string path_;
-};
 
 CampaignConfig
 fixedConfig()
@@ -56,28 +36,6 @@ fixedConfig()
     cfg.shardGrain = 4;
     cfg.seed = 11;
     return cfg;
-}
-
-CampaignConfig
-adaptiveConfig()
-{
-    CampaignConfig cfg;
-    cfg.targetHalfWidth = 0.09;
-    cfg.confidenceZ = 1.96;
-    cfg.minSamples = 8;
-    cfg.maxSamplesPerCategory = 48;
-    cfg.shardGrain = 8;
-    cfg.seed = 11;
-    return cfg;
-}
-
-std::string
-readFileBytes(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in) << path;
-    return std::string(std::istreambuf_iterator<char>(in),
-                       std::istreambuf_iterator<char>());
 }
 
 void
@@ -116,7 +74,7 @@ referenceSnapshot()
 
 TEST(Snapshot, RoundTripIsBitExact)
 {
-    ScopedSnapshotPath path("roundtrip");
+    ScopedPath path("roundtrip");
 
     CampaignSnapshot snap;
     snap.configHash = 0xdeadbeefcafef00dULL;
@@ -154,7 +112,7 @@ TEST(Snapshot, RoundTripIsBitExact)
 
 TEST(Snapshot, RewriteReplacesAtomically)
 {
-    ScopedSnapshotPath path("rewrite");
+    ScopedPath path("rewrite");
 
     CampaignSnapshot first;
     first.configHash = 1;
@@ -178,14 +136,14 @@ TEST(Snapshot, RewriteReplacesAtomically)
 
 TEST(Snapshot, MissingFileProbesFalseAndReadFatals)
 {
-    ScopedSnapshotPath path("missing");
+    ScopedPath path("missing");
     EXPECT_FALSE(snapshotExists(path.str()));
     EXPECT_DEATH((void)readSnapshot(path.str()), "cannot open");
 }
 
 TEST(Snapshot, ForeignFileIsRejected)
 {
-    ScopedSnapshotPath path("foreign");
+    ScopedPath path("foreign");
     {
         std::FILE *f = std::fopen(path.str().c_str(), "wb");
         ASSERT_NE(f, nullptr);
@@ -200,7 +158,7 @@ TEST(Checkpoint, StopAfterShardsReturnsPartial)
 {
     Network net = buildResNet(3);
     Tensor x = defaultInputFor("resnet", 4);
-    ScopedSnapshotPath path("partial");
+    ScopedPath path("partial");
 
     CampaignConfig cfg = fixedConfig();
     cfg.checkpointPath = path.str();
@@ -216,105 +174,11 @@ TEST(Checkpoint, StopAfterShardsReturnsPartial)
     EXPECT_EQ(snap.configHash, campaignConfigHash(net, x, cfg));
 }
 
-TEST(Checkpoint, KillAndResumeBitIdentityAcrossThreadCounts)
-{
-    Network net = buildResNet(3);
-    Tensor x = defaultInputFor("resnet", 4);
-
-    // The ground truth: one uninterrupted run.
-    CampaignResult whole = runCampaign(net, x, top1Metric(),
-                                       fixedConfig());
-    const std::uint64_t want = campaignChecksum(whole);
-
-    for (int threads : {1, 4, 8}) {
-        ScopedSnapshotPath path("kill_fixed_" +
-                                std::to_string(threads));
-
-        // Run a slice, then "crash" (drop every in-process state).
-        CampaignConfig cfg = fixedConfig();
-        cfg.numThreads = threads;
-        cfg.checkpointPath = path.str();
-        cfg.stopAfterShards = 10;
-        CampaignResult partial = runCampaign(net, x, top1Metric(), cfg);
-        ASSERT_FALSE(partial.complete);
-
-        // Fresh config, fresh injector, only the snapshot survives.
-        CampaignConfig resume = fixedConfig();
-        resume.numThreads = threads;
-        resume.checkpointPath = path.str();
-        resume.resumeFrom = path.str();
-        CampaignResult res = runCampaign(net, x, top1Metric(), resume);
-        EXPECT_TRUE(res.complete);
-        EXPECT_EQ(campaignChecksum(res), want)
-            << "resumed result diverged at " << threads << " threads";
-        EXPECT_EQ(res.totalInjections, whole.totalInjections);
-    }
-}
-
-TEST(Checkpoint, KillAndResumeBitIdentityAdaptive)
-{
-    Network net = buildResNet(3);
-    Tensor x = defaultInputFor("resnet", 4);
-
-    CampaignResult whole = runCampaign(net, x, top1Metric(),
-                                       adaptiveConfig());
-    const std::uint64_t want = campaignChecksum(whole);
-
-    for (int threads : {1, 4}) {
-        ScopedSnapshotPath path("kill_adaptive_" +
-                                std::to_string(threads));
-
-        CampaignConfig cfg = adaptiveConfig();
-        cfg.numThreads = threads;
-        cfg.checkpointPath = path.str();
-        cfg.stopAfterShards = 7;
-        CampaignResult partial = runCampaign(net, x, top1Metric(), cfg);
-        ASSERT_FALSE(partial.complete);
-
-        CampaignConfig resume = adaptiveConfig();
-        resume.numThreads = threads;
-        resume.checkpointPath = path.str();
-        resume.resumeFrom = path.str();
-        CampaignResult res = runCampaign(net, x, top1Metric(), resume);
-        EXPECT_TRUE(res.complete);
-        EXPECT_EQ(campaignChecksum(res), want)
-            << "adaptive resume diverged at " << threads << " threads";
-        EXPECT_EQ(res.rounds, whole.rounds);
-    }
-}
-
-TEST(Checkpoint, RepeatedSlicesConvergeToTheWholeRun)
-{
-    // The production crash-restart loop: run the same command with
-    // resumeFrom = checkpointPath until it reports complete.
-    Network net = buildResNet(3);
-    Tensor x = defaultInputFor("resnet", 4);
-    ScopedSnapshotPath path("slices");
-
-    CampaignResult whole = runCampaign(net, x, top1Metric(),
-                                       fixedConfig());
-
-    CampaignResult res;
-    int slices = 0;
-    do {
-        CampaignConfig cfg = fixedConfig();
-        cfg.numThreads = 2;
-        cfg.checkpointPath = path.str();
-        cfg.resumeFrom = path.str();
-        cfg.stopAfterShards = 13;
-        res = runCampaign(net, x, top1Metric(), cfg);
-        ASSERT_LT(++slices, 100) << "slicing loop failed to converge";
-    } while (!res.complete);
-
-    EXPECT_GT(slices, 1) << "test wants at least one real interruption";
-    EXPECT_EQ(campaignChecksum(res), campaignChecksum(whole));
-}
-
 TEST(Checkpoint, CompleteSnapshotResumesWithoutExecuting)
 {
     Network net = buildResNet(3);
     Tensor x = defaultInputFor("resnet", 4);
-    ScopedSnapshotPath path("complete");
+    ScopedPath path("complete");
 
     CampaignConfig cfg = fixedConfig();
     cfg.checkpointPath = path.str();
@@ -335,7 +199,7 @@ TEST(Checkpoint, ResumeRefusesForeignConfig)
 {
     Network net = buildResNet(3);
     Tensor x = defaultInputFor("resnet", 4);
-    ScopedSnapshotPath path("mismatch");
+    ScopedPath path("mismatch");
 
     CampaignConfig cfg = fixedConfig();
     cfg.checkpointPath = path.str();
@@ -353,7 +217,7 @@ TEST(Checkpoint, MissingResumeFileStartsFresh)
 {
     Network net = buildResNet(3);
     Tensor x = defaultInputFor("resnet", 4);
-    ScopedSnapshotPath path("fresh");
+    ScopedPath path("fresh");
 
     CampaignConfig cfg = fixedConfig();
     cfg.resumeFrom = path.str(); // never written
@@ -417,15 +281,15 @@ TEST(Checkpoint, ConfigHashSeparatesSampleIdentities)
 
 TEST(SnapshotCorruption, WriteReportsTheOnDiskByteCount)
 {
-    ScopedSnapshotPath path("bytecount");
+    ScopedPath path("bytecount");
     const std::uint64_t bytes =
         writeSnapshot(path.str(), referenceSnapshot());
-    EXPECT_EQ(bytes, readFileBytes(path.str()).size());
+    EXPECT_EQ(bytes, slurp(path.str()).size());
 }
 
 TEST(SnapshotCorruption, ZeroLengthFileIsRejected)
 {
-    ScopedSnapshotPath path("zerolen");
+    ScopedPath path("zerolen");
     writeFileBytes(path.str(), "");
     EXPECT_DEATH((void)readSnapshot(path.str()),
                  "not a fidelity campaign snapshot");
@@ -433,9 +297,9 @@ TEST(SnapshotCorruption, ZeroLengthFileIsRejected)
 
 TEST(SnapshotCorruption, TruncatedAtEveryFieldBoundaryIsRejected)
 {
-    ScopedSnapshotPath path("truncated");
+    ScopedPath path("truncated");
     writeSnapshot(path.str(), referenceSnapshot());
-    const std::string whole = readFileBytes(path.str());
+    const std::string whole = slurp(path.str());
     ASSERT_GT(whole.size(), 24u);
     ASSERT_EQ(whole.size() % 8, 0u);
 
@@ -457,9 +321,9 @@ TEST(SnapshotCorruption, TruncatedAtEveryFieldBoundaryIsRejected)
 
 TEST(SnapshotCorruption, BitFlippedMagicIsRejected)
 {
-    ScopedSnapshotPath path("bitflip");
+    ScopedPath path("bitflip");
     writeSnapshot(path.str(), referenceSnapshot());
-    const std::string whole = readFileBytes(path.str());
+    const std::string whole = slurp(path.str());
 
     for (std::size_t byte = 0; byte < 8; ++byte) {
         SCOPED_TRACE("magic byte " + std::to_string(byte));
@@ -473,9 +337,9 @@ TEST(SnapshotCorruption, BitFlippedMagicIsRejected)
 
 TEST(SnapshotCorruption, AbsurdShardCountIsBoundedByFileSize)
 {
-    ScopedSnapshotPath path("hugecount");
+    ScopedPath path("hugecount");
     writeSnapshot(path.str(), referenceSnapshot());
-    std::string bad = readFileBytes(path.str());
+    std::string bad = slurp(path.str());
 
     // The shard count lives at bytes [16, 24).  A count that would
     // reserve() petabytes must die on the file-size bound instead.
@@ -488,9 +352,9 @@ TEST(SnapshotCorruption, AbsurdShardCountIsBoundedByFileSize)
 
 TEST(SnapshotCorruption, AbsurdSampleCountIsBoundedByFileSize)
 {
-    ScopedSnapshotPath path("hugesamples");
+    ScopedPath path("hugesamples");
     writeSnapshot(path.str(), referenceSnapshot());
-    std::string bad = readFileBytes(path.str());
+    std::string bad = slurp(path.str());
 
     // Shard 0 (no samples): fixed part at [24, 64), its sample count
     // at [56, 64).  Also bump trials ([48, 56)) so the bound that
@@ -505,9 +369,9 @@ TEST(SnapshotCorruption, AbsurdSampleCountIsBoundedByFileSize)
 
 TEST(SnapshotCorruption, MaskedAboveTrialsIsRejected)
 {
-    ScopedSnapshotPath path("masked");
+    ScopedPath path("masked");
     writeSnapshot(path.str(), referenceSnapshot());
-    std::string bad = readFileBytes(path.str());
+    std::string bad = slurp(path.str());
 
     // Shard 0 maskedCount at [40, 48); its trials are 4.
     const std::uint64_t absurd = 1000;
@@ -536,7 +400,7 @@ TEST(CampaignConfigChecks, HugeThrottleIntervalsSaturate)
     // and the campaign still completes with correct results.
     Network net = buildResNet(3);
     Tensor x = defaultInputFor("resnet", 4);
-    ScopedSnapshotPath path("saturate");
+    ScopedPath path("saturate");
 
     CampaignConfig cfg = fixedConfig();
     cfg.progress = true;

@@ -7,119 +7,25 @@
  * can reach escapes the cone); differential tests asserting the engine
  * is bit-identical to Network::forwardFrom across FP32/FP16/INT8 on a
  * multi-branch DAG with grouped/dilated/strided/padded convolutions;
- * the early masking exit; the per-thread arena; and full
- * dense-vs-incremental campaign equality.
+ * the early masking exit; and the per-thread arena.  Campaign-level
+ * dense-vs-incremental equality is test_bit_identity's engine axis.
  */
 
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
 
-#include "core/campaign.hh"
-#include "nn/activation.hh"
-#include "nn/conv.hh"
-#include "nn/elementwise.hh"
-#include "nn/fc.hh"
 #include "nn/incremental.hh"
-#include "nn/init.hh"
-#include "nn/network.hh"
-#include "nn/pool.hh"
 #include "nn/region.hh"
 #include "sim/arena.hh"
-#include "sim/rng.hh"
+#include "test_util.hh"
 
 using namespace fidelity;
-
-namespace
-{
-
-Tensor
-randomTensor(std::uint64_t seed, int n, int h, int w, int c)
-{
-    Rng rng(seed);
-    Tensor t(n, h, w, c);
-    for (auto &v : t.data())
-        v = static_cast<float>(rng.normal(0, 1));
-    return t;
-}
-
-bool
-bitIdentical(const Tensor &a, const Tensor &b)
-{
-    if (!a.sameShape(b))
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        if (std::bit_cast<std::uint32_t>(a[i]) !=
-            std::bit_cast<std::uint32_t>(b[i]))
-            return false;
-    return true;
-}
-
-std::unique_ptr<Conv2D>
-makeConv(std::string name, const ConvSpec &spec, std::uint64_t seed)
-{
-    Rng rng(seed);
-    std::size_t wcount = static_cast<std::size_t>(spec.kh) * spec.kw *
-                         (spec.inC / spec.groups) * spec.outC;
-    int fan_in = spec.kh * spec.kw * (spec.inC / spec.groups);
-    return std::make_unique<Conv2D>(
-        std::move(name), spec, heWeights(rng, wcount, fan_in),
-        spec.bias ? smallBiases(rng, spec.outC) : std::vector<float>{});
-}
-
-/**
- * A small CNN exercising every spatially-local layer the engine
- * propagates through: padded, grouped (depthwise), dilated, and
- * strided convolutions on two parallel branches, elementwise add,
- * scale, channel concat, slice, max pooling, global average pooling,
- * and a (globally-mixing) FC head.
- */
-Network
-makeBranchy(std::uint64_t seed)
-{
-    Rng rng(seed);
-    Network net("branchy");
-    NodeId c1 = net.add(
-        makeConv("c1", {.inC = 4, .outC = 8, .pad = 1}, seed + 1), 0);
-    NodeId r1 = net.add(
-        std::make_unique<Activation>("relu1", Activation::Func::ReLU),
-        c1);
-    NodeId dw = net.add(
-        makeConv("dw", {.inC = 8, .outC = 8, .pad = 1, .groups = 8},
-                 seed + 2),
-        r1);
-    NodeId dil = net.add(
-        makeConv("dil", {.inC = 8, .outC = 8, .pad = 2, .dilation = 2},
-                 seed + 3),
-        r1);
-    NodeId add = net.add(std::make_unique<Elementwise>(
-                             "add", Elementwise::Op::Add),
-                         std::vector<NodeId>{dw, dil});
-    NodeId ss = net.add(
-        std::make_unique<ScaleShift>("ss", 0.5f, 0.1f), add);
-    NodeId cat = net.add(std::make_unique<ConcatC>("cat"),
-                         std::vector<NodeId>{add, ss});
-    NodeId sl = net.add(
-        std::make_unique<Slice>("sl", Slice::Axis::C, 4, 8), cat);
-    NodeId p = net.add(
-        std::make_unique<Pool>("pool", Pool::Mode::Max, 2, 2), sl);
-    NodeId c2 = net.add(
-        makeConv("c2", {.inC = 8, .outC = 8, .stride = 2, .pad = 1},
-                 seed + 4),
-        p);
-    NodeId gap = net.add(std::make_unique<GlobalAvgPool>("gap"), c2);
-    net.add(std::make_unique<FC>("fc", 8, 5, heWeights(rng, 40, 8),
-                                 smallBiases(rng, 5)),
-            gap);
-    return net;
-}
-
-} // namespace
+using namespace fidelity::test;
 
 TEST(Region, BasicsAndAlgebra)
 {
@@ -332,23 +238,17 @@ TEST(Incremental, ForwardRegionPatchMatchesDense)
 
     Tensor x = specialTensor(51, 2, 6, 6, 4);
     Tensor y = specialTensor(53, 2, 6, 6, 4);
-    // Quantising NaN is undefined, so the integer mode reads the same
-    // inputs with their NaNs replaced (signed zeros kept).
-    Tensor xq = x;
-    for (float &v : xq.data())
-        v = std::isnan(v) ? 1.5f : v;
     for (Case &cs : cases) {
         Layer &layer = *cs.layer;
         std::vector<Precision> precs{Precision::FP32, Precision::FP16};
         if (cs.int8)
             precs.push_back(Precision::INT8);
         for (Precision p : precs) {
-            const bool integer = p == Precision::INT8;
-            std::vector<const Tensor *> ins{integer ? &xq : &x};
+            std::vector<const Tensor *> ins{&x};
             if (layer.numInputs() == 2)
                 ins.push_back(&y);
             layer.setPrecision(p);
-            if (integer)
+            if (p == Precision::INT8)
                 layer.calibrate(ins, layer.forward(ins));
             Tensor golden = layer.forward(ins);
             const int H = golden.h(), W = golden.w(), C = golden.c();
@@ -422,27 +322,6 @@ TEST(Incremental, BitIdenticalToForwardFromAcrossPrecisions)
     }
 }
 
-TEST(Incremental, DisabledEngineStillBitIdentical)
-{
-    // enabled=false degrades every layer to dense recompute inside the
-    // engine; the contract holds trivially and exercises that path.
-    Tensor input = randomTensor(71, 1, 8, 8, 4);
-    Network net = makeBranchy(70);
-    auto acts = net.forwardAll(input);
-    IncrementalOptions opt;
-    opt.enabled = false;
-    IncrementalEngine engine(opt);
-    NodeId node = net.macNodes().front();
-    Tensor corrupted = acts[node];
-    NeuronIndex at = corrupted.indexOf(7);
-    corrupted.at(at) = 1000.0f;
-    Tensor dense = net.forwardFrom(node, corrupted, acts);
-    const Tensor &fast = engine.run(net, node, corrupted,
-                                    Region::of(at), acts);
-    EXPECT_TRUE(bitIdentical(dense, fast));
-    EXPECT_EQ(engine.lastStats().layersIncremental, 0);
-}
-
 TEST(Incremental, EarlyMaskingExitSkipsDownstream)
 {
     // Corrupt a neuron whose golden value is negative to a different
@@ -511,42 +390,4 @@ TEST(Arena, LeasesReuseCapacity)
     EXPECT_EQ(arena.bytesHeld(), 0u);
     // The thread-local arena is a singleton per thread.
     EXPECT_EQ(&Arena::local(), &Arena::local());
-}
-
-TEST(Campaign, DenseAndIncrementalResultsIdentical)
-{
-    Network net = makeBranchy(90);
-    net.setPrecision(Precision::FP16);
-    Tensor input = randomTensor(91, 1, 8, 8, 4);
-
-    CampaignConfig cfg;
-    cfg.samplesPerCategory = 8;
-    cfg.seed = 92;
-    cfg.numThreads = 2;
-
-    cfg.incremental = false;
-    CampaignResult dense = runCampaign(net, input, top1Match, cfg);
-    cfg.incremental = true;
-    CampaignResult fast = runCampaign(net, input, top1Match, cfg);
-
-    EXPECT_EQ(dense.totalInjections, fast.totalInjections);
-    ASSERT_EQ(dense.cells.size(), fast.cells.size());
-    for (std::size_t i = 0; i < dense.cells.size(); ++i) {
-        EXPECT_EQ(dense.cells[i].masked.successes(),
-                  fast.cells[i].masked.successes());
-        EXPECT_EQ(dense.cells[i].masked.trials(),
-                  fast.cells[i].masked.trials());
-    }
-    ASSERT_EQ(dense.singleNeuronSamples.size(),
-              fast.singleNeuronSamples.size());
-    for (std::size_t i = 0; i < dense.singleNeuronSamples.size(); ++i) {
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(
-                      dense.singleNeuronSamples[i].first),
-                  std::bit_cast<std::uint64_t>(
-                      fast.singleNeuronSamples[i].first));
-        EXPECT_EQ(dense.singleNeuronSamples[i].second,
-                  fast.singleNeuronSamples[i].second);
-    }
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(dense.fit.total()),
-              std::bit_cast<std::uint64_t>(fast.fit.total()));
 }

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "sim/rng.hh"
 #include "tensor/quant.hh"
@@ -54,6 +56,16 @@ TEST(Quant, SaturatesOutOfRange)
     QuantParams qp = calibrateAbsMax(1.0, 8);
     EXPECT_EQ(quantize(100.0f, qp), 127);
     EXPECT_EQ(quantize(-100.0f, qp), -128);
+}
+
+TEST(Quant, NaNMapsToZero)
+{
+    // Matches the range checker, which flushes NaN to 0.
+    for (int bits : {8, 16})
+        for (std::uint32_t nan : {0x7fc00000u, 0xffc01234u, 0x7f800001u})
+            EXPECT_EQ(quantize(std::bit_cast<float>(nan),
+                               calibrateAbsMax(1.0, bits)),
+                      0);
 }
 
 TEST(Quant, RoundToNearest)

@@ -10,11 +10,8 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -26,8 +23,10 @@
 #include "sim/parse.hh"
 #include "sim/service.hh"
 #include "sim/service_proto.hh"
+#include "test_util.hh"
 
 using namespace fidelity;
+using fidelity::test::ScopedPath;
 
 namespace
 {
@@ -723,11 +722,12 @@ TEST(ServiceShardPlan, AdaptiveCampaignsHaveNoStaticPlan)
 
 TEST(ServiceShardPlan, WorkerRangeExecutionMatchesInProcessStreams)
 {
-    // The distributed contract in miniature, no sockets: under every
-    // engine / result-cache / thread-count combination, an executor
+    // The distributed contract in miniature, no sockets: an executor
     // working through out-of-order ranges must journal exactly the
     // records the in-process run checkpoints, field by field, and
     // resuming from the union must reproduce the uninterrupted run.
+    // The same split under every engine / cache / backend knob is
+    // test_bit_identity's executor axis.
     ServiceRequest req;
     req.samplesPerCategory = 8;
     req.shardGrain = 4;
@@ -735,75 +735,41 @@ TEST(ServiceShardPlan, WorkerRangeExecutionMatchesInProcessStreams)
     Network net = buildServiceNetwork(req);
     Tensor x = serviceInput(req);
     CorrectnessFn metric = serviceMetric(req);
-    const std::string ckpt = testing::TempDir() + "fidelity_range_" +
-                             std::to_string(::getpid()) + ".ckpt";
+    ScopedPath ckpt("range.ckpt");
+    const CampaignConfig cfg = campaignConfigFor(req);
 
-    struct Engine
-    {
-        const char *name;
-        bool incremental;
-        int batchWidth;
-    };
-    const Engine engines[] = {{"dense", false, 1},
-                              {"incremental B=1", true, 1},
-                              {"incremental B=8", true, 8}};
-    std::vector<ShardRecord> reference; // dense, cache off, 1 thread
-    for (const Engine &engine : engines) {
-        for (bool cache : {false, true}) {
-            for (int threads : {1, 4}) {
-                SCOPED_TRACE(std::string(engine.name) + ", cache " +
-                             (cache ? "on" : "off") + ", " +
-                             std::to_string(threads) + " threads");
-                CampaignConfig cfg = campaignConfigFor(req);
-                cfg.incremental = engine.incremental;
-                cfg.batchWidth = engine.batchWidth;
-                cfg.resultCacheEnabled = cache;
-                cfg.numThreads = threads;
+    CampaignConfig whole_cfg = cfg;
+    whole_cfg.checkpointPath = ckpt.str();
+    const CampaignResult whole = runCampaign(net, x, metric, whole_cfg);
+    const std::vector<ShardRecord> journal =
+        readSnapshot(ckpt.str()).shards;
 
-                CampaignConfig whole_cfg = cfg;
-                whole_cfg.checkpointPath = ckpt;
-                const CampaignResult whole =
-                    runCampaign(net, x, metric, whole_cfg);
-                const std::vector<ShardRecord> journal =
-                    readSnapshot(ckpt).shards;
-                std::remove(ckpt.c_str());
+    FixedShardExecutor executor(net, x, metric, cfg);
+    const std::uint64_t total = executor.planSize();
+    ASSERT_EQ(journal.size(), total);
+    ASSERT_GE(total, 3u);
+    const std::uint64_t a = total / 3;
+    const std::uint64_t b = 2 * total / 3;
+    std::vector<ShardRecord> records = executor.execute(b, total - b);
+    for (ShardRecord &r : executor.execute(0, a))
+        records.push_back(std::move(r));
+    for (ShardRecord &r : executor.execute(a, b - a))
+        records.push_back(std::move(r));
+    std::sort(records.begin(), records.end(),
+              [](const ShardRecord &l, const ShardRecord &r) {
+                  return l.ordinal < r.ordinal;
+              });
+    expectSameRecords(records, journal);
 
-                FixedShardExecutor executor(net, x, metric, cfg);
-                const std::uint64_t total = executor.planSize();
-                ASSERT_EQ(journal.size(), total);
-                ASSERT_GE(total, 3u);
-                const std::uint64_t a = total / 3;
-                const std::uint64_t b = 2 * total / 3;
-                std::vector<ShardRecord> records =
-                    executor.execute(b, total - b);
-                for (ShardRecord &r : executor.execute(0, a))
-                    records.push_back(std::move(r));
-                for (ShardRecord &r : executor.execute(a, b - a))
-                    records.push_back(std::move(r));
-                std::sort(records.begin(), records.end(),
-                          [](const ShardRecord &l, const ShardRecord &r) {
-                              return l.ordinal < r.ordinal;
-                          });
-                expectSameRecords(records, journal);
-                if (reference.empty())
-                    reference = journal;
-                else
-                    expectSameRecords(journal, reference);
-
-                auto snap = std::make_shared<CampaignSnapshot>();
-                snap->configHash = campaignConfigHash(net, x, cfg);
-                snap->shards = std::move(records);
-                CampaignConfig merge = cfg;
-                merge.resumeSnapshot = snap;
-                const CampaignResult merged =
-                    runCampaign(net, x, metric, merge);
-                EXPECT_TRUE(merged.complete);
-                EXPECT_EQ(campaignChecksum(merged),
-                          campaignChecksum(whole));
-                EXPECT_EQ(merged.totalInjections, whole.totalInjections);
-            }
-        }
-    }
+    auto snap = std::make_shared<CampaignSnapshot>();
+    snap->configHash = campaignConfigHash(net, x, cfg);
+    snap->shards = std::move(records);
+    CampaignConfig merge = cfg;
+    merge.resumeSnapshot = snap;
+    const CampaignResult merged = runCampaign(net, x, metric, merge);
+    EXPECT_TRUE(merged.complete);
+    EXPECT_EQ(campaignChecksum(merged), campaignChecksum(whole));
+    EXPECT_EQ(merged.totalInjections, whole.totalInjections);
 }
 
 TEST(ServiceShardPlan, ReusedExecutorMatchesFreshCallsLeaseByLease)

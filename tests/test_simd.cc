@@ -8,10 +8,11 @@
  * block-compare scans, dense forward passes of conv/FC/matmul across
  * FP32/FP16/INT8/INT16 with odd (non-lane-multiple) shapes and
  * grouped/dilated/strided convolutions, forwardRegion boxes that cut
- * through lane blocks, the vectorized elementwise/activation paths,
- * and whole-campaign equality with the backend toggle on and off AND
- * across every runtime-dispatchable backend (forced scalar / SSE2 /
- * AVX2 within one binary).  The narrow integer kernels additionally
+ * through lane blocks, and the vectorized elementwise/activation
+ * paths, under the toggle and under every runtime-dispatchable backend
+ * (forced scalar / SSE2 / AVX2 within one binary); whole-campaign
+ * equality across backends is test_bit_identity's backend axis.  The
+ * narrow integer kernels additionally
  * get direct differential coverage: odd-reduction pair padding, the
  * statically proven int32 chunk bound at its exact overflow edge, and
  * chunk-length invariance of the spilled int64 result.
@@ -27,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "core/campaign.hh"
 #include "nn/activation.hh"
 #include "nn/conv.hh"
 #include "nn/elementwise.hh"
@@ -44,9 +44,10 @@
 #include "sim/rng.hh"
 #include "tensor/bitops.hh"
 #include "tensor/quant.hh"
-#include "workloads/metrics.hh"
+#include "test_util.hh"
 
 using namespace fidelity;
+using namespace fidelity::test;
 
 namespace
 {
@@ -64,51 +65,6 @@ struct BackendForce
 {
     ~BackendForce() { simd::forceBackend("auto"); }
 };
-
-/** Every backend that can be forced on this host, scalar first. */
-std::vector<const char *>
-availableBackends()
-{
-    std::vector<const char *> v{"scalar"};
-    for (const char *n : {"sse2", "avx2", "neon"})
-        if (simd::backendAvailable(n))
-            v.push_back(n);
-    return v;
-}
-
-Tensor
-randomTensor(std::uint64_t seed, int n, int h, int w, int c)
-{
-    Rng rng(seed);
-    Tensor t(n, h, w, c);
-    for (auto &v : t.data())
-        v = static_cast<float>(rng.normal(0, 1));
-    return t;
-}
-
-bool
-bitIdentical(const Tensor &a, const Tensor &b)
-{
-    if (!a.sameShape(b))
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        if (std::bit_cast<std::uint32_t>(a[i]) !=
-            std::bit_cast<std::uint32_t>(b[i]))
-            return false;
-    return true;
-}
-
-std::unique_ptr<Conv2D>
-makeConv(std::string name, const ConvSpec &spec, std::uint64_t seed)
-{
-    Rng rng(seed);
-    std::size_t wcount = static_cast<std::size_t>(spec.kh) * spec.kw *
-                         (spec.inC / spec.groups) * spec.outC;
-    int fan_in = spec.kh * spec.kw * (spec.inC / spec.groups);
-    return std::make_unique<Conv2D>(
-        std::move(name), spec, heWeights(rng, wcount, fan_in),
-        spec.bias ? smallBiases(rng, spec.outC) : std::vector<float>{});
-}
 
 void
 setupPrecision(Layer &layer, const std::vector<const Tensor *> &ins,
@@ -165,12 +121,6 @@ adversarialFloats()
     while (v.size() < 61)
         v.push_back(static_cast<float>(rng.normal(0, 100)));
     return v;
-}
-
-CorrectnessFn
-top1Match()
-{
-    return top1Metric();
 }
 
 } // namespace
@@ -359,6 +309,9 @@ TEST(SimdConvert, QuantizeBatchMatchesScalar)
                 EXPECT_EQ(outVec[i], quantize(in[i], qp))
                     << "bits " << bits << " element " << i;
                 EXPECT_EQ(outVec[i], outRef[i]);
+                if (std::isnan(in[i])) {
+                    EXPECT_EQ(outVec[i], 0) << "NaN element " << i;
+                }
             }
         }
     }
@@ -579,120 +532,6 @@ TEST(SimdKernels, ElementwiseAndActivationMatchScalar)
         for (Precision p : {Precision::FP32, Precision::FP16}) {
             layer->setPrecision(p);
             forwardBothWays(*layer, ins);
-        }
-    }
-}
-
-namespace
-{
-
-/** Small mixed network for the whole-campaign equality tests. */
-void
-buildCampaignNet(Network &net, std::uint64_t seed)
-{
-    Rng rng(seed);
-    NodeId c1 = net.add(
-        makeConv("c1", {.inC = 3, .outC = 11, .kh = 3, .kw = 3,
-                        .pad = 1},
-                 seed + 1),
-        0);
-    NodeId r1 = net.add(
-        std::make_unique<Activation>("relu", Activation::Func::ReLU),
-        c1);
-    NodeId c2 = net.add(
-        makeConv("c2", {.inC = 11, .outC = 8, .kh = 3, .kw = 3,
-                        .stride = 2, .groups = 1},
-                 seed + 2),
-        r1);
-    NodeId gap = net.add(std::make_unique<GlobalAvgPool>("gap"), c2);
-    net.add(std::make_unique<FC>("fc", 8, 5, heWeights(rng, 40, 8),
-                                 smallBiases(rng, 5)),
-            gap);
-}
-
-/** Campaign checksums — counters and raw sample bits — must agree. */
-void
-expectCampaignsEqual(const CampaignResult &vec,
-                     const CampaignResult &ref, const char *what)
-{
-    EXPECT_EQ(vec.totalInjections, ref.totalInjections) << what;
-    ASSERT_EQ(vec.cells.size(), ref.cells.size()) << what;
-    for (std::size_t i = 0; i < vec.cells.size(); ++i) {
-        EXPECT_EQ(vec.cells[i].masked.successes(),
-                  ref.cells[i].masked.successes())
-            << what;
-        EXPECT_EQ(vec.cells[i].masked.trials(),
-                  ref.cells[i].masked.trials())
-            << what;
-    }
-    ASSERT_EQ(vec.singleNeuronSamples.size(),
-              ref.singleNeuronSamples.size())
-        << what;
-    for (std::size_t i = 0; i < vec.singleNeuronSamples.size(); ++i) {
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(
-                      vec.singleNeuronSamples[i].first),
-                  std::bit_cast<std::uint64_t>(
-                      ref.singleNeuronSamples[i].first))
-            << what;
-        EXPECT_EQ(vec.singleNeuronSamples[i].second,
-                  ref.singleNeuronSamples[i].second)
-            << what;
-    }
-}
-
-} // namespace
-
-TEST(SimdKernels, CampaignChecksumIdenticalWithToggle)
-{
-    Network net("toggle");
-    buildCampaignNet(net, 800);
-    Tensor input = randomTensor(803, 1, 8, 8, 3);
-    for (Precision p : kAllPrecisions) {
-        net.setPrecision(p);
-        if (p == Precision::INT8 || p == Precision::INT16)
-            net.calibrate(input);
-
-        CampaignConfig cfg;
-        cfg.samplesPerCategory = 4;
-        cfg.seed = 804;
-
-        SimdToggle guard;
-        simd::setEnabled(true);
-        CampaignResult vec = runCampaign(net, input, top1Match(), cfg);
-        simd::setEnabled(false);
-        CampaignResult ref = runCampaign(net, input, top1Match(), cfg);
-        expectCampaignsEqual(vec, ref, "toggle");
-    }
-}
-
-TEST(SimdKernels, CampaignChecksumIdenticalAcrossForcedBackends)
-{
-    // One binary, every backend: force scalar, then each ISA table the
-    // host can run, and require bit-identical campaign results.  This
-    // is the runtime-dispatch counterpart of the toggle test above and
-    // the in-process version of the cross-build CI matrix.
-    Network net("dispatch");
-    buildCampaignNet(net, 820);
-    Tensor input = randomTensor(823, 1, 8, 8, 3);
-    SimdToggle toggle;
-    simd::setEnabled(true);
-    BackendForce guard;
-    for (Precision p : kAllPrecisions) {
-        net.setPrecision(p);
-        if (p == Precision::INT8 || p == Precision::INT16)
-            net.calibrate(input);
-
-        CampaignConfig cfg;
-        cfg.samplesPerCategory = 4;
-        cfg.seed = 824;
-
-        ASSERT_TRUE(simd::forceBackend("scalar"));
-        CampaignResult ref = runCampaign(net, input, top1Match(), cfg);
-        for (const char *n : availableBackends()) {
-            ASSERT_TRUE(simd::forceBackend(n));
-            CampaignResult got =
-                runCampaign(net, input, top1Match(), cfg);
-            expectCampaignsEqual(got, ref, n);
         }
     }
 }
