@@ -2,7 +2,7 @@
  * @file
  * Dense vs. incremental injection throughput.
  *
- * Runs the same campaign twice per CNN — once with the dense
+ * Runs the same campaign twice per network — once with the dense
  * forwardFrom re-execution and once with the fault-cone incremental
  * engine — at an equal thread count and seed, and reports the
  * injections/sec speedup together with a checksum proving the two
@@ -26,21 +26,38 @@ main()
     const int threads = static_cast<int>(ThreadPool::hardwareThreads());
 
     printHeading(std::cout,
-                 "Incremental fault-cone engine speedup (FP16, " +
+                 "Incremental fault-cone engine speedup (" +
                      std::to_string(samples) +
                      " samples per layer/category, " +
                      std::to_string(threads) + " threads)");
 
-    Table t({"network", "dense s", "incr s", "dense inj/s",
+    // The CNNs exercise the spatial cones; the transformer the row
+    // cones of its FC, softmax and matmul layers.
+    struct Workload
+    {
+        std::string network;
+        Precision precision;
+        CorrectnessFn metric;
+    };
+    const Workload workloads[] = {
+        {"resnet", Precision::FP16, top1Metric()},
+        {"mobilenet", Precision::FP16, top1Metric()},
+        {"inception", Precision::FP16, top1Metric()},
+        {"transformer", Precision::INT8, bleuMetric(0.10)},
+    };
+
+    Table t({"network", "precision", "dense s", "incr s", "dense inj/s",
              "incr inj/s", "speedup", "identical"});
     std::vector<ThroughputRecord> records;
     bool all_identical = true;
     double best_speedup = 0.0;
-    for (const std::string network : {"resnet", "mobilenet",
-                                      "inception"}) {
+    for (const Workload &wl : workloads) {
+        const std::string &network = wl.network;
         Network net = buildNetwork(network, 2020);
         Tensor input = defaultInputFor(network, 2021);
-        net.setPrecision(Precision::FP16);
+        net.setPrecision(wl.precision);
+        if (wl.precision == Precision::INT8)
+            net.calibrate(input);
 
         CampaignConfig cfg;
         cfg.samplesPerCategory = samples;
@@ -58,7 +75,7 @@ main()
             cfg.incremental = mode == 1;
             CampaignResult res;
             secs[mode] = timeSeconds([&] {
-                res = runCampaign(net, input, top1Metric(), cfg);
+                res = runCampaign(net, input, wl.metric, cfg);
             });
             checksum[mode] = campaignChecksum(res);
             injections = res.totalInjections;
@@ -80,7 +97,8 @@ main()
         best_speedup = std::max(best_speedup, speedup);
         double dense_rate = static_cast<double>(injections) / secs[0];
         double incr_rate = static_cast<double>(injections) / secs[1];
-        t.addRow({network, Table::num(secs[0], 2),
+        t.addRow({network, precisionName(wl.precision),
+                  Table::num(secs[0], 2),
                   Table::num(secs[1], 2), Table::num(dense_rate, 0),
                   Table::num(incr_rate, 0), Table::num(speedup, 2),
                   identical ? "yes" : "NO"});

@@ -48,7 +48,6 @@ writeBatchedTotals(JsonWriter &w, int width, const BatchedTotals &t)
                 static_cast<double>(t.batches));
     w.field("lanes_retired_early", t.lanesRetiredEarly);
     w.field("layers_batched_kernel", t.layersBatchedKernel);
-    w.field("layers_lane_fallback", t.layersLaneFallback);
     w.field("layers_skipped", t.layersSkipped);
     w.field("lane_elements", t.laneElements);
     w.endObject();

@@ -73,7 +73,7 @@ Activation::propagateRegion(const std::vector<const Tensor *> &, int,
     return in.clipped(out);
 }
 
-bool
+void
 Activation::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                                  LanePlane *const *inPlanes,
                                  const Region &region,
@@ -82,7 +82,7 @@ Activation::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                                  LanePlane &out) const
 {
     if (region.empty())
-        return true;
+        return;
     const Tensor &x = *ins[0];
     LanePlane &xp = *inPlanes[0];
     xp.ensure(x, region);
@@ -96,33 +96,21 @@ Activation::forwardRegionBatched(const std::vector<const Tensor *> &ins,
     const std::size_t run =
         static_cast<std::size_t>(region.c1 - region.c0) * W;
     const simd::KernelTable &kt = simd::table();
-    const BatchCover::Span full{region.w0, region.w1};
-    for (int n = region.n0; n < region.n1; ++n) {
-        for (int h = region.h0; h < region.h1; ++h) {
-            const BatchCover::Span *sp = &full;
-            int nsp = 1;
-            if (cover)
-                sp = cover->row(n, h, nsp);
-            for (int si = 0; si < nsp; ++si) {
-            for (int w = sp[si].w0; w < sp[si].w1; ++w) {
-                std::size_t f0 = golden.offset(n, h, w, region.c0);
-                const float *ip = xp.lanes(f0);
-                float *op = out.lanes(f0);
-                if (func_ == Func::ReLU) {
-                    kt.reluF32(ip, op, run);
-                } else if (func_ == Func::LeakyReLU) {
-                    kt.lreluF32(ip, alpha_, op, run);
-                } else {
-                    for (std::size_t i = 0; i < run; ++i)
-                        op[i] = apply(ip[i]);
-                }
-                if (half)
-                    simd::roundToHalfBatch(op, op, run);
-            }
-            }
+    forEachCoveredCell(region, cover, [&](int n, int h, int w) {
+        std::size_t f0 = golden.offset(n, h, w, region.c0);
+        const float *ip = xp.lanes(f0);
+        float *op = out.lanes(f0);
+        if (func_ == Func::ReLU) {
+            kt.reluF32(ip, op, run);
+        } else if (func_ == Func::LeakyReLU) {
+            kt.lreluF32(ip, alpha_, op, run);
+        } else {
+            for (std::size_t i = 0; i < run; ++i)
+                op[i] = apply(ip[i]);
         }
-    }
-    return true;
+        if (half)
+            simd::roundToHalfBatch(op, op, run);
+    });
 }
 
 } // namespace fidelity

@@ -37,7 +37,7 @@ class Activation : public Layer
                            const Tensor &out) const override;
 
 
-    bool forwardRegionBatched(const std::vector<const Tensor *> &ins,
+    void forwardRegionBatched(const std::vector<const Tensor *> &ins,
                               LanePlane *const *inPlanes,
                               const Region &region,
                               const BatchCover *cover,

@@ -38,12 +38,6 @@ class BatchedEngineT final : public BatchedEngine
     void resetTotals() override { totals_ = BatchedTotals{}; }
 
   private:
-    void fallbackLanes(const Layer &layer, const Tensor &golden,
-                       const std::vector<NodeId> &prods, NodeId id,
-                       std::uint32_t coneMask, bool dense,
-                       const Region &region,
-                       const std::array<Region, BMAX> &cones);
-
     BatchedTotals totals_;
 
     const Network *net_ = nullptr;
@@ -60,11 +54,6 @@ class BatchedEngineT final : public BatchedEngine
     std::vector<const Tensor *> ins_;
     std::vector<LanePlane *> inPlanes_;
     BatchCover cover_;
-
-    // Per-lane fallback scratch (materialised inputs / output).
-    std::vector<Tensor> fbIn_;
-    Tensor fbOut_;
-    std::vector<const Tensor *> insLane_;
 
     Tensor outBuf_;
 };
@@ -174,29 +163,26 @@ BatchedEngineT<BMAX>::execute()
         // shared by the whole batch).
         std::array<Region, BMAX> cones{};
         std::uint32_t coneMask = 0;
-        bool anyFull = false;
+        double coneVolume = 0.0;
         Region unionBox;
         for (int l = 0; l < BMAX; ++l) {
             if (!((touched >> l) & 1u))
                 continue;
             Region cone;
-            bool full = false;
             for (std::size_t k = 0; k < prods.size(); ++k) {
                 if (!((dirtyMask_[prods[k]] >> l) & 1u))
                     continue;
                 cone.merge(layer.propagateRegion(
                     ins_, static_cast<int>(k), laneRegions_[prods[k]][l],
                     golden));
-                if (cone.covers(golden)) {
-                    full = true;
+                if (cone.covers(golden))
                     break;
-                }
             }
             if (cone.empty())
                 continue; // this lane's change was clipped away
             cones[l] = cone;
             coneMask |= 1u << l;
-            anyFull = anyFull || full;
+            coneVolume += static_cast<double>(cone.volume());
             unionBox.merge(cone);
         }
         if (!coneMask) {
@@ -209,35 +195,24 @@ BatchedEngineT<BMAX>::execute()
         // Cells inside the bbox but outside every cone provably
         // recompute golden bits, so kernels and the diff scan skip
         // them (the plane's golden fill already holds their value).
-        // The dense decision compares the *covered* volume — not the
-        // bbox volume — against the threshold: scattered small cones
-        // span a huge bbox but cost only their own cells to recompute.
-        bool dense = anyFull;
-        if (!dense) {
-            cover_.build(cones.data(), coneMask, BMAX, unionBox);
-            const double coveredVol =
-                static_cast<double>(cover_.coveredCells()) *
-                cover_.coveredChans();
-            dense = coveredVol >= kDenseConeFraction *
-                                      static_cast<double>(golden.size());
-        }
+        // The dense decision is the scalar engine's, applied to the
+        // mean live cone: kernels that share work across lanes (conv)
+        // pay for the covered cells and the row kernels only for each
+        // lane's own cone, so below that mean the sparse walk computes
+        // no more than the dense one.
+        cover_.build(cones.data(), coneMask, BMAX, unionBox);
+        const bool dense =
+            coneVolume >= kDenseConeFraction *
+                              static_cast<double>(golden.size()) *
+                              std::popcount(coneMask);
         Region region = dense ? Region::full(golden) : unionBox;
-        if (dense)
-            for (int l = 0; l < BMAX; ++l)
-                if ((coneMask >> l) & 1u)
-                    cones[l] = region;
         const BatchCover *cover = dense ? nullptr : &cover_;
 
         LanePlane &plane = planes_[id];
         plane.ensure(golden, region);
-        if (layer.forwardRegionBatched(ins_, inPlanes_.data(), region,
-                                       cover, golden, plane)) {
-            ++totals_.layersBatchedKernel;
-        } else {
-            fallbackLanes(layer, golden, prods, id, coneMask, dense,
-                          region, cones);
-            ++totals_.layersLaneFallback;
-        }
+        layer.forwardRegionBatched(ins_, inPlanes_.data(), region, cover,
+                                   golden, plane);
+        ++totals_.layersBatchedKernel;
         const std::uint64_t cells =
             cover ? cover_.coveredCells() *
                         static_cast<std::uint64_t>(cover_.coveredChans())
@@ -253,42 +228,46 @@ BatchedEngineT<BMAX>::execute()
         // mask there.
         std::array<Region, BMAX> diffs{};
         const float *gd = golden.data().data();
-        const BatchCover::Span full{region.w0, region.w1};
         const BatchCover::Span cfull{region.c0, region.c1};
         const BatchCover::Span *csp = &cfull;
         int ncs = 1;
         if (cover)
             csp = cover->chanSpans(ncs);
-        for (int n = region.n0; n < region.n1; ++n) {
-            for (int h = region.h0; h < region.h1; ++h) {
-                const BatchCover::Span *sp = &full;
-                int nsp = 1;
-                if (cover)
-                    sp = cover->row(n, h, nsp);
-                for (int si = 0; si < nsp; ++si) {
-                for (int w = sp[si].w0; w < sp[si].w1; ++w) {
-                    for (int cs = 0; cs < ncs; ++cs) {
-                    std::size_t flat =
-                        golden.offset(n, h, w, csp[cs].w0);
-                    for (int c = csp[cs].w0; c < csp[cs].w1;
-                         ++c, ++flat) {
-                        std::uint32_t m =
-                            simd::laneNeMask(plane.lanes(flat),
-                                             gd[flat], BMAX) &
-                            coneMask;
-                        if (!m)
-                            continue;
-                        while (m) {
-                            int l = std::countr_zero(m);
-                            m &= m - 1;
-                            diffs[l].include({n, h, w, c});
-                        }
-                    }
-                    }
+        forEachCoveredCell(region, cover, [&](int n, int h, int w) {
+            for (int cs = 0; cs < ncs; ++cs) {
+                // Only each lane's first and last differing channel of
+                // the row matter for its box: scan forward for the
+                // firsts, then backward until every lane seen has its
+                // last.
+                const int c0 = csp[cs].w0, c1 = csp[cs].w1;
+                const std::size_t f0 = golden.offset(n, h, w, c0);
+                auto ne = [&](int c) {
+                    const std::size_t f = f0 + (c - c0);
+                    return simd::laneNeMask(plane.lanes(f), gd[f], BMAX) &
+                           coneMask;
+                };
+                int first[BMAX], last[BMAX];
+                std::uint32_t seen = 0;
+                for (int c = c0; c < c1; ++c) {
+                    const std::uint32_t m = ne(c);
+                    for (std::uint32_t f = m & ~seen; f; f &= f - 1)
+                        first[std::countr_zero(f)] = c;
+                    seen |= m;
                 }
+                std::uint32_t found = 0;
+                for (int c = c1 - 1; found != seen; --c) {
+                    const std::uint32_t m = ne(c) & ~found;
+                    for (std::uint32_t f = m; f; f &= f - 1)
+                        last[std::countr_zero(f)] = c;
+                    found |= m;
+                }
+                for (; seen; seen &= seen - 1) {
+                    const int l = std::countr_zero(seen);
+                    diffs[l].include({n, h, w, first[l]});
+                    diffs[l].include({n, h, w, last[l]});
                 }
             }
-        }
+        });
         std::uint32_t live = 0;
         for (int l = 0; l < BMAX; ++l) {
             if (!((coneMask >> l) & 1u) || diffs[l].empty())
@@ -301,75 +280,6 @@ BatchedEngineT<BMAX>::execute()
 
     outMask_ = dirtyMask_[out];
     totals_.lanesRetiredEarly += std::popcount(seeded_ & ~outMask_);
-}
-
-/**
- * Per-lane fallback for layers without a region kernel (FC / matmul /
- * softmax — small, post-pooling tensors): materialise each live lane's
- * inputs as plain tensors, run the layer's dense forward() (directly,
- * or through forwardRegion, which has no kernel to call), and scatter
- * the result back into the output plane's lane column.
- */
-template <int BMAX>
-void
-BatchedEngineT<BMAX>::fallbackLanes(const Layer &layer,
-                                    const Tensor &golden,
-                                    const std::vector<NodeId> &prods,
-                                    NodeId id, std::uint32_t coneMask,
-                                    bool dense, const Region &region,
-                                    const std::array<Region, BMAX> &cones)
-{
-    const std::vector<Tensor> &cached = *cached_;
-    if (fbIn_.size() < prods.size())
-        fbIn_.resize(prods.size());
-
-    for (int l = 0; l < BMAX; ++l) {
-        if (!((coneMask >> l) & 1u))
-            continue;
-        insLane_.clear();
-        for (std::size_t k = 0; k < prods.size(); ++k) {
-            NodeId in = prods[k];
-            if (!((dirtyMask_[in] >> l) & 1u)) {
-                insLane_.push_back(&cached[in]);
-                continue;
-            }
-            Tensor &buf = fbIn_[k];
-            buf = cached[in]; // capacity-reusing copy
-            const LanePlane &pp = planes_[in];
-            const Region &r = laneRegions_[in][l];
-            for (int n = r.n0; n < r.n1; ++n) {
-                for (int h = r.h0; h < r.h1; ++h) {
-                    for (int w = r.w0; w < r.w1; ++w) {
-                        std::size_t flat = buf.offset(n, h, w, r.c0);
-                        float *bd = buf.data().data();
-                        for (int c = r.c0; c < r.c1; ++c, ++flat)
-                            bd[flat] = pp.lanes(flat)[l];
-                    }
-                }
-            }
-            insLane_.push_back(&buf);
-        }
-
-        const Region &sc = dense ? region : cones[l];
-        if (dense) {
-            fbOut_ = layer.forward(insLane_);
-        } else {
-            fbOut_ = golden; // capacity-reusing copy; patch the cone
-            layer.forwardRegion(insLane_, sc, fbOut_);
-        }
-
-        LanePlane &plane = planes_[id];
-        const float *od = fbOut_.data().data();
-        for (int n = sc.n0; n < sc.n1; ++n) {
-            for (int h = sc.h0; h < sc.h1; ++h) {
-                for (int w = sc.w0; w < sc.w1; ++w) {
-                    std::size_t flat = golden.offset(n, h, w, sc.c0);
-                    for (int c = sc.c0; c < sc.c1; ++c, ++flat)
-                        plane.lanes(flat)[l] = od[flat];
-                }
-            }
-        }
-    }
 }
 
 template <int BMAX>

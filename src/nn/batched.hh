@@ -45,11 +45,8 @@ struct BatchedTotals
     /** Lanes whose delta died before the output node. */
     std::uint64_t lanesRetiredEarly = 0;
 
-    /** Layer visits served by a batched SoA kernel. */
+    /** Layer visits served by a batched SoA kernel (every visit). */
     std::uint64_t layersBatchedKernel = 0;
-
-    /** Layer visits served by the per-lane forwardRegion fallback. */
-    std::uint64_t layersLaneFallback = 0;
 
     /** Downstream layers never touched (every lane's delta was dead). */
     std::uint64_t layersSkipped = 0;
@@ -64,7 +61,6 @@ struct BatchedTotals
         lanesSeeded += o.lanesSeeded;
         lanesRetiredEarly += o.lanesRetiredEarly;
         layersBatchedKernel += o.layersBatchedKernel;
-        layersLaneFallback += o.layersLaneFallback;
         layersSkipped += o.layersSkipped;
         laneElements += o.laneElements;
     }

@@ -151,47 +151,34 @@ convInjectionLanes(const ConvSpec &spec, int cpg, int opg,
 {
     const int g0 = r.c0 / opg;
     const int g1 = (r.c1 - 1) / opg;
-    const BatchCover::Span full{r.w0, r.w1};
     const BatchCover::Span cfull{r.c0, r.c1};
     const BatchCover::Span *csp = &cfull;
     int ncs = 1;
     if (cover)
         csp = cover->chanSpans(ncs);
-    for (int n = r.n0; n < r.n1; ++n) {
-        for (int oh = r.h0; oh < r.h1; ++oh) {
-            const BatchCover::Span *sp = &full;
-            int nsp = 1;
-            if (cover)
-                sp = cover->row(n, oh, nsp);
-            for (int si = 0; si < nsp; ++si) {
-            for (int ow = sp[si].w0; ow < sp[si].w1; ++ow) {
-                std::size_t base = golden.offset(n, oh, ow, 0);
-                for (int g = g0; g <= g1; ++g) {
-                    int lo = std::max(r.c0, g * opg);
-                    int hi = std::min(r.c1, (g + 1) * opg);
-                    bool any = false;
-                    for (int cs = 0; cs < ncs && !any; ++cs)
-                        any = std::min(hi, csp[cs].w1) >
-                              std::max(lo, csp[cs].w0);
-                    if (!any)
-                        continue; // no covered channel in this group
-                    forEachTerm(spec, cpg, g, oh, ow,
-                                [&](std::size_t t, int ih, int iw,
-                                    int ci) {
-                                    load(xg + t * W, n, ih, iw, ci);
-                                });
-                    for (int cs = 0; cs < ncs; ++cs) {
-                    int clo = std::max(lo, csp[cs].w0);
-                    int chi = std::min(hi, csp[cs].w1);
-                    for (int oc = clo; oc < chi; ++oc)
-                        rowMac(xg, pk.column(g, oc - g * opg),
-                               out.lanes(base + oc), oc);
-                    }
-                }
-            }
+    forEachCoveredCell(r, cover, [&](int n, int oh, int ow) {
+        std::size_t base = golden.offset(n, oh, ow, 0);
+        for (int g = g0; g <= g1; ++g) {
+            int lo = std::max(r.c0, g * opg);
+            int hi = std::min(r.c1, (g + 1) * opg);
+            bool any = false;
+            for (int cs = 0; cs < ncs && !any; ++cs)
+                any = std::min(hi, csp[cs].w1) > std::max(lo, csp[cs].w0);
+            if (!any)
+                continue; // no covered channel in this group
+            forEachTerm(spec, cpg, g, oh, ow,
+                        [&](std::size_t t, int ih, int iw, int ci) {
+                            load(xg + t * W, n, ih, iw, ci);
+                        });
+            for (int cs = 0; cs < ncs; ++cs) {
+                int clo = std::max(lo, csp[cs].w0);
+                int chi = std::min(hi, csp[cs].w1);
+                for (int oc = clo; oc < chi; ++oc)
+                    rowMac(xg, pk.column(g, oc - g * opg),
+                           out.lanes(base + oc), oc);
             }
         }
-    }
+    });
 }
 
 /** Output positions per MAC row of the weight-substitution kernel. */
@@ -1005,7 +992,7 @@ Conv2D::forwardBatchedImpl(const Tensor &x, LanePlane &xplane,
     laneKernels<W>(&region, 1, cover, golden, out, load);
 }
 
-bool
+void
 Conv2D::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                              LanePlane *const *inPlanes,
                              const Region &region,
@@ -1014,22 +1001,22 @@ Conv2D::forwardRegionBatched(const std::vector<const Tensor *> &ins,
 {
     checkInput(ins);
     if (region.empty())
-        return true;
+        return;
     switch (out.laneWidth()) {
       case 1:
         forwardBatchedImpl<1>(*ins[0], *inPlanes[0], region, nullptr,
                               golden, out);
-        return true;
+        return;
       case 4:
         forwardBatchedImpl<4>(*ins[0], *inPlanes[0], region, cover,
                               golden, out);
-        return true;
+        return;
       case 8:
         forwardBatchedImpl<8>(*ins[0], *inPlanes[0], region, cover,
                               golden, out);
-        return true;
+        return;
     }
-    return false;
+    panic("conv ", name_, ": unsupported lane width ", out.laneWidth());
 }
 
 std::size_t

@@ -97,7 +97,7 @@ class Conv2D : public MacLayer
      * width 1 runs the channel-lane kernel, widths 4 and 8 the
      * injection-lane rows; other widths return false.
      */
-    bool forwardRegionBatched(const std::vector<const Tensor *> &ins,
+    void forwardRegionBatched(const std::vector<const Tensor *> &ins,
                               LanePlane *const *inPlanes,
                               const Region &region,
                               const BatchCover *cover,

@@ -65,7 +65,7 @@ Elementwise::propagateRegion(const std::vector<const Tensor *> &, int,
     return in.clipped(out);
 }
 
-bool
+void
 Elementwise::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                                   LanePlane *const *inPlanes,
                                   const Region &region,
@@ -74,7 +74,7 @@ Elementwise::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                                   LanePlane &out) const
 {
     if (region.empty())
-        return true;
+        return;
     const Tensor &a = *ins[0];
     const Tensor &b = *ins[1];
     LanePlane &ap = *inPlanes[0];
@@ -93,25 +93,13 @@ Elementwise::forwardRegionBatched(const std::vector<const Tensor *> &ins,
     auto op = op_ == Op::Add ? kt.addF32
               : op_ == Op::Mul ? kt.mulF32
                                : kt.subF32;
-    const BatchCover::Span full{region.w0, region.w1};
-    for (int n = region.n0; n < region.n1; ++n) {
-        for (int h = region.h0; h < region.h1; ++h) {
-            const BatchCover::Span *sp = &full;
-            int nsp = 1;
-            if (cover)
-                sp = cover->row(n, h, nsp);
-            for (int si = 0; si < nsp; ++si) {
-            for (int w = sp[si].w0; w < sp[si].w1; ++w) {
-                std::size_t f0 = golden.offset(n, h, w, region.c0);
-                float *od = out.lanes(f0);
-                op(ap.lanes(f0), bp.lanes(f0), od, run);
-                if (half)
-                    simd::roundToHalfBatch(od, od, run);
-            }
-            }
-        }
-    }
-    return true;
+    forEachCoveredCell(region, cover, [&](int n, int h, int w) {
+        std::size_t f0 = golden.offset(n, h, w, region.c0);
+        float *od = out.lanes(f0);
+        op(ap.lanes(f0), bp.lanes(f0), od, run);
+        if (half)
+            simd::roundToHalfBatch(od, od, run);
+    });
 }
 
 ConcatC::ConcatC(std::string name)
@@ -165,7 +153,7 @@ ConcatC::propagateRegion(const std::vector<const Tensor *> &ins,
     return r.clipped(out);
 }
 
-bool
+void
 ConcatC::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                               LanePlane *const *inPlanes,
                               const Region &region,
@@ -174,7 +162,7 @@ ConcatC::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                               LanePlane &out) const
 {
     if (region.empty())
-        return true;
+        return;
     const Tensor &a = *ins[0];
     const Tensor &b = *ins[1];
     LanePlane &ap = *inPlanes[0];
@@ -192,28 +180,16 @@ ConcatC::forwardRegionBatched(const std::vector<const Tensor *> &ins,
         bp.ensure(b, rb);
 
     const int W = out.laneWidth();
-    const BatchCover::Span full{region.w0, region.w1};
-    for (int n = region.n0; n < region.n1; ++n) {
-        for (int h = region.h0; h < region.h1; ++h) {
-            const BatchCover::Span *sp = &full;
-            int nsp = 1;
-            if (cover)
-                sp = cover->row(n, h, nsp);
-            for (int si = 0; si < nsp; ++si) {
-            for (int w = sp[si].w0; w < sp[si].w1; ++w) {
-                for (int c = region.c0; c < region.c1; ++c) {
-                    const float *ip = c < ac
-                        ? ap.lanes(a.offset(n, h, w, c))
-                        : bp.lanes(b.offset(n, h, w, c - ac));
-                    float *op = out.lanes(golden.offset(n, h, w, c));
-                    for (int l = 0; l < W; ++l)
-                        op[l] = ip[l];
-                }
-            }
-            }
+    forEachCoveredCell(region, cover, [&](int n, int h, int w) {
+        for (int c = region.c0; c < region.c1; ++c) {
+            const float *ip = c < ac
+                ? ap.lanes(a.offset(n, h, w, c))
+                : bp.lanes(b.offset(n, h, w, c - ac));
+            float *op = out.lanes(golden.offset(n, h, w, c));
+            for (int l = 0; l < W; ++l)
+                op[l] = ip[l];
         }
-    }
-    return true;
+    });
 }
 
 Slice::Slice(std::string name, Axis axis, int offset, int length)
@@ -271,7 +247,7 @@ Slice::propagateRegion(const std::vector<const Tensor *> &, int,
     return r.clipped(out);
 }
 
-bool
+void
 Slice::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                             LanePlane *const *inPlanes,
                             const Region &region,
@@ -279,7 +255,7 @@ Slice::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                             const Tensor &golden, LanePlane &out) const
 {
     if (region.empty())
-        return true;
+        return;
     const Tensor &x = *ins[0];
     LanePlane &xp = *inPlanes[0];
     Region src = region;
@@ -293,28 +269,16 @@ Slice::forwardRegionBatched(const std::vector<const Tensor *> &ins,
     xp.ensure(x, src);
 
     const int W = out.laneWidth();
-    const BatchCover::Span full{region.w0, region.w1};
-    for (int n = region.n0; n < region.n1; ++n) {
-        for (int h = region.h0; h < region.h1; ++h) {
-            const BatchCover::Span *sp = &full;
-            int nsp = 1;
-            if (cover)
-                sp = cover->row(n, h, nsp);
-            for (int si = 0; si < nsp; ++si) {
-            for (int w = sp[si].w0; w < sp[si].w1; ++w) {
-                for (int c = region.c0; c < region.c1; ++c) {
-                    int sh = axis_ == Axis::H ? h + offset_ : h;
-                    int sc = axis_ == Axis::C ? c + offset_ : c;
-                    const float *ip = xp.lanes(x.offset(n, sh, w, sc));
-                    float *op = out.lanes(golden.offset(n, h, w, c));
-                    for (int l = 0; l < W; ++l)
-                        op[l] = ip[l];
-                }
-            }
-            }
+    forEachCoveredCell(region, cover, [&](int n, int h, int w) {
+        for (int c = region.c0; c < region.c1; ++c) {
+            int sh = axis_ == Axis::H ? h + offset_ : h;
+            int sc = axis_ == Axis::C ? c + offset_ : c;
+            const float *ip = xp.lanes(x.offset(n, sh, w, sc));
+            float *op = out.lanes(golden.offset(n, h, w, c));
+            for (int l = 0; l < W; ++l)
+                op[l] = ip[l];
         }
-    }
-    return true;
+    });
 }
 
 ScaleShift::ScaleShift(std::string name, float scale, float shift)
@@ -350,7 +314,7 @@ ScaleShift::propagateRegion(const std::vector<const Tensor *> &, int,
     return in.clipped(out);
 }
 
-bool
+void
 ScaleShift::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                                  LanePlane *const *inPlanes,
                                  const Region &region,
@@ -359,7 +323,7 @@ ScaleShift::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                                  LanePlane &out) const
 {
     if (region.empty())
-        return true;
+        return;
     const Tensor &x = *ins[0];
     LanePlane &xp = *inPlanes[0];
     xp.ensure(x, region);
@@ -371,26 +335,13 @@ ScaleShift::forwardRegionBatched(const std::vector<const Tensor *> &ins,
     const std::size_t run =
         static_cast<std::size_t>(region.c1 - region.c0) * W;
     const simd::KernelTable &kt = simd::table();
-    const BatchCover::Span full{region.w0, region.w1};
-    for (int n = region.n0; n < region.n1; ++n) {
-        for (int h = region.h0; h < region.h1; ++h) {
-            const BatchCover::Span *sp = &full;
-            int nsp = 1;
-            if (cover)
-                sp = cover->row(n, h, nsp);
-            for (int si = 0; si < nsp; ++si) {
-            for (int w = sp[si].w0; w < sp[si].w1; ++w) {
-                std::size_t f0 = golden.offset(n, h, w, region.c0);
-                float *op = out.lanes(f0);
-                kt.scaleShiftF32(xp.lanes(f0), scale_, shift_, op,
-                                 run);
-                if (half)
-                    simd::roundToHalfBatch(op, op, run);
-            }
-            }
-        }
-    }
-    return true;
+    forEachCoveredCell(region, cover, [&](int n, int h, int w) {
+        std::size_t f0 = golden.offset(n, h, w, region.c0);
+        float *op = out.lanes(f0);
+        kt.scaleShiftF32(xp.lanes(f0), scale_, shift_, op, run);
+        if (half)
+            simd::roundToHalfBatch(op, op, run);
+    });
 }
 
 } // namespace fidelity

@@ -39,7 +39,7 @@ class Elementwise : public Layer
                            const Tensor &out) const override;
 
 
-    bool forwardRegionBatched(const std::vector<const Tensor *> &ins,
+    void forwardRegionBatched(const std::vector<const Tensor *> &ins,
                               LanePlane *const *inPlanes,
                               const Region &region,
                               const BatchCover *cover,
@@ -68,7 +68,7 @@ class ConcatC : public Layer
                            const Tensor &out) const override;
 
 
-    bool forwardRegionBatched(const std::vector<const Tensor *> &ins,
+    void forwardRegionBatched(const std::vector<const Tensor *> &ins,
                               LanePlane *const *inPlanes,
                               const Region &region,
                               const BatchCover *cover,
@@ -98,7 +98,7 @@ class Slice : public Layer
                            const Tensor &out) const override;
 
 
-    bool forwardRegionBatched(const std::vector<const Tensor *> &ins,
+    void forwardRegionBatched(const std::vector<const Tensor *> &ins,
                               LanePlane *const *inPlanes,
                               const Region &region,
                               const BatchCover *cover,
@@ -130,7 +130,7 @@ class ScaleShift : public Layer
                            const Tensor &out) const override;
 
 
-    bool forwardRegionBatched(const std::vector<const Tensor *> &ins,
+    void forwardRegionBatched(const std::vector<const Tensor *> &ins,
                               LanePlane *const *inPlanes,
                               const Region &region,
                               const BatchCover *cover,

@@ -1,5 +1,8 @@
 #include "nn/fc.hh"
 
+#include <bit>
+
+#include "nn/lanes.hh"
 #include "sim/arena.hh"
 #include "sim/logging.hh"
 #include "simd/convert.hh"
@@ -167,26 +170,25 @@ FC::packWeights() const
     wPackValid_ = true;
 }
 
-Tensor
-FC::forward(const std::vector<const Tensor *> &ins) const
+void
+FC::denseRows(const float *x, std::size_t rows, float *y) const
 {
     // Fast path, bit-identical to computeNeuron(); see Conv2D.
-    Tensor out = makeOutput(ins);
-    const Tensor &x = *ins[0];
     bool integer = precision_ == Precision::INT8 ||
                    precision_ == Precision::INT16;
     if (!wPackValid_)
         packWeights();
 
+    const std::size_t size = rows * inC_;
     const bool narrow = integer && chunkPairs_ > 0;
     Arena &arena = Arena::local();
     auto xs = arena.floats(
-        integer || precision_ == Precision::FP32 ? 0 : x.size());
-    auto xq = arena.ints(integer ? x.size() : 0);
+        integer || precision_ == Precision::FP32 ? 0 : size);
+    auto xq = arena.ints(integer ? size : 0);
     // Narrowed operands, one zeroed pad element past the end so the
     // final position's odd-reduction pair is readable (its weight is
     // zero, so the value cannot matter).
-    auto xn = arena.shorts(narrow ? x.size() + 1 : 0);
+    auto xn = arena.shorts(narrow ? size + 1 : 0);
     auto accF = arena.floats(
         integer ? 0 : simd::packSize(1, units_, simd::kF32Lanes));
     auto accL = arena.longs(
@@ -194,20 +196,19 @@ FC::forward(const std::vector<const Tensor *> &ins) const
             ? (narrow ? simd::packSize(1, units_, simd::kNarrowLanes)
                       : simd::packSize(1, units_, simd::kI64Lanes))
             : 0);
-    const float *xf = x.data().data();
+    const float *xf = x;
     if (integer) {
-        simd::quantizeBatch(xf, xq.data(), x.size(), inQuant_);
+        simd::quantizeBatch(xf, xq.data(), size, inQuant_);
         if (narrow) {
-            for (std::size_t i = 0; i < x.size(); ++i)
+            for (std::size_t i = 0; i < size; ++i)
                 xn[i] = static_cast<std::int16_t>(xq[i]);
-            xn[x.size()] = 0;
+            xn[size] = 0;
         }
     } else if (precision_ == Precision::FP16) {
-        simd::roundToHalfBatch(xf, xs.data(), x.size());
+        simd::roundToHalfBatch(xf, xs.data(), size);
         xf = xs.data();
     }
 
-    std::size_t positions = x.size() / inC_;
     auto biasAt = [&](int u) {
         return bias_.empty() ? 0.0f : bias_[u];
     };
@@ -219,21 +220,87 @@ FC::forward(const std::vector<const Tensor *> &ins) const
                              biasAt(u));
         };
         if (narrow)
-            simd::denseNarrow(kt, xn.data(), positions, inC_, units_,
+            simd::denseNarrow(kt, xn.data(), rows, inC_, units_,
                               wPackN_.data(), chunkPairs_, accL.data(),
-                              out.data().data(), wb);
+                              y, wb);
         else
-            simd::denseInt(kt, xq.data(), positions, inC_, units_,
-                           wPackI_.data(), accL.data(),
-                           out.data().data(), wb);
+            simd::denseInt(kt, xq.data(), rows, inC_, units_,
+                           wPackI_.data(), accL.data(), y, wb);
     } else {
-        simd::denseFloat(kt, xf, positions, inC_, units_,
-                         wPackF_.data(), accF.data(),
-                         out.data().data(), [&](double acc, int u) {
+        simd::denseFloat(kt, xf, rows, inC_, units_, wPackF_.data(),
+                         accF.data(), y, [&](double acc, int u) {
                              return writeback(acc, biasAt(u));
                          });
     }
+}
+
+Tensor
+FC::forward(const std::vector<const Tensor *> &ins) const
+{
+    Tensor out = makeOutput(ins);
+    const Tensor &x = *ins[0];
+    denseRows(x.data().data(), x.size() / inC_, out.data().data());
     return out;
+}
+
+Region
+FC::propagateRegion(const std::vector<const Tensor *> &, int,
+                    const Region &in, const Tensor &out) const
+{
+    // Each output position reduces over its own input position's
+    // channels only.
+    Region r{in.n0, in.n1, in.h0, in.h1, in.w0, in.w1, 0, units_};
+    return r.clipped(out);
+}
+
+void
+FC::forwardRegionBatched(const std::vector<const Tensor *> &ins,
+                         LanePlane *const *inPlanes, const Region &region,
+                         const BatchCover *cover, const Tensor &golden,
+                         LanePlane &out) const
+{
+    checkInput(ins);
+    if (region.empty())
+        return;
+    const Tensor &x = *ins[0];
+    LanePlane &xp = *inPlanes[0];
+    xp.ensure(x, Region{region.n0, region.n1, region.h0, region.h1,
+                        region.w0, region.w1, 0, inC_});
+
+    // Injections are just more positions: gather the input row of
+    // every (position, lane) pair to recompute into one
+    // [position][lane] matrix, run the row loop once, scatter the
+    // region's units back.
+    const int W = out.laneWidth();
+    std::size_t rows = 0;
+    forEachCoveredLaneCell(region, cover, W,
+                           [&](int, int, int, std::uint32_t lanes) {
+                               rows += std::popcount(lanes);
+                           });
+    Arena &arena = Arena::local();
+    auto xr = arena.floats(rows * inC_);
+    auto yr = arena.floats(rows * units_);
+    float *xw = xr.data();
+    forEachCoveredLaneCell(
+        region, cover, W, [&](int n, int h, int w, std::uint32_t lanes) {
+            const float *src = xp.lanes(x.offset(n, h, w, 0));
+            for (; lanes; lanes &= lanes - 1, xw += inC_) {
+                const int l = std::countr_zero(lanes);
+                for (int c = 0; c < inC_; ++c)
+                    xw[c] = src[c * W + l];
+            }
+        });
+    denseRows(xr.data(), rows, yr.data());
+    const float *yw = yr.data();
+    forEachCoveredLaneCell(
+        region, cover, W, [&](int n, int h, int w, std::uint32_t lanes) {
+            float *dst = out.lanes(golden.offset(n, h, w, 0));
+            for (; lanes; lanes &= lanes - 1, yw += units_) {
+                const int l = std::countr_zero(lanes);
+                for (int c = region.c0; c < region.c1; ++c)
+                    dst[c * W + l] = yw[c];
+            }
+        });
 }
 
 std::size_t

@@ -43,6 +43,18 @@ class FC : public MacLayer
     Tensor makeOutput(const std::vector<const Tensor *> &ins) const override;
     Tensor forward(const std::vector<const Tensor *> &ins) const override;
 
+    /** Row cone: the input box's positions x every output unit. */
+    Region propagateRegion(const std::vector<const Tensor *> &ins,
+                           int inputIdx, const Region &in,
+                           const Tensor &out) const override;
+
+    void forwardRegionBatched(const std::vector<const Tensor *> &ins,
+                              LanePlane *const *inPlanes,
+                              const Region &region,
+                              const BatchCover *cover,
+                              const Tensor &golden,
+                              LanePlane &out) const override;
+
     std::size_t
     weightCount(const std::vector<const Tensor *> &ins) const override;
     float weightAt(const std::vector<const Tensor *> &ins,
@@ -76,6 +88,14 @@ class FC : public MacLayer
 
     /** Re-pack weights into the lane-blocked kernel layout. */
     void packWeights() const;
+
+    /**
+     * The layer's one row loop: y = W^T x + b for `rows` contiguous
+     * positions of raw input ([rows][inC] in, [rows][units] out).
+     * Positions are independent, so forward() runs it over the whole
+     * tensor and the region kernel over gathered (position, lane) rows.
+     */
+    void denseRows(const float *x, std::size_t rows, float *y) const;
 
     int inC_;
     int units_;

@@ -8,12 +8,15 @@
  * downstream graph carrying, per node, a bounding box of elements that
  * may differ from the cached golden activation (the fault cone):
  *
- *  - Spatially local layers (conv / pool / activation / elementwise /
- *    concat / slice) recompute only their cone via
- *    Layer::forwardRegion; the rest of the output is the golden value.
- *  - Globally mixing layers (FC / matmul / softmax / attention / LSTM)
- *    report a full-tensor cone and recompute densely, as does any
- *    layer whose cone covers kDenseConeFraction of its output or more.
+ *  - Every layer recomputes only its cone via Layer::forwardRegion;
+ *    the rest of the output is the golden value.  Spatially local
+ *    layers (conv / pool / activation / elementwise / concat / slice)
+ *    have receptive-field cones, position-wise ones (FC / softmax /
+ *    matmul, hence attention and LSTM) row cones: a faulty token row
+ *    re-executes that row, and only a matmul's B operand spreads a
+ *    change over every row.
+ *  - A layer whose cone covers kDenseConeFraction of its output or
+ *    more recomputes densely.
  *  - After each recompute the engine compares the cone against the
  *    golden activation bit-for-bit and shrinks it to the box that
  *    actually changed.  When the delta dies (ReLU clipping, pooling,

@@ -22,6 +22,7 @@
 #define FIDELITY_NN_LANES_HH
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -200,6 +201,13 @@ class BatchCover
     build(const Region *cones, std::uint32_t mask, int lanes,
           const Region &bbox)
     {
+        mask_ = 0;
+        for (int l = 0; l < lanes && l < kMaxBatchLanes; ++l) {
+            if ((mask >> l) & 1u) {
+                cones_[l] = cones[l];
+                mask_ |= 1u << l;
+            }
+        }
         n0_ = bbox.n0;
         h0_ = bbox.h0;
         rowsPerN_ = std::max(0, bbox.h1 - bbox.h0);
@@ -309,6 +317,21 @@ class BatchCover
     /** Total channels inside some cone's channel interval. */
     int coveredChans() const { return coveredChans_; }
 
+    /** The lanes (bit l for lane l) whose cone holds cell (n, h, w). */
+    std::uint32_t
+    lanesAt(int n, int h, int w) const
+    {
+        std::uint32_t m = 0;
+        for (std::uint32_t rest = mask_; rest; rest &= rest - 1) {
+            const int l = std::countr_zero(rest);
+            const Region &c = cones_[l];
+            if (n >= c.n0 && n < c.n1 && h >= c.h0 && h < c.h1 &&
+                w >= c.w0 && w < c.w1)
+                m |= 1u << l;
+        }
+        return m;
+    }
+
   private:
     std::vector<Span> spans_;
     std::vector<std::size_t> rowEnd_;
@@ -317,7 +340,51 @@ class BatchCover
     Span cspans_[kMaxBatchLanes];
     int numCSpans_ = 0;
     int coveredChans_ = 0;
+    Region cones_[kMaxBatchLanes];
+    std::uint32_t mask_ = 0;
 };
+
+/**
+ * Call f(n, h, w) for every (n, h, w) cell of `region` that `cover`
+ * covers — every cell when `cover` is null — in NHW order.
+ */
+template <class F>
+void
+forEachCoveredCell(const Region &region, const BatchCover *cover, F &&f)
+{
+    const BatchCover::Span full{region.w0, region.w1};
+    for (int n = region.n0; n < region.n1; ++n) {
+        for (int h = region.h0; h < region.h1; ++h) {
+            const BatchCover::Span *sp = &full;
+            int nsp = 1;
+            if (cover)
+                sp = cover->row(n, h, nsp);
+            for (int si = 0; si < nsp; ++si)
+                for (int w = sp[si].w0; w < sp[si].w1; ++w)
+                    f(n, h, w);
+        }
+    }
+}
+
+/**
+ * forEachCoveredCell for kernels whose lanes need not share work:
+ * f(n, h, w, lanes) also receives the lanes (of `width`) that must
+ * recompute the cell.  Under coverage those are the lanes whose own
+ * cone holds it — elsewhere a lane's value is golden, which the plane
+ * already holds — and without coverage every lane.
+ */
+template <class F>
+void
+forEachCoveredLaneCell(const Region &region, const BatchCover *cover,
+                       int width, F &&f)
+{
+    const std::uint32_t all = (1u << width) - 1;
+    forEachCoveredCell(region, cover, [&](int n, int h, int w) {
+        const std::uint32_t lanes = cover ? cover->lanesAt(n, h, w) : all;
+        if (lanes)
+            f(n, h, w, lanes);
+    });
+}
 
 } // namespace fidelity
 

@@ -73,13 +73,6 @@ Layer::calibrate(const std::vector<const Tensor *> &, const Tensor &)
 {
 }
 
-Region
-Layer::propagateRegion(const std::vector<const Tensor *> &, int,
-                       const Region &, const Tensor &out) const
-{
-    return Region::full(out);
-}
-
 void
 Layer::forwardRegion(const std::vector<const Tensor *> &ins,
                      const Region &region, Tensor &out) const
@@ -97,18 +90,7 @@ Layer::forwardRegion(const std::vector<const Tensor *> &ins,
     }
     LanePlane outView;
     outView.borrow(out);
-    if (!forwardRegionBatched(ins, inPlanes, region, nullptr, out,
-                              outView))
-        out = forward(ins);
-}
-
-bool
-Layer::forwardRegionBatched(const std::vector<const Tensor *> &,
-                            LanePlane *const *, const Region &,
-                            const BatchCover *, const Tensor &,
-                            LanePlane &) const
-{
-    return false;
+    forwardRegionBatched(ins, inPlanes, region, nullptr, out, outView);
 }
 
 MacLayer::MacLayer(std::string name)

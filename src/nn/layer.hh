@@ -140,10 +140,10 @@ class Layer
     /**
      * Fault-cone propagation: a conservative bounding box of the output
      * elements that can change when graph input `inputIdx` changes only
-     * inside `in`.  Spatially local layers override this with their
-     * receptive cone; the default declares the layer globally mixing
-     * (the whole output changes), which makes the incremental engine
-     * fall back to a dense recompute.
+     * inside `in`: the receptive cone of a spatially local layer, the
+     * row cone of a position-wise one (FC, softmax, matmul).  A cone
+     * that reaches half the output or more makes the sparse engines
+     * recompute the layer densely.
      *
      * @param ins The layer's inputs (shapes define the mapping).
      * @param inputIdx Which graph input `in` refers to.
@@ -152,7 +152,7 @@ class Layer
      */
     virtual Region propagateRegion(const std::vector<const Tensor *> &ins,
                                    int inputIdx, const Region &in,
-                                   const Tensor &out) const;
+                                   const Tensor &out) const = 0;
 
     /**
      * Recompute only `region` of the output, in place.  `out` must have
@@ -162,8 +162,7 @@ class Layer
      * bit-identical to what forward() would produce on the same inputs
      * — same operand conversions, same canonical accumulation order.
      * Runs the layer's region kernel (forwardRegionBatched) at lane
-     * width 1 on views of `ins` and `out`; a layer without one
-     * recomputes densely via forward().
+     * width 1 on views of `ins` and `out`.
      */
     void forwardRegion(const std::vector<const Tensor *> &ins,
                        const Region &region, Tensor &out) const;
@@ -182,15 +181,14 @@ class Layer
      * recompute golden bits, so kernels walk only the covered row spans
      * (skipped cells keep the plane's golden fill).  Every written lane
      * value must be bit-identical to what forward() would produce from
-     * that lane's inputs.  Returns false when the layer has no region
-     * kernel (the batched engine then falls back to per-lane
-     * forwardRegion, i.e. a dense forward()); the default has none.
+     * that lane's inputs.  Every layer has one, so the sparse engines
+     * never fall back to a per-lane dense forward().
      */
-    virtual bool
+    virtual void
     forwardRegionBatched(const std::vector<const Tensor *> &ins,
                          LanePlane *const *inPlanes, const Region &region,
                          const BatchCover *cover, const Tensor &golden,
-                         LanePlane &out) const;
+                         LanePlane &out) const = 0;
 
     /** Set the execution precision (refreshes precision-derived state). */
     void

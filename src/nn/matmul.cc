@@ -1,5 +1,8 @@
 #include "nn/matmul.hh"
 
+#include <bit>
+
+#include "nn/lanes.hh"
 #include "sim/arena.hh"
 #include "sim/logging.hh"
 #include "simd/convert.hh"
@@ -108,104 +111,259 @@ MatMulAB::computeNeuron(const std::vector<const Tensor *> &ins,
     return writeback(facc * scale_, 0.0f);
 }
 
-Tensor
-MatMulAB::forward(const std::vector<const Tensor *> &ins) const
+struct MatMulAB::PackedB
 {
-    // Fast path, bit-identical to computeNeuron(): both operands are
-    // converted once per call (B is an activation, so there is no
-    // persistent cache), then accumulated in canonical k order.
-    Tensor out = makeOutput(ins);
-    const Tensor &a = *ins[0];
-    const Tensor &b = *ins[1];
-    int red = a.c();
-    lastReduction_.store(red, std::memory_order_relaxed);
-    bool integer = precision_ == Precision::INT8 ||
-                   precision_ == Precision::INT16;
+    Arena::Lease<float> f;        //!< FP32 / FP16 lane-blocked pack
+    Arena::Lease<std::int32_t> i; //!< wide integer pack
+    Arena::Lease<std::int16_t> s; //!< narrow integer pack
+    int chunkPairs = 0;           //!< > 0: the narrow pack is live
+};
 
-    int rows = a.n() * a.h();
-    int cols = out.c();
+MatMulAB::PackedB
+MatMulAB::packB(const float *b, std::size_t size, int red, int cols) const
+{
+    // B is an activation, so its pack is per-call arena scratch
+    // rather than a persistent cache; the pack step also resolves
+    // transB so the kernel always streams the fixed-width layouts.
     auto bAt = [&](int k, int c) {
         return transB_ ? static_cast<std::size_t>(c) * red + k
                        : static_cast<std::size_t>(k) * cols + c;
     };
+    Arena &arena = Arena::local();
+    if (precision_ == Precision::INT8 || precision_ == Precision::INT16) {
+        auto bq = arena.ints(size);
+        simd::quantizeBatch(b, bq.data(), size, wQuant_);
+        // Per-pack narrow eligibility: scan this B's quantised
+        // magnitudes for the chunk bound (see Conv2D::packWeights).
+        std::int32_t maxAbsW = 0;
+        for (std::size_t i = 0; i < size; ++i) {
+            std::int32_t v = bq[i] < 0 ? -bq[i] : bq[i];
+            maxAbsW = v > maxAbsW ? v : maxAbsW;
+        }
+        const int bits = precision_ == Precision::INT8 ? 8 : 16;
+        const int chunk = simd::narrowChunkPairs(bits, maxAbsW);
+        auto get = [&](int k, int c) { return bq[bAt(k, c)]; };
+        if (simd::narrowEligible(chunk)) {
+            PackedB p{arena.floats(0), arena.ints(0),
+                      arena.shorts(simd::packNarrowSize(red, cols)),
+                      chunk};
+            simd::packNarrow(red, cols, get, p.s.data());
+            return p;
+        }
+        constexpr int L = simd::kI64Lanes;
+        PackedB p{arena.floats(0),
+                  arena.ints(simd::packSize(red, cols, L)),
+                  arena.shorts(0), 0};
+        simd::packLaneBlocked(red, cols, L, get, p.i.data());
+        return p;
+    }
+    constexpr int L = simd::kF32Lanes;
+    const bool half = precision_ == Precision::FP16;
+    auto bs = arena.floats(half ? size : 0);
+    const float *bf = b;
+    if (half) {
+        simd::roundToHalfBatch(b, bs.data(), size);
+        bf = bs.data();
+    }
+    PackedB p{arena.floats(simd::packSize(red, cols, L)), arena.ints(0),
+              arena.shorts(0), 0};
+    simd::packLaneBlocked(
+        red, cols, L, [&](int k, int c) { return bf[bAt(k, c)]; },
+        p.f.data());
+    return p;
+}
 
-    // B is an activation, so its pack is per-call arena scratch
-    // rather than a persistent cache; the pack step also resolves
-    // transB so the kernel always streams the fixed-width layouts.
+void
+MatMulAB::mulRows(const float *a, std::size_t rows, int red, int cols,
+                  const PackedB &bp, float *y) const
+{
+    // Fast path, bit-identical to computeNeuron(): A converts once per
+    // call, then accumulates against B in canonical k order.
+    const std::size_t size = rows * red;
     Arena &arena = Arena::local();
     const simd::KernelTable &kt = simd::table();
-    if (integer) {
-        auto aq = arena.ints(a.size());
-        auto bq = arena.ints(b.size());
-        simd::quantizeBatch(a.data().data(), aq.data(), a.size(),
-                            inQuant_);
-        simd::quantizeBatch(b.data().data(), bq.data(), b.size(),
-                            wQuant_);
+    if (precision_ == Precision::INT8 || precision_ == Precision::INT16) {
+        auto aq = arena.ints(size);
+        simd::quantizeBatch(a, aq.data(), size, inQuant_);
         auto wb = [&](std::int64_t iacc, int) {
             double facc = static_cast<double>(iacc) * inQuant_.scale *
                           wQuant_.scale;
             return writeback(facc * scale_, 0.0f);
         };
-        // Per-call narrow eligibility: scan B's quantised magnitudes
-        // for the chunk bound (see Conv2D::packWeights).
-        std::int32_t maxAbsW = 0;
-        for (std::size_t i = 0; i < b.size(); ++i) {
-            std::int32_t v = bq[i] < 0 ? -bq[i] : bq[i];
-            maxAbsW = v > maxAbsW ? v : maxAbsW;
-        }
-        const int bits = precision_ == Precision::INT8 ? 8 : 16;
-        int chunk = simd::narrowChunkPairs(bits, maxAbsW);
-        if (simd::narrowEligible(chunk)) {
-            auto an = arena.shorts(a.size() + 1);
-            for (std::size_t i = 0; i < a.size(); ++i)
+        if (bp.chunkPairs > 0) {
+            // One zeroed pad element past the end keeps the final
+            // row's odd-reduction pair readable (its B entry is zero).
+            auto an = arena.shorts(size + 1);
+            for (std::size_t i = 0; i < size; ++i)
                 an[i] = static_cast<std::int16_t>(aq[i]);
-            an[a.size()] = 0;
-            auto bp = arena.shorts(simd::packNarrowSize(red, cols));
-            simd::packNarrow(
-                red, cols,
-                [&](int k, int c) { return bq[bAt(k, c)]; },
-                bp.data());
+            an[size] = 0;
             auto accL = arena.longs(
                 simd::packSize(1, cols, simd::kNarrowLanes));
             simd::denseNarrow(kt, an.data(), rows, red, cols,
-                              bp.data(), chunk, accL.data(),
-                              out.data().data(), wb);
+                              bp.s.data(), bp.chunkPairs, accL.data(),
+                              y, wb);
         } else {
-            constexpr int L = simd::kI64Lanes;
-            auto bp = arena.ints(simd::packSize(red, cols, L));
-            simd::packLaneBlocked(
-                red, cols, L,
-                [&](int k, int c) { return bq[bAt(k, c)]; },
-                bp.data());
-            auto accL = arena.longs(simd::packSize(1, cols, L));
-            simd::denseInt(kt, aq.data(), rows, red, cols, bp.data(),
-                           accL.data(), out.data().data(), wb);
+            auto accL =
+                arena.longs(simd::packSize(1, cols, simd::kI64Lanes));
+            simd::denseInt(kt, aq.data(), rows, red, cols, bp.i.data(),
+                           accL.data(), y, wb);
         }
-    } else {
-        constexpr int L = simd::kF32Lanes;
-        bool half = precision_ == Precision::FP16;
-        auto as = arena.floats(half ? a.size() : 0);
-        auto bs = arena.floats(half ? b.size() : 0);
-        const float *af = a.data().data();
-        const float *bf = b.data().data();
-        if (half) {
-            simd::roundToHalfBatch(af, as.data(), a.size());
-            simd::roundToHalfBatch(bf, bs.data(), b.size());
-            af = as.data();
-            bf = bs.data();
-        }
-        auto bp = arena.floats(simd::packSize(red, cols, L));
-        simd::packLaneBlocked(
-            red, cols, L,
-            [&](int k, int c) { return bf[bAt(k, c)]; }, bp.data());
-        auto accF = arena.floats(simd::packSize(1, cols, L));
-        simd::denseFloat(kt, af, rows, red, cols, bp.data(),
-                         accF.data(), out.data().data(),
-                         [&](double acc, int) {
-                             return writeback(acc * scale_, 0.0f);
-                         });
+        return;
     }
+    const bool half = precision_ == Precision::FP16;
+    auto as = arena.floats(half ? size : 0);
+    const float *af = a;
+    if (half) {
+        simd::roundToHalfBatch(a, as.data(), size);
+        af = as.data();
+    }
+    auto accF = arena.floats(simd::packSize(1, cols, simd::kF32Lanes));
+    simd::denseFloat(kt, af, rows, red, cols, bp.f.data(), accF.data(),
+                     y, [&](double acc, int) {
+                         return writeback(acc * scale_, 0.0f);
+                     });
+}
+
+Tensor
+MatMulAB::forward(const std::vector<const Tensor *> &ins) const
+{
+    Tensor out = makeOutput(ins);
+    const Tensor &a = *ins[0];
+    const Tensor &b = *ins[1];
+    const int red = a.c();
+    lastReduction_.store(red, std::memory_order_relaxed);
+    PackedB bp = packB(b.data().data(), b.size(), red, out.c());
+    mulRows(a.data().data(), static_cast<std::size_t>(a.n()) * a.h(),
+            red, out.c(), bp, out.data().data());
     return out;
+}
+
+Region
+MatMulAB::propagateRegion(const std::vector<const Tensor *> &,
+                          int inputIdx, const Region &in,
+                          const Tensor &out) const
+{
+    Region r;
+    if (inputIdx == 0) {
+        // An A row feeds only its own output row.
+        r = Region{in.n0, in.n1, in.h0, in.h1, 0, 1, 0, out.c()};
+    } else {
+        // A B row (transB) or column feeds one output column of every
+        // row — where attention mixes positions.
+        const int c0 = transB_ ? in.h0 : in.c0;
+        const int c1 = transB_ ? in.h1 : in.c1;
+        r = Region{0, out.n(), 0, out.h(), 0, 1, c0, c1};
+    }
+    return r.clipped(out);
+}
+
+void
+MatMulAB::forwardRegionBatched(const std::vector<const Tensor *> &ins,
+                               LanePlane *const *inPlanes,
+                               const Region &region,
+                               const BatchCover *cover,
+                               const Tensor &golden, LanePlane &out) const
+{
+    checkInputs(ins);
+    if (region.empty())
+        return;
+    const Tensor &a = *ins[0];
+    const Tensor &b = *ins[1];
+    const int red = a.c();
+    const int cols = golden.c();
+    lastReduction_.store(red, std::memory_order_relaxed);
+    LanePlane &ap = *inPlanes[0];
+    LanePlane &bpl = *inPlanes[1];
+    ap.ensure(a, Region{region.n0, region.n1, region.h0, region.h1, 0, 1,
+                        0, red});
+
+    // Lanes whose B differs from the golden B (only possible inside the
+    // B plane's valid box) need a pack of their own; the rest share
+    // one pack of the golden B.
+    const int W = out.laneWidth();
+    const float *bd = b.data().data();
+    std::uint32_t dirtyB = 0;
+    const Region &bv = bpl.valid();
+    for (int n = bv.n0; n < bv.n1; ++n) {
+        for (int h = bv.h0; h < bv.h1; ++h) {
+            for (int w = bv.w0; w < bv.w1; ++w) {
+                std::size_t flat = b.offset(n, h, w, bv.c0);
+                for (int c = bv.c0; c < bv.c1; ++c, ++flat)
+                    dirtyB |= simd::laneNeMask(bpl.lanes(flat), bd[flat],
+                                               W);
+            }
+        }
+    }
+
+    // The (row, lane) pairs to recompute, numbered in gather order:
+    // the lanes that share the golden B pack first, row-major, then
+    // each dirty lane's rows as one contiguous block.
+    const std::uint32_t shared = ((1u << W) - 1) & ~dirtyB;
+    auto forEachRow = [&](auto &&f) {
+        std::size_t i = 0;
+        forEachCoveredLaneCell(
+            region, cover, W, [&](int n, int h, int, std::uint32_t lanes) {
+                for (lanes &= shared; lanes; lanes &= lanes - 1)
+                    f(i++, n, h, std::countr_zero(lanes));
+            });
+        for (std::uint32_t d = dirtyB; d; d &= d - 1) {
+            const int l = std::countr_zero(d);
+            forEachCoveredLaneCell(region, cover, W,
+                                   [&](int n, int h, int,
+                                       std::uint32_t lanes) {
+                                       if ((lanes >> l) & 1u)
+                                           f(i++, n, h, l);
+                                   });
+        }
+    };
+    std::size_t sharedRows = 0, laneRows[kMaxBatchLanes] = {};
+    forEachCoveredLaneCell(region, cover, W,
+                           [&](int, int, int, std::uint32_t lanes) {
+                               sharedRows += std::popcount(lanes & shared);
+                               for (lanes &= dirtyB; lanes;
+                                    lanes &= lanes - 1)
+                                   ++laneRows[std::countr_zero(lanes)];
+                           });
+    std::size_t rows = sharedRows;
+    for (int l = 0; l < W; ++l)
+        rows += laneRows[l];
+
+    Arena &arena = Arena::local();
+    auto xr = arena.floats(rows * red);
+    auto yr = arena.floats(rows * cols);
+    forEachRow([&](std::size_t i, int n, int h, int l) {
+        const float *src = ap.lanes(a.offset(n, h, 0, 0));
+        float *dst = xr.data() + i * red;
+        for (int k = 0; k < red; ++k)
+            dst[k] = src[k * W + l];
+    });
+
+    if (sharedRows > 0)
+        mulRows(xr.data(), sharedRows, red, cols,
+                packB(bd, b.size(), red, cols), yr.data());
+    if (dirtyB) {
+        bpl.ensure(b, Region::full(b));
+        auto bl = arena.floats(b.size());
+        std::size_t start = sharedRows;
+        for (std::uint32_t d = dirtyB; d; d &= d - 1) {
+            const int l = std::countr_zero(d);
+            if (laneRows[l] == 0)
+                continue;
+            for (std::size_t f = 0; f < b.size(); ++f)
+                bl[f] = bpl.lanes(f)[l];
+            mulRows(xr.data() + start * red, laneRows[l], red, cols,
+                    packB(bl.data(), b.size(), red, cols),
+                    yr.data() + start * cols);
+            start += laneRows[l];
+        }
+    }
+
+    forEachRow([&](std::size_t i, int n, int h, int l) {
+        float *dst = out.lanes(golden.offset(n, h, 0, 0));
+        const float *src = yr.data() + i * cols;
+        for (int c = region.c0; c < region.c1; ++c)
+            dst[c * W + l] = src[c];
+    });
 }
 
 std::size_t

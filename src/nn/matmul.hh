@@ -44,6 +44,21 @@ class MatMulAB : public MacLayer
     Tensor makeOutput(const std::vector<const Tensor *> &ins) const override;
     Tensor forward(const std::vector<const Tensor *> &ins) const override;
 
+    /**
+     * Row cone of A (its rows x every output column) or column cone of
+     * B (every row x the output columns its rows / columns feed).
+     */
+    Region propagateRegion(const std::vector<const Tensor *> &ins,
+                           int inputIdx, const Region &in,
+                           const Tensor &out) const override;
+
+    void forwardRegionBatched(const std::vector<const Tensor *> &ins,
+                              LanePlane *const *inPlanes,
+                              const Region &region,
+                              const BatchCover *cover,
+                              const Tensor &golden,
+                              LanePlane &out) const override;
+
     std::size_t
     weightCount(const std::vector<const Tensor *> &ins) const override;
     float weightAt(const std::vector<const Tensor *> &ins,
@@ -68,7 +83,26 @@ class MatMulAB : public MacLayer
     bool hasBias() const override { return false; }
 
   private:
+    struct PackedB;
+
     void checkInputs(const std::vector<const Tensor *> &ins) const;
+
+    /**
+     * One B operand (raw, B's flat layout) converted and packed for
+     * the dense drivers, with the narrow decision made on its own
+     * magnitudes.
+     */
+    PackedB packB(const float *b, std::size_t size, int red,
+                  int cols) const;
+
+    /**
+     * The layer's one row loop: `rows` contiguous raw A rows
+     * ([rows][red]) times a packed B into `y` ([rows][cols]).  Rows are
+     * independent, so forward() runs it over all of A and the region
+     * kernel over gathered (row, lane) rows.
+     */
+    void mulRows(const float *a, std::size_t rows, int red, int cols,
+                 const PackedB &bp, float *y) const;
 
     bool transB_;
     float scale_;

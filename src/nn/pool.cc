@@ -96,7 +96,7 @@ Pool::propagateRegion(const std::vector<const Tensor *> &, int,
     return r.clipped(out);
 }
 
-bool
+void
 Pool::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                            LanePlane *const *inPlanes,
                            const Region &region,
@@ -107,7 +107,7 @@ Pool::forwardRegionBatched(const std::vector<const Tensor *> &ins,
     // The window walk and padding tests run once per output cell, the
     // pool reduction per lane column.
     if (region.empty())
-        return true;
+        return;
     const Tensor &x = *ins[0];
     LanePlane &xp = *inPlanes[0];
     Region fp{region.n0,
@@ -127,52 +127,38 @@ Pool::forwardRegionBatched(const std::vector<const Tensor *> &ins,
         ? -std::numeric_limits<float>::infinity()
         : 0.0f;
     float acc[kMaxBatchLanes];
-    const BatchCover::Span full{region.w0, region.w1};
-    for (int n = region.n0; n < region.n1; ++n) {
-        for (int oh = region.h0; oh < region.h1; ++oh) {
-            const BatchCover::Span *sp = &full;
-            int nsp = 1;
-            if (cover)
-                sp = cover->row(n, oh, nsp);
-            for (int si = 0; si < nsp; ++si) {
-            for (int ow = sp[si].w0; ow < sp[si].w1; ++ow) {
-                for (int c = region.c0; c < region.c1; ++c) {
-                    for (int l = 0; l < W; ++l)
-                        acc[l] = init;
-                    for (int ph = 0; ph < window_; ++ph) {
-                        for (int pw = 0; pw < window_; ++pw) {
-                            int ih = oh * stride_ - pad_ + ph;
-                            int iw = ow * stride_ - pad_ + pw;
-                            bool ok = ih >= 0 && ih < x.h() &&
-                                      iw >= 0 && iw < x.w();
-                            const float *ip = ok
-                                ? xp.lanes(x.offset(n, ih, iw, c))
-                                : nullptr;
-                            for (int l = 0; l < W; ++l) {
-                                float v = ok ? ip[l] : 0.0f;
-                                if (isMax)
-                                    acc[l] = std::max(acc[l], v);
-                                else
-                                    acc[l] += v;
-                            }
-                        }
-                    }
-                    float *op =
-                        out.lanes(golden.offset(n, oh, ow, c));
+    forEachCoveredCell(region, cover, [&](int n, int oh, int ow) {
+        for (int c = region.c0; c < region.c1; ++c) {
+            for (int l = 0; l < W; ++l)
+                acc[l] = init;
+            for (int ph = 0; ph < window_; ++ph) {
+                for (int pw = 0; pw < window_; ++pw) {
+                    int ih = oh * stride_ - pad_ + ph;
+                    int iw = ow * stride_ - pad_ + pw;
+                    bool ok = ih >= 0 && ih < x.h() && iw >= 0 && iw < x.w();
+                    const float *ip = ok
+                        ? xp.lanes(x.offset(n, ih, iw, c))
+                        : nullptr;
                     for (int l = 0; l < W; ++l) {
-                        float v = acc[l];
-                        if (!isMax)
-                            v /= static_cast<float>(window_ * window_);
-                        op[l] = v;
+                        float v = ok ? ip[l] : 0.0f;
+                        if (isMax)
+                            acc[l] = std::max(acc[l], v);
+                        else
+                            acc[l] += v;
                     }
-                    if (half)
-                        simd::roundToHalfBatch(op, op, W);
                 }
             }
+            float *op = out.lanes(golden.offset(n, oh, ow, c));
+            for (int l = 0; l < W; ++l) {
+                float v = acc[l];
+                if (!isMax)
+                    v /= static_cast<float>(window_ * window_);
+                op[l] = v;
             }
+            if (half)
+                simd::roundToHalfBatch(op, op, W);
         }
-    }
-    return true;
+    });
 }
 
 GlobalAvgPool::GlobalAvgPool(std::string name)
@@ -217,7 +203,7 @@ GlobalAvgPool::propagateRegion(const std::vector<const Tensor *> &, int,
     return r.clipped(out);
 }
 
-bool
+void
 GlobalAvgPool::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                                     LanePlane *const *inPlanes,
                                     const Region &region,
@@ -229,7 +215,7 @@ GlobalAvgPool::forwardRegionBatched(const std::vector<const Tensor *> &ins,
     // region channel; without a lane kernel the batched engine would
     // have to materialise a full input copy per lane.
     if (region.empty())
-        return true;
+        return;
     const Tensor &x = *ins[0];
     LanePlane &xp = *inPlanes[0];
     Region fp{region.n0, region.n1, 0,         x.h(),
@@ -266,7 +252,6 @@ GlobalAvgPool::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                 simd::roundToHalfBatch(op, op, W);
         }
     }
-    return true;
 }
 
 } // namespace fidelity

@@ -39,7 +39,7 @@ class Pool : public Layer
                            const Tensor &out) const override;
 
 
-    bool forwardRegionBatched(const std::vector<const Tensor *> &ins,
+    void forwardRegionBatched(const std::vector<const Tensor *> &ins,
                               LanePlane *const *inPlanes,
                               const Region &region,
                               const BatchCover *cover,
@@ -72,7 +72,7 @@ class GlobalAvgPool : public Layer
                            const Tensor &out) const override;
 
 
-    bool forwardRegionBatched(const std::vector<const Tensor *> &ins,
+    void forwardRegionBatched(const std::vector<const Tensor *> &ins,
                               LanePlane *const *inPlanes,
                               const Region &region,
                               const BatchCover *cover,

@@ -4,10 +4,11 @@
  *
  * The incremental re-execution engine tracks, per layer output, a
  * conservative bounding box of the elements that may differ from the
- * golden activation.  Spatially local layers (conv / pool / activation
- * / elementwise) map an input box to the box of outputs whose receptive
- * field intersects it — the fault cone — so only that box has to be
- * recomputed.  Boxes are half-open on every axis: [n0, n1) x [h0, h1) x
+ * golden activation.  Each layer maps an input box to the box of
+ * outputs that read it — the fault cone — so only that box has to be
+ * recomputed: the receptive field of conv / pool / activation /
+ * elementwise layers, the rows of position-wise FC / softmax / matmul
+ * layers.  Boxes are half-open on every axis: [n0, n1) x [h0, h1) x
  * [w0, w1) x [c0, c1).
  */
 

@@ -23,6 +23,18 @@ class Softmax : public Layer
 
     Tensor makeOutput(const std::vector<const Tensor *> &ins) const override;
     Tensor forward(const std::vector<const Tensor *> &ins) const override;
+
+    /** Row cone: the input box's positions x every channel. */
+    Region propagateRegion(const std::vector<const Tensor *> &ins,
+                           int inputIdx, const Region &in,
+                           const Tensor &out) const override;
+
+    void forwardRegionBatched(const std::vector<const Tensor *> &ins,
+                              LanePlane *const *inPlanes,
+                              const Region &region,
+                              const BatchCover *cover,
+                              const Tensor &golden,
+                              LanePlane &out) const override;
 };
 
 } // namespace fidelity

@@ -29,23 +29,17 @@ top1Metric()
 std::vector<int>
 decodeTokens(const Tensor &out)
 {
+    // One token per (n, h, w) position: the first argmax of its
+    // channel row.
     std::vector<int> tokens;
     tokens.reserve(static_cast<std::size_t>(out.n()) * out.h() * out.w());
-    for (int n = 0; n < out.n(); ++n) {
-        for (int h = 0; h < out.h(); ++h) {
-            for (int w = 0; w < out.w(); ++w) {
-                int best = 0;
-                float best_v = out.at(n, h, w, 0);
-                for (int c = 1; c < out.c(); ++c) {
-                    float v = out.at(n, h, w, c);
-                    if (v > best_v) {
-                        best_v = v;
-                        best = c;
-                    }
-                }
-                tokens.push_back(best);
-            }
-        }
+    const float *row = out.data().data();
+    for (std::size_t f = 0; f < out.size(); f += out.c(), row += out.c()) {
+        int best = 0;
+        for (int c = 1; c < out.c(); ++c)
+            if (row[c] > row[best])
+                best = c;
+        tokens.push_back(best);
     }
     return tokens;
 }
@@ -104,7 +98,12 @@ bleuMetric(double tolerance)
             return false;
         std::vector<int> ref = decodeTokens(golden);
         std::vector<int> hyp = decodeTokens(faulty);
-        // The fault-free score is 1; accept within the band.
+        // The fault-free score is 1; accept within the band.  Equal
+        // token sequences score exactly 1 (every n-gram order matches
+        // fully, exp(0) = 1, no brevity penalty), so they skip the
+        // n-gram tables.
+        if (hyp == ref)
+            return 1.0 >= 1.0 - tolerance;
         return bleuScore(ref, hyp) >= 1.0 - tolerance;
     };
 }

@@ -7,8 +7,10 @@
  * on a multi-branch DAG with grouped/dilated/strided/padded
  * convolutions; ragged batches (fewer live lanes than the engine
  * width, non-contiguous lane indices); per-lane early-exit divergence
- * inside one batch; and batch-width validation at both the engine
- * factory and the campaign config.  Campaign checksums under every
+ * inside one batch; the row-layer region kernels (FC, softmax,
+ * matmul) against per-lane forward() with golden and dirty B lanes;
+ * and batch-width validation at both the engine factory and the
+ * campaign config.  Campaign checksums under every
  * batch width are test_bit_identity's engine axis.
  */
 
@@ -23,7 +25,9 @@
 #include "core/campaign.hh"
 #include "nn/batched.hh"
 #include "nn/incremental.hh"
+#include "nn/matmul.hh"
 #include "nn/region.hh"
+#include "nn/softmax.hh"
 #include "test_util.hh"
 #include "workloads/metrics.hh"
 #include "workloads/models.hh"
@@ -172,6 +176,134 @@ TEST(BatchedEngine, PerLaneEarlyExitDivergence)
     EXPECT_FALSE(bitIdentical(acts[net.outputNode()], ref))
         << "live flip unexpectedly masked; test is vacuous";
     EXPECT_TRUE(bitIdentical(ref, eng->laneOutput(3)));
+}
+
+TEST(BatchedEngine, RowLayerKernelsMatchPerLaneForward)
+{
+    // FC, softmax and both matmul forms at lane widths 4 and 8: lanes
+    // perturb different rows (one lane in four none at all), and every
+    // third matmul lane also carries a dirty B — one of them saturating,
+    // so its own pack may take a different narrow decision than the
+    // shared golden one.  Every lane of the recomputed box must equal
+    // forward() on that lane's inputs, with and without union-of-cones
+    // coverage.
+    struct Case
+    {
+        std::unique_ptr<Layer> layer;
+        Tensor a, b;
+    };
+    std::vector<Case> cases;
+    cases.push_back({makeFc("fc", 6, 5, 71), randomTensor(72, 2, 6, 2, 6),
+                     Tensor()});
+    cases.push_back({std::make_unique<Softmax>("sm"),
+                     randomTensor(73, 2, 6, 2, 7), Tensor()});
+    cases.push_back({std::make_unique<MatMulAB>("mmT", true, 0.5f),
+                     randomTensor(74, 2, 6, 1, 4),
+                     randomTensor(75, 1, 5, 1, 4)});
+    cases.push_back({std::make_unique<MatMulAB>("mm", false),
+                     randomTensor(76, 2, 6, 1, 4),
+                     randomTensor(77, 1, 4, 1, 5)});
+
+    for (Case &cs : cases) {
+        Layer &layer = *cs.layer;
+        const bool twoInputs = layer.numInputs() == 2;
+        std::vector<const Tensor *> ins{&cs.a};
+        if (twoInputs)
+            ins.push_back(&cs.b);
+        for (Precision p : {Precision::FP32, Precision::FP16,
+                            Precision::INT8}) {
+            layer.setPrecision(p);
+            if (p == Precision::INT8)
+                layer.calibrate(ins, layer.forward(ins));
+            const Tensor golden = layer.forward(ins);
+            for (int W : {4, 8}) {
+                std::vector<Tensor> la(W, cs.a), lb(W, cs.b);
+                Region cones[kMaxBatchLanes], aBox, bBox, unionBox;
+                std::uint32_t mask = 0;
+                for (int l = 0; l < W; ++l) {
+                    Region cone;
+                    if (l % 4 != 3) {
+                        NeuronIndex at{l % 2, (l * 5) % cs.a.h(),
+                                       l % cs.a.w(), l % cs.a.c()};
+                        la[l].at(at) += 3.0f + l;
+                        aBox.include(at);
+                        cone.merge(layer.propagateRegion(
+                            ins, 0, Region::of(at), golden));
+                    }
+                    if (twoInputs && l % 3 == 1) {
+                        const std::size_t i = (l * 7) % cs.b.size();
+                        lb[l][i] = l == 1 ? 50.0f : lb[l][i] + 1.5f;
+                        NeuronIndex at = cs.b.indexOf(i);
+                        bBox.include(at);
+                        cone.merge(layer.propagateRegion(
+                            ins, 1, Region::of(at), golden));
+                    }
+                    if (cone.empty())
+                        continue;
+                    cones[l] = cone;
+                    mask |= 1u << l;
+                    unionBox.merge(cone);
+                }
+
+                // Input planes hold lane values only inside the
+                // perturbed boxes; the kernel ensures the rest.
+                auto fill = [W](LanePlane &plane, const Tensor &g,
+                                const std::vector<Tensor> &lanes,
+                                const Region &box) {
+                    plane.reset(W);
+                    if (box.empty())
+                        return;
+                    plane.ensure(g, box);
+                    for (int n = box.n0; n < box.n1; ++n)
+                        for (int h = box.h0; h < box.h1; ++h)
+                            for (int w = box.w0; w < box.w1; ++w)
+                                for (int c = box.c0; c < box.c1; ++c) {
+                                    std::size_t f = g.offset(n, h, w, c);
+                                    for (int l = 0; l < W; ++l)
+                                        plane.lanes(f)[l] = lanes[l][f];
+                                }
+                };
+                LanePlane ap, bp, op;
+                fill(ap, cs.a, la, aBox);
+                if (twoInputs)
+                    fill(bp, cs.b, lb, bBox);
+                LanePlane *planes[2] = {&ap, &bp};
+
+                for (bool useCover : {false, true}) {
+                    BatchCover cover;
+                    if (useCover)
+                        cover.build(cones, mask, W, unionBox);
+                    op.reset(W);
+                    op.ensure(golden, unionBox);
+                    layer.forwardRegionBatched(ins, planes, unionBox,
+                                               useCover ? &cover : nullptr,
+                                               golden, op);
+                    for (int l = 0; l < W; ++l) {
+                        std::vector<const Tensor *> lins{&la[l]};
+                        if (twoInputs)
+                            lins.push_back(&lb[l]);
+                        const Tensor want = layer.forward(lins);
+                        const Region &r = unionBox;
+                        for (int n = r.n0; n < r.n1; ++n)
+                        for (int h = r.h0; h < r.h1; ++h)
+                        for (int w = r.w0; w < r.w1; ++w)
+                        for (int c = r.c0; c < r.c1; ++c) {
+                            std::size_t f = golden.offset(n, h, w, c);
+                            ASSERT_EQ(std::bit_cast<std::uint32_t>(
+                                          op.lanes(f)[l]),
+                                      std::bit_cast<std::uint32_t>(
+                                          want[f]))
+                                << layer.name() << " "
+                                << precisionName(p) << " W=" << W
+                                << " lane " << l << " cover "
+                                << useCover << " at "
+                                << NeuronIndex{n, h, w, c}.str();
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(BatchedCampaign, BatchWidthValidation)

@@ -104,6 +104,12 @@ const std::vector<Case> kPinnedCases = {
     {.net = "branchy", .precision = Precision::INT8, .seed = 7,
      .split = 3,
      .slices = {{.engine = 5, .cache = "private", .backend = "avx2"}}},
+    // The transformer's row cones on the lane kernels (FC, softmax and
+    // matmul with golden and dirty B lanes) and at width 1.
+    {.net = "transformer", .precision = Precision::INT8, .seed = 11,
+     .slices = {{.threads = 2, .engine = 8, .backend = "avx2"}}},
+    {.net = "transformer", .precision = Precision::FP16, .adaptive = true,
+     .seed = 13, .slices = {{.engine = 1, .cache = "private"}}},
 };
 
 const char *const kNets[] = {"resnet", "mobilenet", "transformer",

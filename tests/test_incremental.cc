@@ -20,7 +20,9 @@
 #include <string>
 
 #include "nn/incremental.hh"
+#include "nn/matmul.hh"
 #include "nn/region.hh"
+#include "nn/softmax.hh"
 #include "sim/arena.hh"
 #include "test_util.hh"
 
@@ -143,27 +145,43 @@ TEST(Region, PropagateIsConservativePerLayer)
         std::make_unique<Slice>("slice", Slice::Axis::C, 1, 2));
     layers.push_back(
         std::make_unique<ScaleShift>("scale", 2.0f, -1.0f));
+    layers.push_back(makeFc("fc", 4, 5, 27));
+    layers.push_back(std::make_unique<Softmax>("softmax"));
+    // Two-operand matmuls get their own (W = 1) operands below.
+    layers.push_back(std::make_unique<MatMulAB>("mmT", true, 0.5f));
+    layers.push_back(std::make_unique<MatMulAB>("mm", false));
+    const Tensor a = randomTensor(12, 2, 6, 1, 4);
+    const Tensor bT = randomTensor(13, 1, 5, 1, 4);
+    const Tensor b = randomTensor(14, 1, 4, 1, 5);
 
     Rng rng(31);
     for (const auto &layer : layers) {
         std::vector<const Tensor *> ins{&x};
+        if (const auto *mm = dynamic_cast<const MatMulAB *>(layer.get()))
+            ins = {&a, mm->transB() ? &bT : &b};
         Tensor golden = layer->forward(ins);
-        for (int trial = 0; trial < 12; ++trial) {
-            NeuronIndex at = x.indexOf(rng.below(static_cast<std::uint32_t>(x.size())));
-            Tensor fx = x;
-            fx.at(at) += 10.0f;
-            std::vector<const Tensor *> fins{&fx};
-            Tensor faulty = layer->forward(fins);
-            Region cone = layer->propagateRegion(ins, 0,
-                                                 Region::of(at), golden);
-            for (std::size_t i = 0; i < golden.size(); ++i) {
-                if (std::bit_cast<std::uint32_t>(golden[i]) ==
-                    std::bit_cast<std::uint32_t>(faulty[i]))
-                    continue;
-                EXPECT_TRUE(cone.contains(golden.indexOf(i)))
-                    << layer->name() << ": changed output "
-                    << golden.indexOf(i).str() << " outside cone "
-                    << cone.str() << " for fault at " << at.str();
+        for (int k = 0; k < layer->numInputs(); ++k) {
+            for (int trial = 0; trial < 12; ++trial) {
+                const Tensor &src = *ins[k];
+                NeuronIndex at = src.indexOf(
+                    rng.below(static_cast<std::uint32_t>(src.size())));
+                Tensor fx = src;
+                fx.at(at) += 10.0f;
+                std::vector<const Tensor *> fins = ins;
+                fins[k] = &fx;
+                Tensor faulty = layer->forward(fins);
+                Region cone = layer->propagateRegion(ins, k, Region::of(at),
+                                                     golden);
+                for (std::size_t i = 0; i < golden.size(); ++i) {
+                    if (std::bit_cast<std::uint32_t>(golden[i]) ==
+                        std::bit_cast<std::uint32_t>(faulty[i]))
+                        continue;
+                    EXPECT_TRUE(cone.contains(golden.indexOf(i)))
+                        << layer->name() << ": changed output "
+                        << golden.indexOf(i).str() << " outside cone "
+                        << cone.str() << " for fault at " << at.str()
+                        << " of input " << k;
+                }
             }
         }
     }
@@ -235,9 +253,20 @@ TEST(Incremental, ForwardRegionPatchMatchesDense)
                                    "slc", Slice::Axis::C, 1, 2)});
     cases.push_back(
         {"scaleshift", std::make_unique<ScaleShift>("ss", 0.5f, -0.25f)});
+    cases.push_back({"fc", makeFc("fc", 4, 5, 54), true});
+    cases.push_back({"softmax", std::make_unique<Softmax>("sm")});
+    cases.push_back(
+        {"matmulT", std::make_unique<MatMulAB>("mmT", true, 0.5f), true});
+    cases.push_back(
+        {"matmul", std::make_unique<MatMulAB>("mm", false), true});
 
     Tensor x = specialTensor(51, 2, 6, 6, 4);
     Tensor y = specialTensor(53, 2, 6, 6, 4);
+    // Matmul operands: A (N, H, 1, K), B (1, cols, 1, K) with transB,
+    // else (1, K, 1, cols).
+    Tensor a = specialTensor(55, 2, 6, 1, 4);
+    Tensor bT = specialTensor(56, 1, 5, 1, 4);
+    Tensor b = specialTensor(57, 1, 4, 1, 5);
     for (Case &cs : cases) {
         Layer &layer = *cs.layer;
         std::vector<Precision> precs{Precision::FP32, Precision::FP16};
@@ -247,6 +276,8 @@ TEST(Incremental, ForwardRegionPatchMatchesDense)
             std::vector<const Tensor *> ins{&x};
             if (layer.numInputs() == 2)
                 ins.push_back(&y);
+            if (const auto *mm = dynamic_cast<const MatMulAB *>(&layer))
+                ins = {&a, mm->transB() ? &bT : &b};
             layer.setPrecision(p);
             if (p == Precision::INT8)
                 layer.calibrate(ins, layer.forward(ins));
@@ -259,6 +290,10 @@ TEST(Incremental, ForwardRegionPatchMatchesDense)
                 {0, 2, in1(H), out1(H), in1(W), out1(W), in1(C), out1(C)},
                 {1, 2, 0, H, W - 1, W, 0, C},
                 {1, 2, H - 1, H, 0, 1, C - 1, C},
+                // One token row, all channels, then part of them: the
+                // row cones of FC / softmax / matmul.
+                {0, 1, H / 2, H / 2 + 1, 0, W, 0, C},
+                {1, 2, 0, out1(H), 0, W, in1(C), C},
             };
             if (layer.kind() == LayerKind::Concat) {
                 // One box inside each input's channel range.

@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "nn/activation.hh"
 #include "nn/elementwise.hh"
@@ -216,6 +220,37 @@ TEST(Softmax, NormalisesPerPosition)
         EXPECT_NEAR(sum, 1.0, 1e-6);
     }
     EXPECT_GT(out.at(0, 0, 0, 2), out.at(0, 0, 0, 1));
+}
+
+TEST(Softmax, BitsMatchTwoPassReference)
+{
+    // forward() evaluates each exp once and reuses it for the sum and
+    // the division; the bits must equal the textbook two-pass form
+    // that evaluates it again for the division, NaN and infinities
+    // included.
+    Tensor x(2, 3, 2, 7);
+    for (std::size_t i = 0; i < x.size(); ++i)
+        x[i] = std::sin(0.37f * static_cast<float>(i)) * 9.0f;
+    x[5] = std::numeric_limits<float>::quiet_NaN();
+    x[20] = std::numeric_limits<float>::infinity();
+    x[30] = -std::numeric_limits<float>::infinity();
+    Softmax sm("sm");
+    Tensor out = sm.forward(x);
+    for (std::size_t p = 0; p < x.size(); p += x.c()) {
+        float mx = -std::numeric_limits<float>::infinity();
+        for (int c = 0; c < x.c(); ++c)
+            mx = std::max(mx, x[p + c]);
+        double denom = 0.0;
+        for (int c = 0; c < x.c(); ++c)
+            denom += std::exp(static_cast<double>(x[p + c] - mx));
+        for (int c = 0; c < x.c(); ++c) {
+            double e = std::exp(static_cast<double>(x[p + c] - mx));
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(out[p + c]),
+                      std::bit_cast<std::uint32_t>(
+                          static_cast<float>(e / denom)))
+                << "element " << p + c;
+        }
+    }
 }
 
 TEST(Softmax, StableForLargeLogits)

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <limits>
+#include <random>
 
 #include "workloads/metrics.hh"
 
@@ -25,6 +26,62 @@ TEST(Metrics, BleuIdenticalIsOne)
 {
     std::vector<int> s = {1, 2, 3, 4, 5, 6};
     EXPECT_DOUBLE_EQ(bleuScore(s, s), 1.0);
+}
+
+TEST(Metrics, BleuIdenticalIsExactlyOneAtEveryLength)
+{
+    // bleuMetric short-circuits equal token sequences to a score of
+    // exactly 1; bleuScore must agree bit for bit at every length,
+    // including the ones shorter than the 4-gram order.
+    std::mt19937 rng(17);
+    for (int len = 0; len <= 16; ++len) {
+        for (int rep = 0; rep < 8; ++rep) {
+            std::vector<int> r(len);
+            for (int &t : r)
+                t = static_cast<int>(rng() % 5);
+            EXPECT_EQ(bleuScore(r, r), 1.0) << "length " << len;
+        }
+    }
+}
+
+TEST(Metrics, BleuMetricDecisionEqualsScoreOnRandomPairs)
+{
+    // The metric's verdict must be exactly "finite and
+    // bleuScore >= 1 - tolerance", whether or not the decoded token
+    // sequences are equal.
+    std::mt19937 rng(23);
+    std::uniform_real_distribution<float> val(-1.0f, 1.0f);
+    const double tolerances[] = {0.0, 0.05, 0.10, 0.20, 0.50};
+    int equal = 0, differ = 0, invalid = 0;
+    for (int iter = 0; iter < 400; ++iter) {
+        const int len = 1 + static_cast<int>(rng() % 16);
+        const int vocab = 2 + static_cast<int>(rng() % 4);
+        Tensor golden(1, len, 1, vocab);
+        for (std::size_t i = 0; i < golden.size(); ++i)
+            golden[i] = val(rng);
+        Tensor faulty = golden;
+        const int edits = static_cast<int>(rng() % 4);
+        for (int e = 0; e < edits; ++e)
+            faulty[rng() % faulty.size()] = val(rng);
+        if (rng() % 5 == 0)
+            faulty[rng() % faulty.size()] =
+                std::numeric_limits<float>::quiet_NaN();
+        const bool bad = hasInvalidValues(faulty);
+        const double score =
+            bleuScore(decodeTokens(golden), decodeTokens(faulty));
+        invalid += bad;
+        if (!bad)
+            (decodeTokens(golden) == decodeTokens(faulty) ? equal
+                                                          : differ) += 1;
+        for (double tol : tolerances)
+            EXPECT_EQ(bleuMetric(tol)(golden, faulty),
+                      !bad && score >= 1.0 - tol)
+                << "iter " << iter << " tolerance " << tol;
+    }
+    // The draw must exercise all three verdict paths.
+    EXPECT_GT(equal, 0);
+    EXPECT_GT(differ, 0);
+    EXPECT_GT(invalid, 0);
 }
 
 TEST(Metrics, BleuDisjointIsZero)

@@ -297,19 +297,22 @@ TEST(ServiceResilience, WorkerKilledMidShardIsReIssuedAndBitIdentical)
 
     const std::string sock = uniqueSocketPath("kill");
 
-    // The victim dies via raise(SIGKILL) upon accepting its second
-    // lease — after its first RESULT, holding an unserved lease — and
-    // the survivor must pick up the re-issued chunks.
-    const pid_t victim =
-        spawnWorker("unix:" + sock, "victim", /*die_after_results=*/1);
-    const pid_t survivor = spawnWorker("unix:" + sock, "survivor");
-
     CoordinatorOptions copts;
     copts.listenAddr = "unix:" + sock;
     copts.leaseShards = 8;
-    CoordinatorRun run = runCampaignCoordinator(req, copts);
+    auto coordinator = startCoordinator(req, copts);
 
+    // The victim dies via raise(SIGKILL) upon accepting its second
+    // lease — after its first RESULT, holding an unserved lease.  It
+    // is the only worker until it has been reaped, so its death does
+    // not depend on scheduling: no other worker can drain the plan
+    // first.  The survivor must then pick up the re-issued chunks.
+    const pid_t victim =
+        spawnWorker("unix:" + sock, "victim", /*die_after_results=*/1);
     EXPECT_TRUE(reapKilled(victim));
+    const pid_t survivor = spawnWorker("unix:" + sock, "survivor");
+
+    CoordinatorRun run = coordinator.get();
     EXPECT_TRUE(reapCleanExit(survivor));
     ASSERT_TRUE(run.complete);
     EXPECT_EQ(campaignChecksum(run.result), want)

@@ -430,8 +430,8 @@ TEST(SimdKernels, ConvForwardRegionMatchesAcrossBoxes)
                                     op.lanes(golden.offset(0, h, w, c))[l] =
                                         -1234.5f;
                     LanePlane *xpp = &xp;
-                    ASSERT_TRUE(conv->forwardRegionBatched(
-                        ins, &xpp, r, nullptr, golden, op));
+                    conv->forwardRegionBatched(ins, &xpp, r, nullptr,
+                                               golden, op);
                     for (int h = r.h0; h < r.h1; ++h)
                         for (int w = r.w0; w < r.w1; ++w)
                             for (int c = r.c0; c < r.c1; ++c) {

@@ -71,12 +71,23 @@ makeConv(std::string name, const ConvSpec &spec, std::uint64_t seed)
         spec.bias ? smallBiases(rng, spec.outC) : std::vector<float>{});
 }
 
+/** A position-wise FC with He-initialised weights and small biases. */
+inline std::unique_ptr<FC>
+makeFc(std::string name, int in_c, int units, std::uint64_t seed)
+{
+    Rng rng(seed);
+    return std::make_unique<FC>(
+        std::move(name), in_c, units,
+        heWeights(rng, static_cast<std::size_t>(in_c) * units, in_c),
+        smallBiases(rng, units));
+}
+
 /**
  * A small CNN exercising every spatially-local layer the sparse
  * engines propagate through: padded, grouped (depthwise), dilated, and
  * strided convolutions on two parallel branches, elementwise add,
  * scale, channel concat, slice, max pooling, global average pooling,
- * and a (globally-mixing) FC head.  Takes 1×8×8×4 inputs.
+ * and an FC head.  Takes 1×8×8×4 inputs.
  */
 inline Network
 makeBranchy(std::uint64_t seed)
