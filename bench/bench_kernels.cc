@@ -28,8 +28,16 @@
  * rows).  Before timing, Conv2D::forwardWithSub is bit-compared
  * against computeNeuron for every bit flip of sampled weights and
  * inputs on that layer; a mismatch fails the run like a kernel
- * mismatch.  Every JSON row carries the host stamp (cores, CPU,
- * dispatch mode, source revision).
+ * mismatch.
+ *
+ * Phase 1 also times the fault-batched engine's conv kernel: GFLOP/s
+ * of Conv2D::forwardRegionBatched at lane width 8 over the whole
+ * output of that same layer (the `batched_conv3x3` rows, FP32, FP16
+ * and INT8, counting every lane's MACs).  Each lane carries its own
+ * perturbed input, and every lane of the result is bit-compared
+ * against forward() on that lane's input; a mismatch fails the run.
+ * Every JSON row carries the host stamp (cores, CPU, dispatch mode,
+ * source revision).
  *
  * Phase 2 runs a small injection campaign twice — SIMD on and off —
  * and exits non-zero if the campaign checksums differ: the CI smoke
@@ -63,12 +71,14 @@
 #include "nn/conv.hh"
 #include "nn/fc.hh"
 #include "nn/init.hh"
+#include "nn/lanes.hh"
 #include "nn/layer.hh"
 #include "nn/matmul.hh"
 #include "sim/logging.hh"
 #include "sim/parse.hh"
 #include "sim/rng.hh"
 #include "simd/simd.hh"
+#include "tensor/bitops.hh"
 
 using namespace fidelity;
 
@@ -245,7 +255,8 @@ usage(const char *argv0)
         << "  --kernel=<substr>   only kernels whose name contains "
            "<substr>\n"
         << "                      (conv3x3, conv1x1, fc, matmul, "
-           "fault_apply);\n"
+           "batched_conv3x3,\n"
+        << "                      fault_apply);\n"
         << "                      a kernel filter also skips the "
            "campaign\n"
         << "                      checksum gate\n"
@@ -413,6 +424,131 @@ checkSubstitutions(const Conv2D &conv, const std::vector<const Tensor *> &ins,
 }
 
 /**
+ * The ResNet campaign network's first residual 3x3 conv at one
+ * precision, with the network's golden activations.
+ */
+struct ResnetConv
+{
+    static constexpr const char *kLayer = "block0.c1";
+
+    Network net = buildNetwork("resnet", 2020);
+    std::vector<Tensor> acts;
+    NodeId id = -1;
+
+    explicit ResnetConv(Precision p)
+    {
+        Tensor input = defaultInputFor("resnet", 2021);
+        net.setPrecision(p);
+        if (p == Precision::INT8 || p == Precision::INT16)
+            net.calibrate(input);
+        acts = net.forwardAll(input);
+        for (NodeId m : net.macNodes())
+            if (net.layer(m).name() == kLayer)
+                id = m;
+    }
+
+    const Conv2D &
+    conv() const
+    {
+        return dynamic_cast<const Conv2D &>(net.layer(id));
+    }
+
+    std::vector<const Tensor *>
+    ins() const
+    {
+        return net.gatherInputs(id, acts);
+    }
+};
+
+/**
+ * GFLOP/s of the fault-batched conv kernel (forwardRegionBatched at
+ * lane width 8, no cover, whole output) on the ResNet layer, for
+ * FP32, FP16 and INT8.  Lane l's input is the golden input with a few
+ * elements perturbed; FP16 lanes hold stored-form values, as the
+ * engine's planes do downstream of a writeback.  Every lane of the
+ * result must equal forward() on that lane's input bit for bit.
+ * Returns the number of failed checks.
+ */
+int
+runBatchedConv(const Options &opt,
+               std::vector<bench::KernelThroughputRecord> &records)
+{
+    constexpr int W = 8;
+    const double minSeconds =
+        (opt.minMs / 1000.0) * bench::scaledSamples(10) / 10.0;
+    int failures = 0;
+    for (const DtypeSpec &dt : kDtypes) {
+        if (dt.precision == Precision::INT16 ||
+            (!opt.dtype.empty() && opt.dtype != dt.name))
+            continue;
+        ResnetConv rc(dt.precision);
+        const Conv2D &conv = rc.conv();
+        const auto ins = rc.ins();
+        const Tensor &x = *ins[0];
+        const Tensor &golden = rc.acts[rc.id];
+
+        Rng rng(23);
+        std::vector<Tensor> lx(W, x);
+        LanePlane xp, op;
+        xp.reset(W);
+        xp.ensure(x, Region::full(x));
+        for (int l = 0; l < W; ++l) {
+            for (int i = 0; i < 4; ++i)
+                lx[l][rng.below(static_cast<std::uint32_t>(x.size()))] +=
+                    static_cast<float>(rng.normal(0, 4));
+            if (dt.precision == Precision::FP16)
+                for (float &v : lx[l].data())
+                    v = roundToHalf(v);
+            for (std::size_t f = 0; f < x.size(); ++f)
+                xp.lanes(f)[l] = lx[l][f];
+        }
+        LanePlane *planes[1] = {&xp};
+        const Region all = Region::full(golden);
+        op.reset(W);
+        op.ensure(golden, all);
+        auto run = [&] {
+            conv.forwardRegionBatched(ins, planes, all, nullptr, golden,
+                                      op);
+        };
+
+        run();
+        int mismatches = 0;
+        for (int l = 0; l < W; ++l) {
+            const Tensor want = conv.forward({&lx[l]});
+            for (std::size_t f = 0; f < want.size(); ++f)
+                mismatches += std::bit_cast<std::uint32_t>(
+                                  op.lanes(f)[l]) !=
+                              std::bit_cast<std::uint32_t>(want[f]);
+        }
+        if (mismatches) {
+            std::cerr << "FAIL: batched_conv3x3 " << dt.name << ": "
+                      << mismatches
+                      << " lane outputs differ from per-lane forward()\n";
+            ++failures;
+        }
+
+        int iters = 0;
+        double elapsed = 0.0;
+        while (elapsed < minSeconds) {
+            elapsed += bench::timeSeconds([&] {
+                for (int i = 0; i < 4; ++i)
+                    run();
+            });
+            iters += 4;
+        }
+        const double sec = elapsed / iters;
+        const double gflops = 2.0 * static_cast<double>(golden.size()) *
+                              conv.reductionLength() * W / sec / 1e9;
+        records.push_back({"bench_kernels", "batched_conv3x3", dt.name,
+                           simd::backendName(), gflops, sec});
+        std::cout << "batched_conv3x3 resnet." << ResnetConv::kLayer
+                  << " " << dt.name << " W=" << W << ": " << gflops
+                  << " GFLOP/s\n";
+    }
+    return failures;
+}
+
+/**
  * Microseconds per FaultModels::apply for every datapath category on
  * the ResNet campaign network's first residual 3x3 conv, at each
  * dtype, after the layer's substitution bit check.  Returns the
@@ -423,30 +559,20 @@ runFaultApply(const Options &opt, std::vector<bench::FaultApplyRecord> &records)
 {
     const double minSeconds =
         (opt.minMs / 1000.0) * bench::scaledSamples(10) / 10.0;
-    const std::string layerName = "block0.c1";
     int failures = 0;
     for (const DtypeSpec &dt : kDtypes) {
         if (!opt.dtype.empty() && opt.dtype != dt.name)
             continue;
-        Network net = buildNetwork("resnet", 2020);
-        Tensor input = defaultInputFor("resnet", 2021);
-        net.setPrecision(dt.precision);
-        if (dt.precision == Precision::INT8 ||
-            dt.precision == Precision::INT16)
-            net.calibrate(input);
-        std::vector<Tensor> acts = net.forwardAll(input);
-        NodeId id = -1;
-        for (NodeId m : net.macNodes())
-            if (net.layer(m).name() == layerName)
-                id = m;
-        const auto &conv = dynamic_cast<const Conv2D &>(net.layer(id));
-        auto ins = net.gatherInputs(id, acts);
-        failures += checkSubstitutions(conv, ins, acts[id], dt.name) > 0;
+        ResnetConv rc(dt.precision);
+        const Conv2D &conv = rc.conv();
+        const auto ins = rc.ins();
+        const Tensor &golden = rc.acts[rc.id];
+        failures += checkSubstitutions(conv, ins, golden, dt.name) > 0;
 
         NvdlaConfig cfg;
         FaultModels models(cfg);
-        std::cout << "fault_apply resnet." << layerName << " " << dt.name
-                  << " (us/apply):";
+        std::cout << "fault_apply resnet." << ResnetConv::kLayer << " "
+                  << dt.name << " (us/apply):";
         for (FFCategory cat : allFFCategories()) {
             if (!isDatapathCategory(cat))
                 continue;
@@ -457,14 +583,14 @@ runFaultApply(const Options &opt, std::vector<bench::FaultApplyRecord> &records)
                 elapsed += bench::timeSeconds([&] {
                     for (int i = 0; i < 16; ++i)
                         benchmark::DoNotOptimize(
-                            models.apply(cat, conv, ins, acts[id], rng));
+                            models.apply(cat, conv, ins, golden, rng));
                 });
                 calls += 16;
             }
             double us = 1e6 * elapsed / calls;
-            records.push_back({"resnet." + layerName, dt.name,
-                               ffCategoryName(cat), simd::backendName(),
-                               us});
+            records.push_back({std::string("resnet.") + ResnetConv::kLayer,
+                               dt.name, ffCategoryName(cat),
+                               simd::backendName(), us});
             std::cout << " " << ffCategoryName(cat) << " " << us;
         }
         std::cout << "\n";
@@ -667,6 +793,9 @@ main(int argc, char **argv)
     std::vector<bench::KernelThroughputRecord> records;
     std::vector<bench::FaultApplyRecord> applies;
     int failures = runThroughput(opt, records);
+    if (std::string("batched_conv3x3").find(opt.kernel) !=
+        std::string::npos)
+        failures += runBatchedConv(opt, records);
     if (std::string("fault_apply").find(opt.kernel) != std::string::npos)
         failures += runFaultApply(opt, applies);
     if (records.empty() && applies.empty()) {

@@ -135,12 +135,14 @@ convChannelLanes(const ConvSpec &spec, int cpg, int opg,
  * engine.  The SIMD lanes hold W *injections* of the same fault cell
  * instead of output channels: the window math, padding tests and
  * packed-weight stream are shared by the batch, `load` fills W
- * stored-form lane operands per term, and `rowMac(xg, column, op, oc)`
- * runs the dispatched table's lane-minor MAC row over one output
- * channel's weight column (canonical k order, unfused per-lane
- * multiply-adds, so every lane is bit-identical to the channel-lane
- * kernel) and writes the lane row `op` back through bias and the
- * output path.  Only the cover's row and channel spans are walked.
+ * stored-form lane operands per term, and `rowMac(xg, column, cols,
+ * op, oc)` runs the dispatched table's lane-minor MAC row over `cols`
+ * adjacent weight columns of one pack block, starting at output
+ * channel `oc` (canonical k order, unfused per-lane multiply-adds, so
+ * every lane is bit-identical to the channel-lane kernel), and writes
+ * the `cols` lane rows at `op` back through bias and the output path.
+ * Only the cover's row and channel spans are walked, one call per
+ * pack block a span touches.
  */
 template <int W, class T, class Load, class RowMac>
 void
@@ -173,9 +175,14 @@ convInjectionLanes(const ConvSpec &spec, int cpg, int opg,
             for (int cs = 0; cs < ncs; ++cs) {
                 int clo = std::max(lo, csp[cs].w0);
                 int chi = std::min(hi, csp[cs].w1);
-                for (int oc = clo; oc < chi; ++oc)
-                    rowMac(xg, pk.column(g, oc - g * opg),
+                for (int oc = clo; oc < chi;) {
+                    const int ocg = oc - g * opg;
+                    const int cols =
+                        std::min(chi - oc, pk.lanes - ocg % pk.lanes);
+                    rowMac(xg, pk.column(g, ocg), cols,
                            out.lanes(base + oc), oc);
+                    oc += cols;
+                }
             }
         }
     });
@@ -693,7 +700,8 @@ Conv2D::forwardWeightSub(const Tensor &x, const OperandSub &sub,
         spec_, boxes, numBoxes, xs.data(), n0, hp0, rows, cols, cpg,
         off.data(), redLen, xg.data(),
         [&](const float *rowsG, const NeuronIndex *pos, int count) {
-            kt.batchMacF32(rowsG, wcol.data(), redLen, 1, kPosLanes, acc);
+            kt.batchMacF32(rowsG, wcol.data(), redLen, 1, 1, kPosLanes,
+                           acc);
             for (int l = 0; l < count; ++l)
                 out.at(pos[l]) = writeback(static_cast<double>(acc[l]), b);
         });
@@ -721,12 +729,17 @@ Conv2D::laneKernels(const Region *boxes, std::size_t numBoxes,
     auto biasAt = [&](int oc) {
         return spec_.bias ? bias_[oc] : 0.0f;
     };
+    // Lane rows of one pack block: every pack is at most kF32Lanes wide.
+    static_assert(simd::kNarrowLanes <= simd::kF32Lanes &&
+                  simd::kI64Lanes <= simd::kF32Lanes);
+    constexpr int kBlockRow = simd::kF32Lanes * W;
 
     // One loop nest per lane axis, shared by the three operand types.
     // Width 1 runs the channel-lane kernel: `gemm` over lane blocks,
     // then the scalar writeback `wb`.  Widths 4 and 8 run the
-    // injection-lane rows: `mac` per output channel, then `wbRow`,
-    // which is `wb` per element over the whole lane row.
+    // injection-lane rows: `mac` per pack block over `cols` adjacent
+    // output channels, then `wbRow`, which is `wb` per element over
+    // the block's lane rows.
     auto run = [&](const auto &pk, auto *xg, auto *acc, auto gemm,
                    auto mac, auto wb, auto wbRow) {
         for (std::size_t i = 0; i < numBoxes; ++i) {
@@ -737,11 +750,11 @@ Conv2D::laneKernels(const Region *boxes, std::size_t numBoxes,
                 convInjectionLanes<W>(
                     spec_, cpg, opg, pk, boxes[i], cover, shape, out,
                     xg, load,
-                    [&](const auto *x, const auto *col, float *op,
-                        int oc) {
-                        std::remove_pointer_t<decltype(acc)> row[W];
-                        mac(x, col, row);
-                        wbRow(row, op, oc);
+                    [&](const auto *x, const auto *col, int cols,
+                        float *op, int oc) {
+                        std::remove_pointer_t<decltype(acc)> row[kBlockRow];
+                        mac(x, col, cols, row);
+                        wbRow(row, cols, op, oc);
                     });
             }
         }
@@ -757,16 +770,18 @@ Conv2D::laneKernels(const Region *boxes, std::size_t numBoxes,
             [&](const float *x, int nb, const float *w, float *a) {
                 kt.gemmF32(x, redLen, nb, w, a);
             },
-            [&](const float *x, const float *col, float *a) {
-                kt.batchMacF32(x, col, redLen, pk.lanes, W, a);
+            [&](const float *x, const float *col, int cols, float *a) {
+                kt.batchMacF32(x, col, redLen, pk.lanes, cols, W, a);
             },
             [&](float a, int oc) { return writeback(a, biasAt(oc)); },
-            [&](const float *row, float *op, int oc) {
-                const float b = biasAt(oc);
-                for (int l = 0; l < W; ++l)
-                    op[l] = row[l] + b;
+            [&](const float *row, int cols, float *op, int oc) {
+                for (int c = 0; c < cols; ++c) {
+                    const float b = biasAt(oc + c);
+                    for (int l = 0; l < W; ++l)
+                        op[c * W + l] = row[c * W + l] + b;
+                }
                 if (half)
-                    simd::roundToHalfBatch(op, op, W);
+                    simd::roundToHalfBatch(op, op, cols * W);
             });
         return;
     }
@@ -780,16 +795,19 @@ Conv2D::laneKernels(const Region *boxes, std::size_t numBoxes,
     auto wb = [&](std::int64_t a, int oc) {
         return writeback(static_cast<double>(a) * s * ws, biasAt(oc));
     };
-    auto wbRow = [&](const std::int64_t *row, float *op, int oc) {
-        const float b = biasAt(oc);
-        float real[W];
-        std::int32_t q[W];
-        for (int l = 0; l < W; ++l)
-            real[l] = static_cast<float>(static_cast<double>(row[l]) * s *
-                                         ws) +
-                      b;
-        simd::quantizeBatch(real, q, W, outQuant_);
-        for (int l = 0; l < W; ++l)
+    auto wbRow = [&](const std::int64_t *row, int cols, float *op,
+                     int oc) {
+        float real[kBlockRow] = {}; // zeroed: GCC cannot see cols >= 1
+        std::int32_t q[kBlockRow];
+        for (int c = 0; c < cols; ++c) {
+            const float b = biasAt(oc + c);
+            for (int l = c * W; l < (c + 1) * W; ++l)
+                real[l] = static_cast<float>(static_cast<double>(row[l]) *
+                                             s * ws) +
+                          b;
+        }
+        simd::quantizeBatch(real, q, cols * W, outQuant_);
+        for (int l = 0; l < cols * W; ++l)
             op[l] = dequantize(q[l], outQuant_);
     };
     auto acc = arena.longs(
@@ -809,10 +827,12 @@ Conv2D::laneKernels(const Region *boxes, std::size_t numBoxes,
                 std::int64_t *a) {
                 kt.gemmNarrow(x, redPairs, nb, w, chunkPairs_, a);
             },
-            [&](const std::int16_t *x, const std::int16_t *col,
+            [&](const std::int16_t *x, const std::int16_t *col, int cols,
                 std::int64_t *a) {
-                kt.batchMacNarrow(x, col, redPairs, 2 * pk.lanes,
-                                  chunkPairs_, W, a);
+                for (int c = 0; c < cols; ++c)
+                    kt.batchMacNarrow(x, col + 2 * c, redPairs,
+                                      2 * pk.lanes, chunkPairs_, W,
+                                      a + c * W);
             },
             wb, wbRow);
     } else {
@@ -821,9 +841,11 @@ Conv2D::laneKernels(const Region *boxes, std::size_t numBoxes,
         run(pk, xg.data(), acc.data(),
             [&](const std::int32_t *x, int nb, const std::int32_t *w,
                 std::int64_t *a) { kt.gemmI64(x, redLen, nb, w, a); },
-            [&](const std::int32_t *x, const std::int32_t *col,
+            [&](const std::int32_t *x, const std::int32_t *col, int cols,
                 std::int64_t *a) {
-                kt.batchMacI64(x, col, redLen, pk.lanes, W, a);
+                for (int c = 0; c < cols; ++c)
+                    kt.batchMacI64(x, col + c, redLen, pk.lanes, W,
+                                   a + c * W);
             },
             wb, wbRow);
     }

@@ -659,18 +659,53 @@ batchMacNarrowAvx2K(const std::int16_t *xg, const std::int16_t *w,
 // Lane-minor batched MAC rows (fault-batched engine).               //
 // ---------------------------------------------------------------- //
 
-template <class B>
+/**
+ * One lane chunk walk with C adjacent weight columns: a[c] carries
+ * column c's independent add chain, so the k loop keeps C chains in
+ * flight instead of one.  Per (lane, column) the arithmetic is the
+ * one-column kernel's, a + x*w in k order.  The unroll pragmas keep
+ * a[] in registers; without them GCC at -O2 leaves it in memory.
+ */
+template <class B, int C>
 void
 batchMacF32W(const float *xg, const float *w, std::size_t red,
              std::size_t wstride, int W, float *acc)
 {
     constexpr int L = B::kF32W;
     for (int j = 0; j < W; j += L) {
-        auto a = B::f32zero();
-        for (std::size_t k = 0; k < red; ++k)
-            a = B::f32mulAcc(a, B::f32load(xg + k * W + j),
-                             B::f32broadcast(w[k * wstride]));
-        B::f32store(acc + j, a);
+        typename B::F32 a[C];
+#pragma GCC unroll 8
+        for (int c = 0; c < C; ++c)
+            a[c] = B::f32zero();
+        for (std::size_t k = 0; k < red; ++k) {
+            const auto x = B::f32load(xg + k * W + j);
+            const float *wk = w + k * wstride;
+#pragma GCC unroll 8
+            for (int c = 0; c < C; ++c)
+                a[c] = B::f32mulAcc(a[c], x, B::f32broadcast(wk[c]));
+        }
+#pragma GCC unroll 8
+        for (int c = 0; c < C; ++c)
+            B::f32store(acc + c * W + j, a[c]);
+    }
+}
+
+/** Column count as a template constant for batchMacF32W. */
+template <class B>
+void
+batchMacF32Cols(const float *xg, const float *w, std::size_t red,
+                std::size_t wstride, int cols, int W, float *acc)
+{
+    static_assert(kF32Lanes == 8, "one case per pack-block column");
+    switch (cols) {
+    case 1: return batchMacF32W<B, 1>(xg, w, red, wstride, W, acc);
+    case 2: return batchMacF32W<B, 2>(xg, w, red, wstride, W, acc);
+    case 3: return batchMacF32W<B, 3>(xg, w, red, wstride, W, acc);
+    case 4: return batchMacF32W<B, 4>(xg, w, red, wstride, W, acc);
+    case 5: return batchMacF32W<B, 5>(xg, w, red, wstride, W, acc);
+    case 6: return batchMacF32W<B, 6>(xg, w, red, wstride, W, acc);
+    case 7: return batchMacF32W<B, 7>(xg, w, red, wstride, W, acc);
+    default: return batchMacF32W<B, 8>(xg, w, red, wstride, W, acc);
     }
 }
 
@@ -678,20 +713,21 @@ batchMacF32W(const float *xg, const float *w, std::size_t red,
 template <class B, class BH>
 void
 batchMacF32T(const float *xg, const float *w, std::size_t red,
-             std::size_t wstride, int W, float *acc)
+             std::size_t wstride, int cols, int W, float *acc)
 {
     if (W % B::kF32W == 0)
-        return batchMacF32W<B>(xg, w, red, wstride, W, acc);
+        return batchMacF32Cols<B>(xg, w, red, wstride, cols, W, acc);
     if (W % BH::kF32W == 0)
-        return batchMacF32W<BH>(xg, w, red, wstride, W, acc);
-    for (int l = 0; l < W; ++l) {
-        float a = 0.0f;
-        for (std::size_t k = 0; k < red; ++k) {
-            float prod = xg[k * W + l] * w[k * wstride];
-            a += prod;
+        return batchMacF32Cols<BH>(xg, w, red, wstride, cols, W, acc);
+    for (int c = 0; c < cols; ++c)
+        for (int l = 0; l < W; ++l) {
+            float a = 0.0f;
+            for (std::size_t k = 0; k < red; ++k) {
+                float prod = xg[k * W + l] * w[k * wstride + c];
+                a += prod;
+            }
+            acc[c * W + l] = a;
         }
-        acc[l] = a;
-    }
 }
 
 template <class B>

@@ -78,7 +78,8 @@ inline constexpr int kNarrowMinChunk = 8;
  *
  * GEMM kernels *overwrite* `acc` with the full padded lane results
  * ([nblocks][L]); callers read back the real columns.  Batched MAC
- * kernels likewise overwrite `acc[0..W)`.
+ * kernels likewise overwrite `acc[0..W)` (`acc[0..cols*W)` for the
+ * float row).
  */
 struct KernelTable
 {
@@ -116,12 +117,15 @@ struct KernelTable
                        std::int64_t *acc);
 
     /**
-     * Lane-minor batched MAC row (fault-batched engine):
-     * acc[l] = sum_k xg[k*W + l] * w[k*wstride] for l in [0, W), in
-     * canonical k order with unfused per-lane multiply-adds.
+     * Lane-minor batched MAC row (fault-batched engine) over `cols`
+     * (1..kF32Lanes) adjacent weight columns of one pack block:
+     * acc[c*W + l] = sum_k xg[k*W + l] * w[k*wstride + c] for l in
+     * [0, W), in canonical k order with unfused per-lane multiply-adds.
+     * Each (lane, column) is an independent output, so the columns run
+     * as independent add chains.
      */
     void (*batchMacF32)(const float *xg, const float *w, std::size_t red,
-                        std::size_t wstride, int W, float *acc);
+                        std::size_t wstride, int cols, int W, float *acc);
 
     /** Wide-int batched twin: acc[l] += (int64)w[k*wstride] * xg[k*W+l]. */
     void (*batchMacI64)(const std::int32_t *xg, const std::int32_t *w,

@@ -9,7 +9,8 @@
  * width, non-contiguous lane indices); per-lane early-exit divergence
  * inside one batch; the row-layer region kernels (FC, softmax,
  * matmul) against per-lane forward() with golden and dirty B lanes;
- * and batch-width validation at both the engine factory and the
+ * the conv kernel's per-pack-block MAC rows under channel spans that
+ * cut blocks; and batch-width validation at both the engine factory and the
  * campaign config.  Campaign checksums under every
  * batch width are test_bit_identity's engine axis.
  */
@@ -299,6 +300,87 @@ TEST(BatchedEngine, RowLayerKernelsMatchPerLaneForward)
                                 << useCover << " at "
                                 << NeuronIndex{n, h, w, c}.str();
                         }
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(BatchedEngine, ConvChannelSpansCutPackBlocks)
+{
+    // The injection-lane conv kernel runs one MAC row per pack block
+    // that a covered channel span touches.  Here the spans start and
+    // end mid-block ([3, 13) crosses the 8-channel block edge), and
+    // [17, 19) and [21, 23) share one block; the grouped conv (12
+    // channels per group) also cuts blocks at its group edge and puts
+    // [12, 13) and [17, 19) in one block of group 1.  Every lane of
+    // every covered channel must equal forward() on that lane's
+    // input; uncovered channels keep the plane's golden fill.
+    const BatchCover::Span chans[] = {{3, 13}, {17, 19}, {21, 23}};
+    for (int groups : {1, 2}) {
+        ConvSpec spec{.inC = 4, .outC = 24, .pad = 1, .groups = groups};
+        auto conv = makeConv("c", spec, 80 + groups);
+        Tensor x = randomTensor(90 + groups, 1, 5, 5, spec.inC);
+        std::vector<const Tensor *> ins{&x};
+        for (Precision p : {Precision::FP32, Precision::FP16,
+                            Precision::INT8}) {
+            conv->setPrecision(p);
+            if (p == Precision::INT8)
+                conv->calibrate(ins, conv->forward(ins));
+            const Tensor golden = conv->forward(ins);
+            for (int W : {4, 8}) {
+                std::vector<Tensor> lx(W, x);
+                Region cones[kMaxBatchLanes], unionBox;
+                std::uint32_t mask = 0;
+                for (int l = 0; l < W; ++l) {
+                    lx[l][(l * 13) % x.size()] += 2.0f + l;
+                    const BatchCover::Span &cs = chans[l % 3];
+                    cones[l] = Region{0, 1, 0, golden.h(), 0, golden.w(),
+                                      cs.w0, cs.w1};
+                    mask |= 1u << l;
+                    unionBox.merge(cones[l]);
+                }
+                LanePlane xp, op;
+                xp.reset(W);
+                xp.ensure(x, Region::full(x));
+                xp.markRaw(); // lane inputs are unrounded draws
+                for (std::size_t f = 0; f < x.size(); ++f)
+                    for (int l = 0; l < W; ++l)
+                        xp.lanes(f)[l] = lx[l][f];
+                LanePlane *planes[1] = {&xp};
+                std::vector<Tensor> want;
+                for (int l = 0; l < W; ++l)
+                    want.push_back(conv->forward({&lx[l]}));
+
+                for (bool useCover : {false, true}) {
+                    BatchCover cover;
+                    if (useCover)
+                        cover.build(cones, mask, W, unionBox);
+                    op.reset(W);
+                    op.ensure(golden, unionBox);
+                    conv->forwardRegionBatched(ins, planes, unionBox,
+                                               useCover ? &cover : nullptr,
+                                               golden, op);
+                    const Region &r = unionBox;
+                    for (int h = r.h0; h < r.h1; ++h)
+                    for (int w = r.w0; w < r.w1; ++w)
+                    for (int c = r.c0; c < r.c1; ++c) {
+                        bool covered = !useCover;
+                        for (const BatchCover::Span &cs : chans)
+                            covered |= c >= cs.w0 && c < cs.w1;
+                        const std::size_t f = golden.offset(0, h, w, c);
+                        for (int l = 0; l < W; ++l)
+                            ASSERT_EQ(std::bit_cast<std::uint32_t>(
+                                          op.lanes(f)[l]),
+                                      std::bit_cast<std::uint32_t>(
+                                          covered ? want[l][f]
+                                                  : golden[f]))
+                                << "groups " << groups << " "
+                                << precisionName(p) << " W=" << W
+                                << " lane " << l << " cover "
+                                << useCover << " at "
+                                << NeuronIndex{0, h, w, c}.str();
                     }
                 }
             }

@@ -110,6 +110,12 @@ const std::vector<Case> kPinnedCases = {
      .slices = {{.threads = 2, .engine = 8, .backend = "avx2"}}},
     {.net = "transformer", .precision = Precision::FP16, .adaptive = true,
      .seed = 13, .slices = {{.engine = 1, .cache = "private"}}},
+    // The column-blocked conv MAC rows on a 4-lane backend: W=8 runs
+    // as two 4-lane chunks per column.
+    {.net = "resnet", .precision = Precision::FP32, .seed = 19,
+     .slices = {{.engine = 8, .backend = "sse2"}}},
+    {.net = "mobilenet", .precision = Precision::FP16, .seed = 23,
+     .slices = {{.engine = 8, .backend = "sse2"}}},
 };
 
 const char *const kNets[] = {"resnet", "mobilenet", "transformer",

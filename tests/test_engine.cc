@@ -327,8 +327,9 @@ TEST(Engine, GlobalAddressCorruptionScramblesManyNeurons)
     site.cycle = fi.goldenCycles() / 2;
     RtlOutcome out = fi.inject(site);
     EXPECT_FALSE(out.masked());
-    if (!out.timeout && !out.anomaly)
+    if (!out.timeout && !out.anomaly) {
         EXPECT_GT(out.faulty.size(), 8u);
+    }
 }
 
 TEST(Engine, SampledSitesAreValid)

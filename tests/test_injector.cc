@@ -111,8 +111,9 @@ TEST(Injector, AlwaysFalseMetricFailsWhenNeuronsChange)
     for (int i = 0; i < 30; ++i) {
         InjectionRecord rec =
             inj.inject(macs[0], FFCategory::OutputPsum, never, rng);
-        if (rec.numFaultyNeurons > 0)
+        if (rec.numFaultyNeurons > 0) {
             EXPECT_FALSE(rec.masked);
+        }
         failures += !rec.masked;
     }
     EXPECT_GT(failures, 0);

@@ -234,8 +234,9 @@ TEST(MemoryFaults, EngineLateFaultIsSubsetOfModel)
             EXPECT_TRUE(allowed.count(fn.flat));
             NeuronIndex n = golden.indexOf(fn.flat);
             for (std::size_t i = 0; i < pred.neurons.size(); ++i)
-                if (pred.neurons[i] == n)
+                if (pred.neurons[i] == n) {
                     EXPECT_TRUE(sameValue(pred.values[i], fn.faulty));
+                }
         }
         non_trivial += !rtl.faulty.empty();
     }

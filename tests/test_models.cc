@@ -70,7 +70,7 @@ INSTANTIATE_TEST_SUITE_P(AllNetworks, NetworkName,
 
 TEST(Models, ClassifiersEmitDistributions)
 {
-    for (const std::string &name : {"inception", "resnet", "mobilenet"}) {
+    for (const char *name : {"inception", "resnet", "mobilenet"}) {
         Network net = buildNetwork(name, 7);
         Tensor out = net.forward(defaultInputFor(name, 9));
         EXPECT_EQ(out.c(), 10) << name;

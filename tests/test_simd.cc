@@ -99,23 +99,22 @@ constexpr Precision kAllPrecisions[] = {
 std::vector<float>
 adversarialFloats()
 {
-    std::vector<float> v;
     auto bits = [](std::uint32_t u) { return std::bit_cast<float>(u); };
-    v.insert(v.end(),
-             {0.0f, -0.0f, 1.0f, -1.0f, 0.5f, -0.5f, 65504.0f,
-              -65504.0f, 65520.0f, 70000.0f, 1e-8f, -1e-8f,
-              std::numeric_limits<float>::infinity(),
-              -std::numeric_limits<float>::infinity(),
-              std::numeric_limits<float>::quiet_NaN(),
-              bits(0x7fc00001u),   // NaN, payload bit set
-              bits(0xffc01234u),   // negative NaN, payload bits
-              bits(0x7f800001u),   // signalling NaN pattern
-              bits(0x00000001u),   // smallest subnormal
-              bits(0x807fffffu),   // largest negative subnormal
-              bits(0x33800000u),   // 2^-24: half-subnormal tie
-              bits(0x33800001u),   // just above the tie
-              1.00048828125f,      // halfway between half values
-              1.0009765625f, 2.5f, -2.5f, 3.5f, -3.5f});
+    std::vector<float> v{
+        0.0f, -0.0f, 1.0f, -1.0f, 0.5f, -0.5f, 65504.0f, -65504.0f,
+        65520.0f, 70000.0f, 1e-8f, -1e-8f,
+        std::numeric_limits<float>::infinity(),
+        -std::numeric_limits<float>::infinity(),
+        std::numeric_limits<float>::quiet_NaN(),
+        bits(0x7fc00001u),   // NaN, payload bit set
+        bits(0xffc01234u),   // negative NaN, payload bits
+        bits(0x7f800001u),   // signalling NaN pattern
+        bits(0x00000001u),   // smallest subnormal
+        bits(0x807fffffu),   // largest negative subnormal
+        bits(0x33800000u),   // 2^-24: half-subnormal tie
+        bits(0x33800001u),   // just above the tie
+        1.00048828125f,      // halfway between half values
+        1.0009765625f, 2.5f, -2.5f, 3.5f, -3.5f};
     // Pad to an odd length so vector blocks leave a scalar tail.
     Rng rng(99);
     while (v.size() < 61)
@@ -727,6 +726,86 @@ TEST(SimdNarrow, BatchMacNarrowMatchesReference)
                     EXPECT_EQ(acc, ref)
                         << "backend " << n << " red " << red << " W "
                         << W << " chunk " << chunk;
+                }
+            }
+        }
+    }
+}
+
+TEST(SimdKernels, BatchMacColumnsMatchScalar)
+{
+    // batchMacF32 over 1..8 adjacent columns of one pack block must
+    // equal a scalar one-column loop bit for bit on every backend, at
+    // lane widths that take the full-width, half-width and scalar
+    // paths, and write exactly cols*W results.  Operands mix in NaN,
+    // infinities (so Inf*0 and Inf-Inf raise NaN), subnormals and -0.
+    // Which payload an add of two NaNs keeps is not part of the
+    // contract (the compiler may swap a commutative operand pair), so
+    // the only NaN fed in is the one this host raises itself: every
+    // NaN in the test then has the same bits.
+    volatile float inf = std::numeric_limits<float>::infinity();
+    volatile float zero = 0.0f;
+    const float hostNaN = inf * zero;
+    const float specials[] = {hostNaN,
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              std::bit_cast<float>(0x00000001u),
+                              std::bit_cast<float>(0x807fffffu),
+                              -0.0f,
+                              0.0f,
+                              std::numeric_limits<float>::max()};
+    constexpr std::size_t kStride = simd::kF32Lanes;
+    Rng rng(940);
+    // About one special per two (lane, column) chains of 2*red operands,
+    // so both clean and special chains are covered at every length.
+    double pSpecial = 0.0;
+    auto draw = [&] {
+        if (rng.uniform() < pSpecial)
+            return specials[rng.below(std::size(specials))];
+        return static_cast<float>(rng.normal(0, 2));
+    };
+
+    SimdToggle toggle;
+    simd::setEnabled(true);
+    BackendForce guard;
+    for (std::size_t red : {1, 37, 144}) {
+        pSpecial = 1.0 / (4.0 * red + 4.0);
+        for (int W : {1, 2, 3, 4, 5, 8}) {
+            std::vector<float> xg(red * W), w(red * kStride);
+            for (float &v : xg)
+                v = draw();
+            for (float &v : w)
+                v = draw();
+            for (int cols = 1; cols <= simd::kF32Lanes; ++cols) {
+                // The block's last `cols` columns, as the conv kernel
+                // addresses a span that ends at the block edge.
+                const float *col = w.data() + (kStride - cols);
+                std::vector<std::uint32_t> ref(cols * W);
+                for (int c = 0; c < cols; ++c)
+                    for (int l = 0; l < W; ++l) {
+                        float a = 0.0f;
+                        for (std::size_t k = 0; k < red; ++k) {
+                            float prod =
+                                xg[k * W + l] * col[k * kStride + c];
+                            a += prod;
+                        }
+                        ref[c * W + l] = std::bit_cast<std::uint32_t>(a);
+                    }
+                for (const char *n : availableBackends()) {
+                    ASSERT_TRUE(simd::forceBackend(n));
+                    std::vector<float> acc(cols * W + 1, 1234.5f);
+                    simd::table().batchMacF32(xg.data(), col, red,
+                                              kStride, cols, W,
+                                              acc.data());
+                    EXPECT_EQ(acc.back(), 1234.5f)
+                        << "backend " << n << " wrote past cols*W";
+                    acc.pop_back();
+                    std::vector<std::uint32_t> got(acc.size());
+                    for (std::size_t i = 0; i < acc.size(); ++i)
+                        got[i] = std::bit_cast<std::uint32_t>(acc[i]);
+                    EXPECT_EQ(got, ref) << "backend " << n << " red "
+                                        << red << " W " << W << " cols "
+                                        << cols;
                 }
             }
         }
