@@ -158,11 +158,11 @@ secondsToNsSaturating(double seconds)
 /**
  * Everything one executor of shards owns exclusively: a pool worker
  * for the length of an in-process campaign, or a FixedShardExecutor
- * for its whole life.  The engine scratch (the sparse engines with
- * their lane planes, the record buffer injections land in) is reused
+ * for its whole life.  The engine scratch (the sparse engine with
+ * its lane planes, the record buffer injections land in) is reused
  * across every shard the owner runs, keeping the hot loop
  * allocation-free at steady state.  A slot lives exactly as long as
- * its owner, so the engines' cumulative totals are the owner's
+ * its owner, so the engine's cumulative totals are the owner's
  * totals.  Cache-line aligned so neighbouring pool slots cannot
  * false-share; accumulation never takes a lock.
  */
@@ -171,15 +171,14 @@ struct alignas(64) WorkerSlot
     std::uint64_t shards = 0;
     std::uint64_t injections = 0;
     MetricSet metrics;
-    std::unique_ptr<BatchedEngine> one;  //!< width 1: lone injections
-    std::unique_ptr<BatchedEngine> wide; //!< batches, at batchWidth > 1
+    std::unique_ptr<BatchedEngine> engine; //!< made on first use
     std::vector<InjectionRecord> recs;
 
-    /** An engine's totals; zero for one the slot never needed. */
-    static BatchedTotals
-    totals(const std::unique_ptr<BatchedEngine> &eng)
+    /** The engine's totals; zero when the slot never needed one. */
+    BatchedTotals
+    totals() const
     {
-        return eng ? eng->totals() : BatchedTotals{};
+        return engine ? engine->totals() : BatchedTotals{};
     }
 };
 
@@ -328,15 +327,12 @@ class ShardRunner
         };
 
         if (cfg_.incremental) {
-            if (!slot.one)
-                slot.one = makeBatchedEngine(1);
-            if (cfg_.batchWidth > 1 && !slot.wide)
-                slot.wide = makeBatchedEngine(cfg_.batchWidth);
+            if (!slot.engine)
+                slot.engine = makeBatchedEngine(cfg_.batchWidth);
             slot.recs.resize(static_cast<std::size_t>(e.samples));
             injector_.injectBatch(e.node, e.category, correct_, rng,
                                   e.samples, cfg_.outputClampAbs,
-                                  cfg_.batchWidth, *slot.one,
-                                  slot.wide.get(), slot.recs.data());
+                                  *slot.engine, slot.recs.data());
             for (int s = 0; s < e.samples; ++s)
                 account(slot.recs[static_cast<std::size_t>(s)]);
         } else {
@@ -529,12 +525,12 @@ runCampaign(const Network &net, const Tensor &input,
     std::atomic<std::uint64_t> injections_done{0};
     std::atomic<std::uint64_t> shards_done{0};
     // Progress/checkpoint throttles: one action at most per window,
-    // claimed by CAS so exactly one worker acts per window.
+    // claimed by CAS so exactly one worker acts per window.  Progress
+    // lines come at most once a second.
     std::atomic<std::int64_t> last_log_ns{0};
     std::atomic<std::int64_t> last_ckpt_ns{0};
     std::mutex ckpt_mutex;
-    const std::int64_t log_period_ns =
-        secondsToNsSaturating(cfg.progressEverySec);
+    constexpr std::int64_t log_period_ns = 1'000'000'000;
     const std::int64_t ckpt_period_ns =
         secondsToNsSaturating(cfg.checkpointEverySec);
     auto now_ns = [&wall_start] {
@@ -870,8 +866,11 @@ runCampaign(const Network &net, const Tensor &input,
     tel.threads = pool.size();
     tel.topology = cfg.topology;
     tel.incremental = cfg.incremental;
+    // The slots' one engine reports as the `engine` section at width
+    // 1 and as `batched` above it; the other section stays zero.
     tel.batchWidth =
-        cfg.incremental && cfg.batchWidth > 1 ? cfg.batchWidth : 1;
+        cfg.incremental && cfg.batchWidth > 1 ? kMaxBatchLanes : 1;
+    const bool batched = tel.batchWidth > 1;
     tel.executedShards = executed_this_run;
     tel.executedInjections =
         injections_done.load(std::memory_order_relaxed);
@@ -883,12 +882,10 @@ runCampaign(const Network &net, const Tensor &input,
             WorkerTelemetry wt;
             wt.shards = slot.shards;
             wt.injections = slot.injections;
-            wt.engine = WorkerSlot::totals(slot.one);
-            wt.batched = WorkerSlot::totals(slot.wide);
+            (batched ? wt.batched : wt.engine) = slot.totals();
             tel.workers.push_back(wt);
         }
-        tel.engine.mergeFrom(WorkerSlot::totals(slot.one));
-        tel.batched.mergeFrom(WorkerSlot::totals(slot.wide));
+        (batched ? tel.batched : tel.engine).mergeFrom(slot.totals());
         tel.metrics.mergeFrom(slot.metrics);
     }
     // Result-cache observability via plan replay: drive the archived

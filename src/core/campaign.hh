@@ -61,13 +61,10 @@ struct CampaignConfig
      */
     int shardGrain = 32;
 
-    /** Emit throttled progress lines (at most one per progressEverySec
-     *  seconds, from a single call site) and an end-of-campaign summary
+    /** Emit throttled progress lines (at most one a second, from a
+     *  single call site) and an end-of-campaign summary
      *  (injections/sec, wall time, thread count) through sim/logging. */
     bool progress = false;
-
-    /** Minimum seconds between two progress lines. */
-    double progressEverySec = 1.0;
 
     /**
      * Use the sparse fault-cone engine (nn/batched) in the injection
@@ -83,7 +80,8 @@ struct CampaignConfig
      * injections of one (layer, category) shard are carried through
      * the network in one pass, with lanes indexing injections (see
      * DESIGN.md §7).  Must be in [1, kMaxBatchLanes]; at 1 every
-     * injection runs alone on the 1-lane engine.  Ignored when
+     * injection runs alone on the 1-lane engine, and > 1 batches
+     * kMaxBatchLanes (8) injections per walk.  Ignored when
      * incremental = false (the dense path has no lanes).  Purely a
      * performance knob: the sampled faults, every record field, and
      * campaignChecksum are bit-identical for every width, and it does

@@ -207,8 +207,8 @@ Injector::inject(NodeId node, FFCategory cat, const CorrectnessFn &correct,
 std::size_t
 Injector::injectBatch(NodeId node, FFCategory cat,
                       const CorrectnessFn &correct, Rng &rng, int count,
-                      double clamp_abs, int batchWidth, BatchedEngine &one,
-                      BatchedEngine *wide, InjectionRecord *recs) const
+                      double clamp_abs, BatchedEngine &eng,
+                      InjectionRecord *recs) const
 {
     if (count <= 0)
         return 0;
@@ -218,8 +218,7 @@ Injector::injectBatch(NodeId node, FFCategory cat,
             recs[i] = inject(node, cat, correct, rng, clamp_abs);
         return static_cast<std::size_t>(count);
     }
-    const int width =
-        wide ? std::min(batchWidth, wide->maxLanes()) : 1;
+    const int width = eng.maxLanes();
 
     const auto *mac = dynamic_cast<const MacLayer *>(&net_.layer(node));
     panic_if(!mac, "injection target ", node, " is not a MAC layer");
@@ -258,10 +257,9 @@ Injector::injectBatch(NodeId node, FFCategory cat,
         return z;
     };
 
-    // Carry pend[g0, g0 + q) through the network as one batch, a lone
-    // injection on the one-lane engine, and classify every lane.
+    // Carry pend[g0, g0 + q) through the network as one batch and
+    // classify every lane.
     auto runBatch = [&](std::size_t g0, int q) {
-        BatchedEngine &eng = q == 1 ? one : *wide;
         eng.begin(net_, node, acts_);
         for (int l = 0; l < q; ++l) {
             const Pending &p = pend[g0 + l];

@@ -99,10 +99,9 @@ class Injector
 
     /**
      * Run `count` experiments at one (node, category) cell through the
-     * sparse engine, carrying surviving injections through the network
-     * in SIMD-lane batches of up to `batchWidth` on `wide`; a lone
-     * injection — every one at batchWidth 1 or without `wide` — runs
-     * on the one-lane engine `one`.  Sample identity is untouched
+     * sparse engine `eng`, carrying surviving injections through the
+     * network in SIMD-lane batches of eng.maxLanes() (a ragged last
+     * batch fills fewer lanes).  Sample identity is untouched
      * relative to `count` sequential inject() calls: the fault models
      * draw from `rng` in the same order, the result cache is probed
      * per injection *before* batching, and every record field except
@@ -114,8 +113,7 @@ class Injector
      */
     std::size_t injectBatch(NodeId node, FFCategory cat,
                             const CorrectnessFn &correct, Rng &rng,
-                            int count, double clamp_abs, int batchWidth,
-                            BatchedEngine &one, BatchedEngine *wide,
+                            int count, double clamp_abs, BatchedEngine &eng,
                             InjectionRecord *recs) const;
 
     const FaultModels &models() const { return models_; }

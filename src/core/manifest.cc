@@ -20,7 +20,7 @@ hexHash(std::uint64_t h)
     return buf;
 }
 
-/** The one-lane engine's totals, one injection per batch. */
+/** The engine's totals at width 1, one injection per batch. */
 void
 writeEngineTotals(JsonWriter &w, const BatchedTotals &t)
 {
@@ -43,8 +43,7 @@ writeBatchedTotals(JsonWriter &w, int width, const BatchedTotals &t)
     w.field("batches", t.batches);
     w.field("lanes_seeded", t.lanesSeeded);
     // Mean live lanes per batch pass — the SIMD utilisation of the
-    // batched walk (ragged tails lower it; lone survivors run on the
-    // one-lane engine instead).
+    // batched walk (ragged tails lower it).
     w.field("occupancy",
             static_cast<double>(t.lanesSeeded) /
                 static_cast<double>(t.batches));

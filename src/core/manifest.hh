@@ -65,8 +65,8 @@ struct WorkerTelemetry
 {
     std::uint64_t shards = 0;
     std::uint64_t injections = 0;
-    BatchedTotals engine;  //!< the one-lane engine (lone injections)
-    BatchedTotals batched; //!< the wide engine (batches)
+    BatchedTotals engine;  //!< the engine at width 1
+    BatchedTotals batched; //!< the engine at kMaxBatchLanes
 };
 
 /** One worker *process* of a distributed (sim/service) run. */
@@ -139,12 +139,12 @@ struct CampaignTelemetry
     std::vector<CheckpointEvent> checkpoints;
     std::vector<RoundTelemetry> rounds;
 
-    /** One-lane sparse engine totals summed over workers: every
-     *  incremental injection at batch width 1, lone survivors above. */
+    /** Sparse engine totals summed over workers at batch width 1;
+     *  zero when batching. */
     BatchedTotals engine;
 
-    /** Wide (batch width > 1) sparse engine totals summed over
-     *  workers. */
+    /** Sparse engine totals summed over workers at batch width > 1
+     *  (every batch kMaxBatchLanes wide); zero at width 1. */
     BatchedTotals batched;
 
     /** Fault-site memo table counters (plan replay). */

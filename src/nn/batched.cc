@@ -38,7 +38,6 @@ class BatchedEngineT final : public BatchedEngine
     const Tensor &laneOutput(int lane) override;
 
     const BatchedTotals &totals() const override { return totals_; }
-    void resetTotals() override { totals_ = BatchedTotals{}; }
 
   private:
     BatchedTotals totals_;
@@ -272,8 +271,7 @@ BatchedEngineT<BMAX>::execute()
                     const std::size_t f0 = golden.offset(n, h, w, c0);
                     auto ne = [&](int c) {
                         const std::size_t f = f0 + (c - c0);
-                        return simd::laneNeMask(plane.lanes(f), gd[f],
-                                                BMAX) &
+                        return simd::laneNeMask(plane.lanes(f), gd[f]) &
                                coneMask;
                     };
                     int first[BMAX], last[BMAX];
@@ -366,9 +364,7 @@ makeBatchedEngine(int width)
              "], got ", width);
     if (width == 1)
         return std::make_unique<BatchedEngineT<1>>();
-    if (width <= 4)
-        return std::make_unique<BatchedEngineT<4>>();
-    return std::make_unique<BatchedEngineT<8>>();
+    return std::make_unique<BatchedEngineT<kMaxBatchLanes>>();
 }
 
 } // namespace fidelity

@@ -27,7 +27,7 @@
  *    are the cached golden one — the early masking exit.
  *
  * One walk carries up to W injections of the same (layer, flip-flop
- * category) cell, W = 1, 4 or 8.  Per-node activations are
+ * category) cell, W = 1 or kMaxBatchLanes (8).  Per-node activations are
  * structure-of-arrays lane columns (nn/lanes), so at W > 1 the cone
  * geometry — window math, operand gathers, packed-weight streams,
  * padding — is computed once and shared across the batch, and the SIMD
@@ -110,8 +110,8 @@ struct BatchedTotals
  *   for each injection i:  classify(eng.laneOutput(i));
  *
  * The lane width is a compile-time template parameter of the concrete
- * engine (1, 4 or 8); makeBatchedEngine picks the narrowest
- * instantiation whose width covers the requested runtime cap.
+ * engine, 1 or kMaxBatchLanes; makeBatchedEngine picks it from the
+ * requested runtime width.
  */
 class BatchedEngine
 {
@@ -156,13 +156,12 @@ class BatchedEngine
     virtual const Tensor &laneOutput(int lane) = 0;
 
     virtual const BatchedTotals &totals() const = 0;
-    virtual void resetTotals() = 0;
 };
 
 /**
- * Build an engine whose lane count covers `width`, which must lie in
- * [1, kMaxBatchLanes]: width 1 gets the one-lane instantiation, widths
- * up to 4 the 4-lane one, wider ones the 8-lane one.
+ * Build the engine for `width`, which must lie in [1, kMaxBatchLanes]:
+ * width 1 gets the one-lane instantiation, every wider one the
+ * kMaxBatchLanes-lane one.
  */
 std::unique_ptr<BatchedEngine> makeBatchedEngine(int width);
 

@@ -188,8 +188,9 @@ convInjectionLanes(const ConvSpec &spec, int cpg, int opg,
     });
 }
 
-/** Output positions per MAC row of the weight-substitution kernel. */
-constexpr int kPosLanes = 8;
+/** Output positions per MAC row of the weight-substitution kernel:
+ *  the batched MAC rows' lane count. */
+constexpr int kPosLanes = simd::kBatchLanes;
 
 /**
  * Position-lane gather for one substituted weight: the SIMD lanes hold
@@ -676,8 +677,7 @@ Conv2D::forwardWeightSub(const Tensor &x, const OperandSub &sub,
             off.data(), redLen, xg.data(),
             [&](const std::int32_t *rowsG, const NeuronIndex *pos,
                 int count) {
-                kt.batchMacI64(rowsG, wq.data(), redLen, 1, kPosLanes,
-                               acc);
+                kt.batchMacI64(rowsG, wq.data(), redLen, 1, acc);
                 // Left-associated like computeNeuron: the double
                 // rounding order is part of the bit contract.
                 for (int l = 0; l < count; ++l)
@@ -700,8 +700,7 @@ Conv2D::forwardWeightSub(const Tensor &x, const OperandSub &sub,
         spec_, boxes, numBoxes, xs.data(), n0, hp0, rows, cols, cpg,
         off.data(), redLen, xg.data(),
         [&](const float *rowsG, const NeuronIndex *pos, int count) {
-            kt.batchMacF32(rowsG, wcol.data(), redLen, 1, 1, kPosLanes,
-                           acc);
+            kt.batchMacF32(rowsG, wcol.data(), redLen, 1, 1, acc);
             for (int l = 0; l < count; ++l)
                 out.at(pos[l]) = writeback(static_cast<double>(acc[l]), b);
         });
@@ -736,7 +735,7 @@ Conv2D::laneKernels(const Region *boxes, std::size_t numBoxes,
 
     // One loop nest per lane axis, shared by the three operand types.
     // Width 1 runs the channel-lane kernel: `gemm` over lane blocks,
-    // then the scalar writeback `wb`.  Widths 4 and 8 run the
+    // then the scalar writeback `wb`.  Width kBatchLanes runs the
     // injection-lane rows: `mac` per pack block over `cols` adjacent
     // output channels, then `wbRow`, which is `wb` per element over
     // the block's lane rows.
@@ -771,7 +770,7 @@ Conv2D::laneKernels(const Region *boxes, std::size_t numBoxes,
                 kt.gemmF32(x, redLen, nb, w, a);
             },
             [&](const float *x, const float *col, int cols, float *a) {
-                kt.batchMacF32(x, col, redLen, pk.lanes, cols, W, a);
+                kt.batchMacF32(x, col, redLen, pk.lanes, cols, a);
             },
             [&](float a, int oc) { return writeback(a, biasAt(oc)); },
             [&](const float *row, int cols, float *op, int oc) {
@@ -831,7 +830,7 @@ Conv2D::laneKernels(const Region *boxes, std::size_t numBoxes,
                 std::int64_t *a) {
                 for (int c = 0; c < cols; ++c)
                     kt.batchMacNarrow(x, col + 2 * c, redPairs,
-                                      2 * pk.lanes, chunkPairs_, W,
+                                      2 * pk.lanes, chunkPairs_,
                                       a + c * W);
             },
             wb, wbRow);
@@ -844,7 +843,7 @@ Conv2D::laneKernels(const Region *boxes, std::size_t numBoxes,
             [&](const std::int32_t *x, const std::int32_t *col, int cols,
                 std::int64_t *a) {
                 for (int c = 0; c < cols; ++c)
-                    kt.batchMacI64(x, col + c, redLen, pk.lanes, W,
+                    kt.batchMacI64(x, col + c, redLen, pk.lanes,
                                    a + c * W);
             },
             wb, wbRow);
@@ -1029,13 +1028,9 @@ Conv2D::forwardRegionBatched(const std::vector<const Tensor *> &ins,
         forwardBatchedImpl<1>(*ins[0], *inPlanes[0], region, nullptr,
                               golden, out);
         return;
-      case 4:
-        forwardBatchedImpl<4>(*ins[0], *inPlanes[0], region, cover,
-                              golden, out);
-        return;
-      case 8:
-        forwardBatchedImpl<8>(*ins[0], *inPlanes[0], region, cover,
-                              golden, out);
+      case simd::kBatchLanes:
+        forwardBatchedImpl<simd::kBatchLanes>(*ins[0], *inPlanes[0],
+                                              region, cover, golden, out);
         return;
     }
     panic("conv ", name_, ": unsupported lane width ", out.laneWidth());

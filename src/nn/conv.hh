@@ -94,8 +94,8 @@ class Conv2D : public MacLayer
 
     /**
      * The region kernel (also forward() over the full output): lane
-     * width 1 runs the channel-lane kernel, widths 4 and 8 the
-     * injection-lane rows; other widths return false.
+     * width 1 runs the channel-lane kernel, width kBatchLanes the
+     * injection-lane rows; other widths panic.
      */
     void forwardRegionBatched(const std::vector<const Tensor *> &ins,
                               LanePlane *const *inPlanes,
@@ -147,7 +147,7 @@ class Conv2D : public MacLayer
 
     /**
      * The back ends: the channel-lane kernel at W = 1, the
-     * injection-lane rows at W = 4 and 8, over each box, for the active
+     * injection-lane rows at W = kBatchLanes, over each box, for the active
      * precision's operand type, into `out` (indexed like `shape`).
      * `load(dst, n, ih, iw, ci)` writes the W stored-form operands of
      * input cell (n, ih, iw, ci), the zero stored form when it is

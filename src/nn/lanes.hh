@@ -27,22 +27,29 @@
 #include <vector>
 
 #include "nn/region.hh"
+#include "sim/logging.hh"
+#include "simd/simd.hh"
 #include "tensor/tensor.hh"
 
 namespace fidelity
 {
 
-/** Hard cap on the batched engine's lane count (AVX2 f32 width). */
-constexpr int kMaxBatchLanes = 8;
+/** The batched engine's lane count above width 1: one batched MAC
+ *  row. */
+constexpr int kMaxBatchLanes = simd::kBatchLanes;
 
 /** Lane-minor SoA view of one node's activation under B injections. */
 class LanePlane
 {
   public:
-    /** Set the lane width and invalidate (storage is retained). */
+    /** Set the lane width, 1 or kMaxBatchLanes, and invalidate
+     *  (storage is retained). */
     void
     reset(int lanes)
     {
+        panic_if(lanes != 1 && lanes != kMaxBatchLanes,
+                 "lane plane width must be 1 or ", kMaxBatchLanes,
+                 ", got ", lanes);
         lanes_ = lanes;
         valid_ = Region{};
         stored_ = true;
@@ -167,19 +174,11 @@ class LanePlane
             std::copy_n(golden.data().data() + flat, c1 - c0, p);
             return;
         }
-        if (lanes_ == kMaxBatchLanes) {
-            // Fixed-width splat: the compiler turns the constant-count
-            // inner loop into one broadcast store per cell.
-            for (int c = c0; c < c1; ++c, ++flat, p += kMaxBatchLanes) {
-                float g = golden[flat];
-                for (int l = 0; l < kMaxBatchLanes; ++l)
-                    p[l] = g;
-            }
-            return;
-        }
-        for (int c = c0; c < c1; ++c, ++flat, p += lanes_) {
+        // Fixed-width splat: the compiler turns the constant-count
+        // inner loop into one broadcast store per cell.
+        for (int c = c0; c < c1; ++c, ++flat, p += kMaxBatchLanes) {
             float g = golden[flat];
-            for (int l = 0; l < lanes_; ++l)
+            for (int l = 0; l < kMaxBatchLanes; ++l)
                 p[l] = g;
         }
     }

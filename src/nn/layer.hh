@@ -170,7 +170,7 @@ class Layer
     /**
      * The layer's one region kernel: recompute `region` for every
      * lane of the planes, where lanes are independent injections of the
-     * same fault cell (width 1, 4 or 8, from the sparse engine) or
+     * same fault cell (width 1 or kBatchLanes, from the sparse engine) or
      * the plain tensors of forwardRegion (width 1).  `ins` are the golden
      * inputs; `inPlanes[i]` is the SoA plane of input i (lane values
      * inside its valid box, golden outside — callees ensure() the

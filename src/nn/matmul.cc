@@ -294,7 +294,7 @@ MatMulAB::forwardRegionBatched(const std::vector<const Tensor *> &ins,
             return;
         }
         for (int c = bv.c0; c < bv.c1; ++c, ++flat)
-            dirtyB |= simd::laneNeMask(bpl.lanes(flat), bd[flat], W);
+            dirtyB |= simd::laneNeMask(bpl.lanes(flat), bd[flat]);
     });
 
     // The (row, lane) pairs to recompute, numbered in gather order:

@@ -11,6 +11,7 @@
 
 #if !defined(_WIN32)
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 #endif
 
@@ -294,6 +295,28 @@ syncFd(int fd, const std::string &what)
 }
 #endif
 
+/** Write `content` to `name` from the start; fsync it when `sync`. */
+void
+writeWhole(const std::string &name, std::string_view content, bool sync)
+{
+    std::FILE *f = std::fopen(name.c_str(), "wb");
+    fatal_if(!f, "cannot open ", name, ": ", std::strerror(errno));
+    const std::size_t wrote =
+        content.empty() ? 0
+                        : std::fwrite(content.data(), 1, content.size(), f);
+    if (wrote != content.size() || std::fflush(f) != 0) {
+        std::fclose(f);
+        fatal("short write to ", name);
+    }
+#if !defined(_WIN32)
+    if (sync)
+        syncFd(fileno(f), name);
+#else
+    (void)sync;
+#endif
+    fatal_if(std::fclose(f) != 0, "cannot close ", name);
+}
+
 } // namespace
 
 void
@@ -301,23 +324,17 @@ atomicWriteFile(const std::string &path, std::string_view content,
                 bool sync_to_disk)
 {
     fatal_if(path.empty(), "atomicWriteFile requires a path");
-    const std::string tmp = path + ".tmp";
-
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    fatal_if(!f, "cannot open temp file ", tmp, ": ",
-             std::strerror(errno));
-    const std::size_t wrote =
-        content.empty() ? 0
-                        : std::fwrite(content.data(), 1, content.size(), f);
-    if (wrote != content.size() || std::fflush(f) != 0) {
-        std::fclose(f);
-        fatal("short write to temp file ", tmp);
-    }
 #if !defined(_WIN32)
-    if (sync_to_disk)
-        syncFd(fileno(f), tmp);
+    // A device or FIFO is written in place: renaming a temp file over
+    // it would replace the node with a regular file.
+    struct stat st;
+    if (::stat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode)) {
+        writeWhole(path, content, false);
+        return;
+    }
 #endif
-    fatal_if(std::fclose(f) != 0, "cannot close temp file ", tmp);
+    const std::string tmp = path + ".tmp";
+    writeWhole(tmp, content, sync_to_disk);
 
     fatal_if(std::rename(tmp.c_str(), path.c_str()) != 0, "cannot rename ",
              tmp, " over ", path, ": ", std::strerror(errno));

@@ -136,7 +136,9 @@ class JsonLineBuilder
  * `path + ".tmp"`, which is renamed over `path`.  With `sync_to_disk`
  * the temp file is fsync'd before the rename and the parent directory
  * after it, so not even a power cut can publish a torn or empty file.
- * Fatals on any I/O failure.
+ * An existing `path` that is not a regular file (a device, a FIFO) is
+ * written directly instead, with no temp file, rename or fsync, so the
+ * node survives.  Fatals on any I/O failure.
  */
 void atomicWriteFile(const std::string &path, std::string_view content,
                      bool sync_to_disk = false);

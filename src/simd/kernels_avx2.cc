@@ -22,7 +22,7 @@ kernelTableAvx2()
         &gemmF32T<Avx2Backend>,
         &gemmI64T<Avx2Backend>,
         &gemmNarrowAvx2K,
-        &batchMacF32T<Avx2Backend, Sse2Backend>,
+        &batchMacF32T<Avx2Backend>,
         &batchMacI64T<Avx2Backend>,
         &batchMacNarrowAvx2K,
         &addF32T<Avx2Backend>,

@@ -491,13 +491,14 @@ gemmNarrowSse2K(const std::int16_t *x, int redPairs, int nblocks,
     }
 }
 
-/** SSE2 narrow batched MAC over W%4==0 lane rows. */
+/** SSE2 narrow batched MAC: the lane row as two 4-lane halves. */
 inline void
 batchMacNarrowSse2K(const std::int16_t *xg, const std::int16_t *w,
                     std::size_t redPairs, std::size_t wstride,
-                    int chunkPairs, int W, std::int64_t *acc)
+                    int chunkPairs, std::int64_t *acc)
 {
-    for (int j = 0; j < W; j += 4) {
+    constexpr int L = kBatchLanes;
+    for (int j = 0; j < L; j += 4) {
         std::int64_t c64[4] = {};
         std::size_t p = 0;
         while (p < redPairs) {
@@ -509,11 +510,11 @@ batchMacNarrowSse2K(const std::int16_t *xg, const std::int16_t *w,
                 const __m128i wv =
                     _mm_set1_epi32(loadPair32(w + p * wstride));
                 __m128i r0 = _mm_loadl_epi64(
-                    reinterpret_cast<const __m128i *>(xg + 2 * p * W +
+                    reinterpret_cast<const __m128i *>(xg + 2 * p * L +
                                                       j));
                 __m128i r1 = _mm_loadl_epi64(
                     reinterpret_cast<const __m128i *>(
-                        xg + (2 * p + 1) * W + j));
+                        xg + (2 * p + 1) * L + j));
                 // Interleave the two k rows into per-lane pairs so
                 // pmaddwd forms x0*w0 + x1*w1 per lane.
                 __m128i pairs = _mm_unpacklo_epi16(r0, r1);
@@ -531,49 +532,32 @@ batchMacNarrowSse2K(const std::int16_t *xg, const std::int16_t *w,
 
 #endif // FIDELITY_KIMPL_X86
 
-/** Exact scalar narrow batched MAC (any W up to kNarrowLanes). */
+/** Exact scalar narrow batched MAC. */
 inline void
 batchMacNarrowScalarK(const std::int16_t *xg, const std::int16_t *w,
                       std::size_t redPairs, std::size_t wstride,
-                      int chunkPairs, int W, std::int64_t *acc)
+                      int chunkPairs, std::int64_t *acc)
 {
-    constexpr int kMaxW = kNarrowLanes;
-    std::int64_t c64[kMaxW] = {};
+    constexpr int L = kBatchLanes;
+    std::int64_t c64[L] = {};
     std::size_t p = 0;
     while (p < redPairs) {
         const std::size_t end = std::min(
             p + static_cast<std::size_t>(chunkPairs), redPairs);
-        std::int32_t c32[kMaxW] = {};
+        std::int32_t c32[L] = {};
         for (; p < end; ++p) {
             const std::int32_t w0 = w[p * wstride];
             const std::int32_t w1 = w[p * wstride + 1];
-            const std::int16_t *r0 = xg + 2 * p * W;
-            for (int l = 0; l < W; ++l)
-                c32[l] += w0 * r0[l] + w1 * r0[W + l];
+            const std::int16_t *r0 = xg + 2 * p * L;
+            for (int l = 0; l < L; ++l)
+                c32[l] += w0 * r0[l] + w1 * r0[L + l];
         }
-        for (int l = 0; l < W; ++l)
+        for (int l = 0; l < L; ++l)
             c64[l] += c32[l];
     }
-    for (int l = 0; l < W; ++l)
+    for (int l = 0; l < L; ++l)
         acc[l] = c64[l];
 }
-
-#if defined(FIDELITY_KIMPL_X86)
-
-/** SSE2 narrow batched entry: vector for W%4==0, scalar otherwise. */
-inline void
-batchMacNarrowSse2KAnyW(const std::int16_t *xg, const std::int16_t *w,
-                        std::size_t redPairs, std::size_t wstride,
-                        int chunkPairs, int W, std::int64_t *acc)
-{
-    if (W % 4 == 0)
-        return batchMacNarrowSse2K(xg, w, redPairs, wstride,
-                                   chunkPairs, W, acc);
-    batchMacNarrowScalarK(xg, w, redPairs, wstride, chunkPairs, W,
-                          acc);
-}
-
-#endif // FIDELITY_KIMPL_X86
 
 #if defined(FIDELITY_KIMPL_X86) && defined(__AVX2__)
 
@@ -614,15 +598,13 @@ gemmNarrowAvx2K(const std::int16_t *x, int redPairs, int nblocks,
     }
 }
 
-/** AVX2 narrow batched MAC for W==8; other widths use the SSE2 one. */
+/** AVX2 narrow batched MAC: the whole lane row per pmaddwd. */
 inline void
 batchMacNarrowAvx2K(const std::int16_t *xg, const std::int16_t *w,
                     std::size_t redPairs, std::size_t wstride,
-                    int chunkPairs, int W, std::int64_t *acc)
+                    int chunkPairs, std::int64_t *acc)
 {
-    if (W != 8)
-        return batchMacNarrowSse2KAnyW(xg, w, redPairs, wstride,
-                                       chunkPairs, W, acc);
+    static_assert(kBatchLanes == 8, "one 256-bit pmaddwd per pair row");
     __m256i lo64 = _mm256_setzero_si256();
     __m256i hi64 = _mm256_setzero_si256();
     std::size_t p = 0;
@@ -660,18 +642,21 @@ batchMacNarrowAvx2K(const std::int16_t *xg, const std::int16_t *w,
 // ---------------------------------------------------------------- //
 
 /**
- * One lane chunk walk with C adjacent weight columns: a[c] carries
+ * One lane-row walk with C adjacent weight columns: a[c] carries
  * column c's independent add chain, so the k loop keeps C chains in
- * flight instead of one.  Per (lane, column) the arithmetic is the
- * one-column kernel's, a + x*w in k order.  The unroll pragmas keep
- * a[] in registers; without them GCC at -O2 leaves it in memory.
+ * flight instead of one.  A backend narrower than the row walks it in
+ * kBatchLanes / kF32W chunks.  Per (lane, column) the arithmetic is
+ * a + x*w in k order.  The unroll pragmas keep a[] in registers;
+ * without them GCC at -O2 leaves it in memory.
  */
 template <class B, int C>
 void
 batchMacF32W(const float *xg, const float *w, std::size_t red,
-             std::size_t wstride, int W, float *acc)
+             std::size_t wstride, float *acc)
 {
     constexpr int L = B::kF32W;
+    constexpr int W = kBatchLanes;
+    static_assert(W % L == 0, "the lane row splits into whole chunks");
     for (int j = 0; j < W; j += L) {
         typename B::F32 a[C];
 #pragma GCC unroll 8
@@ -690,68 +675,38 @@ batchMacF32W(const float *xg, const float *w, std::size_t red,
     }
 }
 
-/** Column count as a template constant for batchMacF32W. */
+/** The batchMacF32 entry: column count as a template constant. */
 template <class B>
 void
-batchMacF32Cols(const float *xg, const float *w, std::size_t red,
-                std::size_t wstride, int cols, int W, float *acc)
+batchMacF32T(const float *xg, const float *w, std::size_t red,
+             std::size_t wstride, int cols, float *acc)
 {
     static_assert(kF32Lanes == 8, "one case per pack-block column");
     switch (cols) {
-    case 1: return batchMacF32W<B, 1>(xg, w, red, wstride, W, acc);
-    case 2: return batchMacF32W<B, 2>(xg, w, red, wstride, W, acc);
-    case 3: return batchMacF32W<B, 3>(xg, w, red, wstride, W, acc);
-    case 4: return batchMacF32W<B, 4>(xg, w, red, wstride, W, acc);
-    case 5: return batchMacF32W<B, 5>(xg, w, red, wstride, W, acc);
-    case 6: return batchMacF32W<B, 6>(xg, w, red, wstride, W, acc);
-    case 7: return batchMacF32W<B, 7>(xg, w, red, wstride, W, acc);
-    default: return batchMacF32W<B, 8>(xg, w, red, wstride, W, acc);
+    case 1: return batchMacF32W<B, 1>(xg, w, red, wstride, acc);
+    case 2: return batchMacF32W<B, 2>(xg, w, red, wstride, acc);
+    case 3: return batchMacF32W<B, 3>(xg, w, red, wstride, acc);
+    case 4: return batchMacF32W<B, 4>(xg, w, red, wstride, acc);
+    case 5: return batchMacF32W<B, 5>(xg, w, red, wstride, acc);
+    case 6: return batchMacF32W<B, 6>(xg, w, red, wstride, acc);
+    case 7: return batchMacF32W<B, 7>(xg, w, red, wstride, acc);
+    default: return batchMacF32W<B, 8>(xg, w, red, wstride, acc);
     }
-}
-
-/** Full-width backend when W divides, half-width else, scalar last. */
-template <class B, class BH>
-void
-batchMacF32T(const float *xg, const float *w, std::size_t red,
-             std::size_t wstride, int cols, int W, float *acc)
-{
-    if (W % B::kF32W == 0)
-        return batchMacF32Cols<B>(xg, w, red, wstride, cols, W, acc);
-    if (W % BH::kF32W == 0)
-        return batchMacF32Cols<BH>(xg, w, red, wstride, cols, W, acc);
-    for (int c = 0; c < cols; ++c)
-        for (int l = 0; l < W; ++l) {
-            float a = 0.0f;
-            for (std::size_t k = 0; k < red; ++k) {
-                float prod = xg[k * W + l] * w[k * wstride + c];
-                a += prod;
-            }
-            acc[c * W + l] = a;
-        }
 }
 
 template <class B>
 void
 batchMacI64T(const std::int32_t *xg, const std::int32_t *w,
-             std::size_t red, std::size_t wstride, int W,
-             std::int64_t *acc)
+             std::size_t red, std::size_t wstride, std::int64_t *acc)
 {
     constexpr int L = B::kI64W;
-    if (W % L == 0) {
-        for (int j = 0; j < W; j += L) {
-            auto a = B::i64zero();
-            for (std::size_t k = 0; k < red; ++k)
-                a = B::i64mulAcc(a, w[k * wstride], xg + k * W + j);
-            B::i64store(acc + j, a);
-        }
-        return;
-    }
-    for (int l = 0; l < W; ++l) {
-        std::int64_t a = 0;
+    constexpr int W = kBatchLanes;
+    static_assert(W % L == 0, "the lane row splits into whole chunks");
+    for (int j = 0; j < W; j += L) {
+        auto a = B::i64zero();
         for (std::size_t k = 0; k < red; ++k)
-            a += static_cast<std::int64_t>(w[k * wstride]) *
-                 static_cast<std::int64_t>(xg[k * W + l]);
-        acc[l] = a;
+            a = B::i64mulAcc(a, w[k * wstride], xg + k * W + j);
+        B::i64store(acc + j, a);
     }
 }
 

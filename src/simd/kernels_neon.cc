@@ -21,7 +21,7 @@ kernelTableNeon()
         &gemmF32T<NeonBackend>,
         &gemmI64T<NeonBackend>,
         &gemmNarrowScalarK,
-        &batchMacF32T<NeonBackend, NeonBackend>,
+        &batchMacF32T<NeonBackend>,
         &batchMacI64T<NeonBackend>,
         &batchMacNarrowScalarK,
         &addF32T<NeonBackend>,

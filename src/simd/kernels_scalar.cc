@@ -19,7 +19,7 @@ kernelTableScalar()
         &gemmF32T<Scalar8>,
         &gemmI64T<Scalar4>,
         &gemmNarrowScalarK,
-        &batchMacF32T<Scalar8, Scalar4>,
+        &batchMacF32T<Scalar8>,
         &batchMacI64T<Scalar4>,
         &batchMacNarrowScalarK,
         &addF32T<Scalar8>,

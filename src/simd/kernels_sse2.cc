@@ -22,9 +22,9 @@ kernelTableSse2()
         &gemmF32T<Sse2Backend>,
         &gemmI64T<Scalar4>,
         &gemmNarrowSse2K,
-        &batchMacF32T<Sse2Backend, Sse2Backend>,
+        &batchMacF32T<Sse2Backend>,
         &batchMacI64T<Scalar4>,
-        &batchMacNarrowSse2KAnyW,
+        &batchMacNarrowSse2K,
         &addF32T<Sse2Backend>,
         &subF32T<Sse2Backend>,
         &mulF32T<Sse2Backend>,

@@ -62,6 +62,7 @@ resolve(const char *name)
     return nullptr;
 }
 
+#if !defined(FIDELITY_NO_SIMD)
 const KernelTable *
 pickBest()
 {
@@ -73,6 +74,7 @@ pickBest()
         return t;
     return kernelTableScalar();
 }
+#endif
 
 struct Selection
 {

@@ -62,6 +62,13 @@ inline constexpr int kI64Lanes = 4;    //!< wide-int pack block width
 inline constexpr int kNarrowLanes = 8; //!< narrow-int pack block width
 
 /**
+ * Lanes of one batched MAC row: the fault-batched engine's injection
+ * lanes and conv's position lanes (the AVX2 f32 width).  The batched
+ * MAC entries below run exactly this many lanes.
+ */
+inline constexpr int kBatchLanes = 8;
+
+/**
  * Minimum overflow-safe chunk length (in reduction *pairs*) for the
  * narrow integer path to be worth engaging; below this the int64
  * spills dominate and the wide path wins (see narrowChunkPairs() in
@@ -78,8 +85,8 @@ inline constexpr int kNarrowMinChunk = 8;
  *
  * GEMM kernels *overwrite* `acc` with the full padded lane results
  * ([nblocks][L]); callers read back the real columns.  Batched MAC
- * kernels likewise overwrite `acc[0..W)` (`acc[0..cols*W)` for the
- * float row).
+ * kernels likewise overwrite `acc[0..kBatchLanes)`
+ * (`acc[0..cols*kBatchLanes)` for the float row).
  */
 struct KernelTable
 {
@@ -118,30 +125,32 @@ struct KernelTable
 
     /**
      * Lane-minor batched MAC row (fault-batched engine) over `cols`
-     * (1..kF32Lanes) adjacent weight columns of one pack block:
-     * acc[c*W + l] = sum_k xg[k*W + l] * w[k*wstride + c] for l in
-     * [0, W), in canonical k order with unfused per-lane multiply-adds.
+     * (1..kF32Lanes) adjacent weight columns of one pack block, with
+     * L = kBatchLanes:
+     * acc[c*L + l] = sum_k xg[k*L + l] * w[k*wstride + c] for l in
+     * [0, L), in canonical k order with unfused per-lane multiply-adds.
      * Each (lane, column) is an independent output, so the columns run
      * as independent add chains.
      */
     void (*batchMacF32)(const float *xg, const float *w, std::size_t red,
-                        std::size_t wstride, int cols, int W, float *acc);
+                        std::size_t wstride, int cols, float *acc);
 
-    /** Wide-int batched twin: acc[l] += (int64)w[k*wstride] * xg[k*W+l]. */
+    /** Wide-int batched twin of one column:
+     *  acc[l] = sum_k (int64)w[k*wstride] * xg[k*L + l]. */
     void (*batchMacI64)(const std::int32_t *xg, const std::int32_t *w,
-                        std::size_t red, std::size_t wstride, int W,
+                        std::size_t red, std::size_t wstride,
                         std::int64_t *acc);
 
     /**
      * Narrow batched MAC: operands are int16 lane rows (xg must hold
-     * 2*redPairs rows of W lanes; the caller zero-pads the last row
-     * when the reduction is odd), weights are pairs read from the
-     * narrow pack at w[p*wstride], w[p*wstride + 1].  Same chunked
+     * 2*redPairs rows of kBatchLanes lanes; the caller zero-pads the
+     * last row when the reduction is odd), weights are pairs read from
+     * the narrow pack at w[p*wstride], w[p*wstride + 1].  Same chunked
      * int32 accumulation contract as gemmNarrow.
      */
     void (*batchMacNarrow)(const std::int16_t *xg, const std::int16_t *w,
                            std::size_t redPairs, std::size_t wstride,
-                           int chunkPairs, int W, std::int64_t *acc);
+                           int chunkPairs, std::int64_t *acc);
 
     // Streaming elementwise maps (whole range, scalar tail inside).
     void (*addF32)(const float *a, const float *b, float *o, std::size_t n);
@@ -216,48 +225,38 @@ std::size_t firstBitDiff(const float *a, const float *b, std::size_t n);
 std::size_t lastBitDiff(const float *a, const float *b, std::size_t n);
 
 /**
- * Bitmask of the lanes in p[0..lanes) whose 32-bit pattern differs
- * from x's pattern (bit l set when p[l] != x bitwise).  Exact integer
- * comparison like firstBitDiff; the batched engine's per-injection
- * diff scan compares each SoA lane column against the golden value
- * with one movemask where the baseline ISA has it.
+ * Bitmask of the lanes in p[0..kBatchLanes) whose 32-bit pattern
+ * differs from x's pattern (bit l set when p[l] != x bitwise).  Exact
+ * integer comparison like firstBitDiff; the batched engine's
+ * per-injection diff scan compares each SoA lane column against the
+ * golden value with one movemask where the baseline ISA has it.
  */
 inline std::uint32_t
-laneNeMask(const float *p, float x, int lanes)
+laneNeMask(const float *p, float x)
 {
+    static_assert(kBatchLanes == 8, "two 4-lane compares per column");
     std::uint32_t xb;
     std::memcpy(&xb, &x, sizeof(xb));
 #if defined(FIDELITY_SIMD_X86_BASELINE)
-    if (lanes == 8) {
-        __m128i xv = _mm_set1_epi32(static_cast<std::int32_t>(xb));
-        __m128i lo =
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(p));
-        __m128i hi =
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(p + 4));
-        std::uint32_t mlo = static_cast<std::uint32_t>(_mm_movemask_ps(
-            _mm_castsi128_ps(_mm_cmpeq_epi32(lo, xv))));
-        std::uint32_t mhi = static_cast<std::uint32_t>(_mm_movemask_ps(
-            _mm_castsi128_ps(_mm_cmpeq_epi32(hi, xv))));
-        return ~(mlo | (mhi << 4)) & 0xffu;
-    }
-    if (lanes == 4) {
-        __m128i pv =
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(p));
-        __m128i eq = _mm_cmpeq_epi32(
-            pv, _mm_set1_epi32(static_cast<std::int32_t>(xb)));
-        return ~static_cast<std::uint32_t>(
-                   _mm_movemask_ps(_mm_castsi128_ps(eq))) &
-               0xfu;
-    }
-#endif
+    __m128i xv = _mm_set1_epi32(static_cast<std::int32_t>(xb));
+    __m128i lo = _mm_loadu_si128(reinterpret_cast<const __m128i *>(p));
+    __m128i hi =
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(p + 4));
+    std::uint32_t mlo = static_cast<std::uint32_t>(
+        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(lo, xv))));
+    std::uint32_t mhi = static_cast<std::uint32_t>(
+        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(hi, xv))));
+    return ~(mlo | (mhi << 4)) & 0xffu;
+#else
     std::uint32_t m = 0;
-    for (int l = 0; l < lanes; ++l) {
+    for (int l = 0; l < kBatchLanes; ++l) {
         std::uint32_t pb;
         std::memcpy(&pb, p + l, sizeof(pb));
         if (pb != xb)
             m |= 1u << l;
     }
     return m;
+#endif
 }
 
 } // namespace fidelity::simd

@@ -9,7 +9,7 @@
  * non-contiguous lane indices); per-lane early-exit divergence inside
  * one batch; the row-layer region kernels (FC, softmax, matmul)
  * against per-lane forward() with golden and dirty B lanes at widths
- * 1, 4 and 8; the conv kernel's per-pack-block MAC rows under channel
+ * 1 and 8; the conv kernel's per-pack-block MAC rows under channel
  * spans that cut blocks; the counters of a batch with no changed
  * neuron; and batch-width validation at both the engine
  * factory and the campaign config.  Campaign checksums under every
@@ -39,15 +39,12 @@ using namespace fidelity::test;
 
 TEST(BatchedEngine, FactoryWidthsAndValidation)
 {
-    // Width 1 has its own instantiation, widths up to 4 share the
-    // narrow one, wider ones the full SIMD width; out-of-range widths
-    // are rejected.
+    // Width 1 has its own instantiation and every wider width gets the
+    // full 8-lane one; out-of-range widths are rejected.
     EXPECT_EQ(makeBatchedEngine(1)->maxLanes(), 1);
-    EXPECT_EQ(makeBatchedEngine(2)->maxLanes(), 4);
-    EXPECT_EQ(makeBatchedEngine(4)->maxLanes(), 4);
-    EXPECT_EQ(makeBatchedEngine(5)->maxLanes(), 8);
-    EXPECT_EQ(makeBatchedEngine(kMaxBatchLanes)->maxLanes(),
-              kMaxBatchLanes);
+    for (int width = 2; width <= kMaxBatchLanes; ++width)
+        EXPECT_EQ(makeBatchedEngine(width)->maxLanes(), 8)
+            << "width " << width;
     EXPECT_DEATH((void)makeBatchedEngine(0), "width must be in");
     EXPECT_DEATH((void)makeBatchedEngine(kMaxBatchLanes + 1),
                  "width must be in");
@@ -55,7 +52,7 @@ TEST(BatchedEngine, FactoryWidthsAndValidation)
 
 TEST(LanePlane, EnsureFillsGoldenAndKeepsLaneValues)
 {
-    // At every width: a first box of whole image rows (one contiguous
+    // At both widths: a first box of whole image rows (one contiguous
     // block per n at width 1), a lane value written inside it, then a
     // partial box that grows the valid box.  Every valid cell reads
     // golden in every lane except the written one, which survives.
@@ -63,7 +60,7 @@ TEST(LanePlane, EnsureFillsGoldenAndKeepsLaneValues)
     const Region rows{0, 1, 1, 3, 0, 4, 0, 6};
     const Region part{0, 2, 2, 5, 1, 3, 2, 5};
     const std::size_t at = g.offset(0, 2, 1, 3);
-    for (int W : {1, 4, 8}) {
+    for (int W : {1, kMaxBatchLanes}) {
         LanePlane plane;
         plane.reset(W);
         plane.ensure(g, rows);
@@ -230,7 +227,7 @@ TEST(BatchedEngine, EmptySeedBatchCountsNoSkippedLayers)
     NeuronIndex at = golden.indexOf(neg);
     const float dead = -1234.5f;
 
-    for (int width : {1, 4, kMaxBatchLanes}) {
+    for (int width : {1, kMaxBatchLanes}) {
         auto eng = makeBatchedEngine(width);
         eng->begin(net, node, acts);
         for (int l = 0; l < width; ++l)
@@ -263,7 +260,7 @@ TEST(BatchedEngine, EmptySeedBatchCountsNoSkippedLayers)
 
 TEST(BatchedEngine, RowLayerKernelsMatchPerLaneForward)
 {
-    // FC, softmax and both matmul forms at lane widths 1, 4 and 8:
+    // FC, softmax and both matmul forms at lane widths 1 and 8:
     // lanes perturb different rows (one lane in four none at all), and
     // every third matmul lane also carries a dirty B — one of them
     // saturating, so its own pack may take a different narrow decision
@@ -302,7 +299,7 @@ TEST(BatchedEngine, RowLayerKernelsMatchPerLaneForward)
             const Tensor golden = layer.forward(ins);
             // (width, perturbation of lane 0)
             for (auto [W, first] : {std::pair{1, 0}, std::pair{1, 1},
-                                    std::pair{4, 0}, std::pair{8, 0}}) {
+                                    std::pair{kMaxBatchLanes, 0}}) {
                 std::vector<Tensor> la(W, cs.a), lb(W, cs.b);
                 Region cones[kMaxBatchLanes], aBox, bBox, unionBox;
                 std::uint32_t mask = 0;
@@ -416,7 +413,7 @@ TEST(BatchedEngine, ConvChannelSpansCutPackBlocks)
             if (p == Precision::INT8)
                 conv->calibrate(ins, conv->forward(ins));
             const Tensor golden = conv->forward(ins);
-            for (int W : {1, 4, 8}) {
+            for (int W : {1, kMaxBatchLanes}) {
                 std::vector<Tensor> lx(W, x);
                 Region cones[kMaxBatchLanes], unionBox;
                 std::uint32_t mask = 0;

@@ -395,16 +395,16 @@ TEST(CampaignConfigChecks, NegativeCheckpointCadenceIsFatal)
 
 TEST(CampaignConfigChecks, HugeThrottleIntervalsSaturate)
 {
-    // progressEverySec * 1e9 used to be cast straight to int64 — UB
+    // checkpointEverySec * 1e9 used to be cast straight to int64 — UB
     // for anything >= 2^63 ns.  Saturation means "practically never",
-    // and the campaign still completes with correct results.
+    // and the campaign still completes with correct results; progress
+    // lines stay on beside it.
     Network net = buildResNet(3);
     Tensor x = defaultInputFor("resnet", 4);
     ScopedPath path("saturate");
 
     CampaignConfig cfg = fixedConfig();
     cfg.progress = true;
-    cfg.progressEverySec = 1e300;
     cfg.checkpointPath = path.str();
     cfg.checkpointEverySec = 1e300;
     CampaignResult res = runCampaign(net, x, top1Metric(), cfg);

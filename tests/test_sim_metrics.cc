@@ -10,7 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -41,6 +47,19 @@ stripWallTimes(const std::string &doc)
         if (line.find("_s\":") == std::string::npos)
             out += line + "\n";
     return out;
+}
+
+/** The unsigned integer value of `"key": N` in a rendered section;
+ *  fails the current test when the key is absent. */
+std::uint64_t
+fieldU64(const std::string &section, const std::string &key)
+{
+    const std::string probe = "\"" + key + "\": ";
+    const std::size_t at = section.find(probe);
+    EXPECT_NE(at, std::string::npos) << key << " in " << section;
+    if (at == std::string::npos)
+        return 0;
+    return std::stoull(section.substr(at + probe.size()));
 }
 
 CampaignConfig
@@ -207,6 +226,26 @@ TEST(Json, AtomicWriteReplacesWithoutLeavingTempFiles)
     EXPECT_EQ(slurp(path.str()), "second");
     std::ifstream tmp(path.str() + ".tmp");
     EXPECT_FALSE(tmp.good());
+}
+
+TEST(Json, AtomicWriteWritesThroughAFifo)
+{
+    // A report path naming a FIFO (or a device) is written in place:
+    // the node stays a FIFO, and a reader drains the bytes from it.
+    ScopedPath path("report.fifo");
+    ASSERT_EQ(::mkfifo(path.str().c_str(), 0600), 0)
+        << std::strerror(errno);
+    const int rd = ::open(path.str().c_str(), O_RDONLY | O_NONBLOCK);
+    ASSERT_GE(rd, 0) << std::strerror(errno);
+    atomicWriteFile(path.str(), "through", /*sync_to_disk=*/true);
+
+    struct stat st;
+    ASSERT_EQ(::stat(path.str().c_str(), &st), 0);
+    EXPECT_TRUE(S_ISFIFO(st.st_mode));
+    char buf[16] = {};
+    const ssize_t got = ::read(rd, buf, sizeof(buf));
+    ::close(rd);
+    EXPECT_EQ(std::string(buf, got > 0 ? got : 0), "through");
 }
 
 TEST(Json, MergeJsonLinesKeepsOtherBenchesAndReplacesOwn)
@@ -411,8 +450,8 @@ TEST(Manifest, EngineTotalsAreIdenticalAcrossThreadCounts)
         const std::string batched = jsonSection(exec, "batched");
         ASSERT_FALSE(engine.empty());
         ASSERT_FALSE(batched.empty());
-        EXPECT_EQ(engine.find("\"runs\": 0,"), std::string::npos)
-            << engine;
+        EXPECT_EQ(batched.find("\"batches\": 0,"), std::string::npos)
+            << batched;
         if (want_engine.empty()) {
             want_engine = engine;
             want_batched = batched;
@@ -420,6 +459,43 @@ TEST(Manifest, EngineTotalsAreIdenticalAcrossThreadCounts)
             EXPECT_EQ(engine, want_engine) << "engine totals diverged";
             EXPECT_EQ(batched, want_batched) << "batched totals diverged";
         }
+    }
+}
+
+TEST(Manifest, BatchedRunReportsOnlyTheBatchedSection)
+{
+    // Above width 1 every worker's one engine runs 8-lane batches: the
+    // `engine` section stays zero, `batched` reports width 8 whatever
+    // width was asked for, and it seeds exactly the injections that
+    // reach the engine — the runs of the same campaign at width 1.
+    Network net = buildResNet(3);
+    Tensor x = defaultInputFor("resnet", 4);
+    auto execution = [&](int width) {
+        ScopedPath report("manifest_w" + std::to_string(width) + ".json");
+        CampaignConfig cfg = smallConfig();
+        cfg.batchWidth = width;
+        cfg.resultCacheEnabled = false;
+        cfg.reportPath = report.str();
+        (void)runCampaign(net, x, top1Metric(), cfg);
+        return jsonSection(slurp(report.str()), "execution");
+    };
+    const std::string one = jsonSection(execution(1), "engine");
+    const std::uint64_t reached = fieldU64(one, "runs");
+    ASSERT_GT(reached, 0u);
+
+    for (int width : {3, 8}) {
+        SCOPED_TRACE("width " + std::to_string(width));
+        const std::string exec = execution(width);
+        const std::string engine = jsonSection(exec, "engine");
+        for (const char *key :
+             {"runs", "early_masked", "layers_incremental", "layers_dense",
+              "layers_skipped", "elements_recomputed"})
+            EXPECT_EQ(fieldU64(engine, key), 0u) << key;
+        const std::string batched = jsonSection(exec, "batched");
+        EXPECT_EQ(fieldU64(batched, "width"), 8u);
+        EXPECT_EQ(fieldU64(batched, "lanes_seeded"), reached);
+        EXPECT_EQ(fieldU64(batched, "lanes_retired_early"),
+                  fieldU64(one, "early_masked"));
     }
 }
 

@@ -374,7 +374,7 @@ TEST(SimdKernels, ConvForwardRegionMatchesAcrossBoxes)
 {
     // forward() runs the same region kernel, so every box element is
     // anchored to computeNeuron instead; the injection-lane back end
-    // (widths 4 and 8, every lane holding the same input) must then
+    // (width 8, every lane holding the same input) must then
     // reproduce the width-1 bits in every lane.
     ConvSpec spec{.inC = 6, .outC = 18, .kh = 3, .kw = 3, .pad = 1,
                   .groups = 2};
@@ -415,7 +415,8 @@ TEST(SimdKernels, ConvForwardRegionMatchesAcrossBoxes)
                         << ") flat " << flat << " simd " << on;
                 }
 
-                for (int width : {4, 8}) {
+                {
+                    constexpr int width = kMaxBatchLanes;
                     LanePlane xp, op;
                     xp.reset(width);
                     xp.ensure(x, Region::full(x));
@@ -690,44 +691,52 @@ TEST(SimdNarrow, BatchMacNarrowMatchesReference)
     simd::setEnabled(true);
     BackendForce guard;
     Rng rng(930);
+    constexpr int W = simd::kBatchLanes;
     for (int red : {1, 5, 8, 33}) {
-        for (int W : {1, 4, 5, 8}) {
-            int redPairs = simd::packPairs(red);
-            // Lane-minor operand rows, zero-padded final row when the
-            // reduction is odd (contract: the pad weight is zero).
-            std::vector<std::int16_t> xg(
-                static_cast<std::size_t>(2 * redPairs) * W, 0);
-            for (int k = 0; k < red; ++k)
-                for (int l = 0; l < W; ++l)
-                    xg[static_cast<std::size_t>(k) * W + l] =
-                        static_cast<std::int16_t>(
-                            static_cast<int>(rng.normal(0, 60)) % 128);
-            std::vector<std::int16_t> wv(2 * redPairs, 0);
-            for (int k = 0; k < red; ++k)
-                wv[k] = static_cast<std::int16_t>(
-                    static_cast<int>(rng.normal(0, 60)) % 127);
+        int redPairs = simd::packPairs(red);
+        // Lane-minor operand rows, zero-padded final row when the
+        // reduction is odd (contract: the pad weight is zero).
+        std::vector<std::int16_t> xg(
+            static_cast<std::size_t>(2 * redPairs) * W, 0);
+        for (int k = 0; k < red; ++k)
+            for (int l = 0; l < W; ++l)
+                xg[static_cast<std::size_t>(k) * W + l] =
+                    static_cast<std::int16_t>(
+                        static_cast<int>(rng.normal(0, 60)) % 128);
+        std::vector<std::int16_t> wv(2 * redPairs, 0);
+        for (int k = 0; k < red; ++k)
+            wv[k] = static_cast<std::int16_t>(
+                static_cast<int>(rng.normal(0, 60)) % 127);
 
-            std::vector<std::int64_t> ref(W, 0);
-            for (int l = 0; l < W; ++l) {
-                std::int64_t s = 0;
-                for (int k = 0; k < red; ++k)
-                    s += static_cast<std::int64_t>(wv[k]) *
-                         xg[static_cast<std::size_t>(k) * W + l];
-                ref[l] = s;
-            }
+        std::vector<std::int64_t> ref(W, 0);
+        for (int l = 0; l < W; ++l) {
+            std::int64_t s = 0;
+            for (int k = 0; k < red; ++k)
+                s += static_cast<std::int64_t>(wv[k]) *
+                     xg[static_cast<std::size_t>(k) * W + l];
+            ref[l] = s;
+        }
 
-            for (int chunk : {1, 3, simd::narrowChunkPairs(8, 127)}) {
-                for (const char *n : availableBackends()) {
-                    ASSERT_TRUE(simd::forceBackend(n));
-                    std::vector<std::int64_t> acc(W, -777);
-                    simd::table().batchMacNarrow(xg.data(), wv.data(),
-                                                 redPairs, 2, chunk, W,
-                                                 acc.data());
-                    EXPECT_EQ(acc, ref)
-                        << "backend " << n << " red " << red << " W "
-                        << W << " chunk " << chunk;
-                }
+        for (int chunk : {1, 3, simd::narrowChunkPairs(8, 127)}) {
+            for (const char *n : availableBackends()) {
+                ASSERT_TRUE(simd::forceBackend(n));
+                std::vector<std::int64_t> acc(W, -777);
+                simd::table().batchMacNarrow(xg.data(), wv.data(),
+                                             redPairs, 2, chunk,
+                                             acc.data());
+                EXPECT_EQ(acc, ref) << "backend " << n << " red " << red
+                                    << " chunk " << chunk;
             }
+        }
+        // The wide-int row over the same operands, one weight column.
+        std::vector<std::int32_t> xw(xg.begin(), xg.begin() + red * W);
+        std::vector<std::int32_t> ww(wv.begin(), wv.begin() + red);
+        for (const char *n : availableBackends()) {
+            ASSERT_TRUE(simd::forceBackend(n));
+            std::vector<std::int64_t> acc(W, -777);
+            simd::table().batchMacI64(xw.data(), ww.data(), red, 1,
+                                      acc.data());
+            EXPECT_EQ(acc, ref) << "backend " << n << " red " << red;
         }
     }
 }
@@ -735,9 +744,9 @@ TEST(SimdNarrow, BatchMacNarrowMatchesReference)
 TEST(SimdKernels, BatchMacColumnsMatchScalar)
 {
     // batchMacF32 over 1..8 adjacent columns of one pack block must
-    // equal a scalar one-column loop bit for bit on every backend, at
-    // lane widths that take the full-width, half-width and scalar
-    // paths, and write exactly cols*W results.  Operands mix in NaN,
+    // equal a scalar one-column loop bit for bit on every backend over
+    // the fixed 8-lane rows (one chunk on 8-wide backends, two on
+    // 4-wide ones), and write exactly cols*8 results.  Operands mix in NaN,
     // infinities (so Inf*0 and Inf-Inf raise NaN), subnormals and -0.
     // Which payload an add of two NaNs keeps is not part of the
     // contract (the compiler may swap a commutative operand pair), so
@@ -768,45 +777,41 @@ TEST(SimdKernels, BatchMacColumnsMatchScalar)
     SimdToggle toggle;
     simd::setEnabled(true);
     BackendForce guard;
+    constexpr int W = simd::kBatchLanes;
     for (std::size_t red : {1, 37, 144}) {
         pSpecial = 1.0 / (4.0 * red + 4.0);
-        for (int W : {1, 2, 3, 4, 5, 8}) {
-            std::vector<float> xg(red * W), w(red * kStride);
-            for (float &v : xg)
-                v = draw();
-            for (float &v : w)
-                v = draw();
-            for (int cols = 1; cols <= simd::kF32Lanes; ++cols) {
-                // The block's last `cols` columns, as the conv kernel
-                // addresses a span that ends at the block edge.
-                const float *col = w.data() + (kStride - cols);
-                std::vector<std::uint32_t> ref(cols * W);
-                for (int c = 0; c < cols; ++c)
-                    for (int l = 0; l < W; ++l) {
-                        float a = 0.0f;
-                        for (std::size_t k = 0; k < red; ++k) {
-                            float prod =
-                                xg[k * W + l] * col[k * kStride + c];
-                            a += prod;
-                        }
-                        ref[c * W + l] = std::bit_cast<std::uint32_t>(a);
+        std::vector<float> xg(red * W), w(red * kStride);
+        for (float &v : xg)
+            v = draw();
+        for (float &v : w)
+            v = draw();
+        for (int cols = 1; cols <= simd::kF32Lanes; ++cols) {
+            // The block's last `cols` columns, as the conv kernel
+            // addresses a span that ends at the block edge.
+            const float *col = w.data() + (kStride - cols);
+            std::vector<std::uint32_t> ref(cols * W);
+            for (int c = 0; c < cols; ++c)
+                for (int l = 0; l < W; ++l) {
+                    float a = 0.0f;
+                    for (std::size_t k = 0; k < red; ++k) {
+                        float prod = xg[k * W + l] * col[k * kStride + c];
+                        a += prod;
                     }
-                for (const char *n : availableBackends()) {
-                    ASSERT_TRUE(simd::forceBackend(n));
-                    std::vector<float> acc(cols * W + 1, 1234.5f);
-                    simd::table().batchMacF32(xg.data(), col, red,
-                                              kStride, cols, W,
-                                              acc.data());
-                    EXPECT_EQ(acc.back(), 1234.5f)
-                        << "backend " << n << " wrote past cols*W";
-                    acc.pop_back();
-                    std::vector<std::uint32_t> got(acc.size());
-                    for (std::size_t i = 0; i < acc.size(); ++i)
-                        got[i] = std::bit_cast<std::uint32_t>(acc[i]);
-                    EXPECT_EQ(got, ref) << "backend " << n << " red "
-                                        << red << " W " << W << " cols "
-                                        << cols;
+                    ref[c * W + l] = std::bit_cast<std::uint32_t>(a);
                 }
+            for (const char *n : availableBackends()) {
+                ASSERT_TRUE(simd::forceBackend(n));
+                std::vector<float> acc(cols * W + 1, 1234.5f);
+                simd::table().batchMacF32(xg.data(), col, red, kStride,
+                                          cols, acc.data());
+                EXPECT_EQ(acc.back(), 1234.5f)
+                    << "backend " << n << " wrote past cols*8";
+                acc.pop_back();
+                std::vector<std::uint32_t> got(acc.size());
+                for (std::size_t i = 0; i < acc.size(); ++i)
+                    got[i] = std::bit_cast<std::uint32_t>(acc[i]);
+                EXPECT_EQ(got, ref) << "backend " << n << " red " << red
+                                    << " cols " << cols;
             }
         }
     }
