@@ -508,7 +508,7 @@ runBatchedConv(const Options &opt,
         op.ensure(golden, all);
         auto run = [&] {
             conv.forwardRegionBatched(ins, planes, all, nullptr, golden,
-                                      op);
+                                      op, nullptr);
         };
 
         run();

@@ -47,6 +47,7 @@ Injector::Injector(const Network &net, Tensor input,
     : net_(net), input_(std::move(input)), models_(cfg)
 {
     acts_ = net_.forwardAll(input_);
+    preps_ = net_.prepareGolden(acts_);
 }
 
 const Tensor &
@@ -260,7 +261,7 @@ Injector::injectBatch(NodeId node, FFCategory cat,
     // Carry pend[g0, g0 + q) through the network as one batch and
     // classify every lane.
     auto runBatch = [&](std::size_t g0, int q) {
-        eng.begin(net_, node, acts_);
+        eng.begin(net_, node, acts_, &preps_);
         for (int l = 0; l < q; ++l) {
             const Pending &p = pend[g0 + l];
             eng.seedLane(l, qn.data() + p.begin, qv.data() + p.begin,

@@ -144,6 +144,7 @@ class Injector
     const Network &net_;
     Tensor input_;
     std::vector<Tensor> acts_;
+    GoldenPreps preps_; //!< built from acts_, read by injectBatch
     FaultModels models_;
     ResultCache *cache_ = nullptr;
     std::uint64_t cacheContext_ = 0;

@@ -79,7 +79,8 @@ Activation::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                                  const Region &region,
                                  const BatchCover *cover,
                                  const Tensor &golden,
-                                 LanePlane &out) const
+                                 LanePlane &out,
+                                 const GoldenPrep *) const
 {
     if (region.empty())
         return;

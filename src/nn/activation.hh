@@ -42,7 +42,8 @@ class Activation : public Layer
                               const Region &region,
                               const BatchCover *cover,
                               const Tensor &golden,
-                              LanePlane &out) const override;
+                              LanePlane &out,
+                              const GoldenPrep *prep) const override;
 
     /** Apply the scalar function (exposed for the accelerator model). */
     float apply(float x) const;

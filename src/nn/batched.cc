@@ -30,7 +30,8 @@ class BatchedEngineT final : public BatchedEngine
     int maxLanes() const override { return BMAX; }
 
     void begin(const Network &net, NodeId node,
-               const std::vector<Tensor> &cached) override;
+               const std::vector<Tensor> &cached,
+               const GoldenPreps *preps) override;
     void seedLane(int lane, const NeuronIndex *neurons,
                   const float *values, std::size_t count) override;
     void execute() override;
@@ -44,6 +45,7 @@ class BatchedEngineT final : public BatchedEngine
 
     const Network *net_ = nullptr;
     const std::vector<Tensor> *cached_ = nullptr;
+    const GoldenPreps *preps_ = nullptr;
     NodeId node_ = -1;
     std::uint32_t seeded_ = 0;
     std::uint32_t outMask_ = 0;
@@ -63,15 +65,19 @@ class BatchedEngineT final : public BatchedEngine
 template <int BMAX>
 void
 BatchedEngineT<BMAX>::begin(const Network &net, NodeId node,
-                            const std::vector<Tensor> &cached)
+                            const std::vector<Tensor> &cached,
+                            const GoldenPreps *preps)
 {
     const int num = net.numNodes();
     panic_if(node <= 0 || node >= num, "bad node id ", node);
     panic_if(cached.size() != static_cast<std::size_t>(num),
              "cached activation count mismatch");
+    panic_if(preps && preps->size() != cached.size(),
+             "golden prep count mismatch");
 
     net_ = &net;
     cached_ = &cached;
+    preps_ = preps;
     node_ = node;
     seeded_ = 0;
     outMask_ = 0;
@@ -219,7 +225,8 @@ BatchedEngineT<BMAX>::execute()
         LanePlane &plane = planes_[id];
         plane.ensure(golden, region);
         layer.forwardRegionBatched(ins_, inPlanes_.data(), region, cover,
-                                   golden, plane);
+                                   golden, plane,
+                                   preps_ ? (*preps_)[id].get() : nullptr);
         ++totals_.layersBatchedKernel;
         totals_.layersDense += dense ? 1 : 0;
         const std::uint64_t cells =

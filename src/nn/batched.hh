@@ -104,7 +104,7 @@ struct BatchedTotals
  * not thread-safe.  Usage, per batch of up to maxLanes() injections of
  * the same node:
  *
- *   eng.begin(net, node, cached);
+ *   eng.begin(net, node, cached, preps);
  *   for each injection i:  eng.seedLane(i, neurons, values, count);
  *   eng.execute();
  *   for each injection i:  classify(eng.laneOutput(i));
@@ -123,11 +123,13 @@ class BatchedEngine
 
     /**
      * Start a batch at `node`, against the golden activations `cached`
-     * of Network::forwardAll (both must stay alive until the last
-     * laneOutput() call).
+     * of Network::forwardAll and, when non-null, their golden preps
+     * (Network::prepareGolden of `cached`).  All must stay alive until
+     * the last laneOutput() call.
      */
     virtual void begin(const Network &net, NodeId node,
-                       const std::vector<Tensor> &cached) = 0;
+                       const std::vector<Tensor> &cached,
+                       const GoldenPreps *preps) = 0;
 
     /**
      * Load one injection into lane `lane`: the corrupted activation of

@@ -93,16 +93,17 @@ forEachTerm(const ConvSpec &spec, int cpg, int g, int oh, int ow, Fn fn)
  * and group, `load(dst, n, ih, iw, ci)` gathers the stored-form
  * operands into `xg` (the zero stored form when out of range), one
  * dispatched-table microkernel call `gemm(xg, nblocks, block, acc)`
- * covers every touched lane block, and `wb(acc, oc)` applies bias and
- * the writeback path into `od` (laid out like `shape`).  `acc` is
- * caller scratch for the padded block results.
+ * covers every touched lane block, and `wbRow(row, cols, op, oc)`
+ * writes the `cols` accumulators at `row` for output channels oc..
+ * through bias and the writeback path to `op` in `od` (laid out like
+ * `shape`).  `acc` is caller scratch for the padded block results.
  */
-template <class T, class Acc, class Load, class Gemm, class WB>
+template <class T, class Acc, class Load, class Gemm, class WBRow>
 void
 convChannelLanes(const ConvSpec &spec, int cpg, int opg,
                  const WeightPack<T> &pk, const Region &r,
                  const Tensor &shape, float *od, T *xg, Acc *acc,
-                 Load load, Gemm gemm, WB wb)
+                 Load load, Gemm gemm, WBRow wbRow)
 {
     const int g0 = r.c0 / opg;
     const int g1 = (r.c1 - 1) / opg;
@@ -122,8 +123,7 @@ convChannelLanes(const ConvSpec &spec, int cpg, int opg,
                     int b1 = (hi - 1 - g * opg) / pk.lanes;
                     gemm(xg, b1 - b0 + 1, pk.block(g, b0), acc);
                     const int ob = g * opg + b0 * pk.lanes;
-                    for (int oc = lo; oc < hi; ++oc)
-                        od[base + oc] = wb(acc[oc - ob], oc);
+                    wbRow(acc + (lo - ob), hi - lo, od + base + lo, lo);
                 }
             }
         }
@@ -663,6 +663,17 @@ Conv2D::forwardWeightSub(const Tensor &x, const OperandSub &sub,
             }
     const float b = spec_.bias ? bias_[oc] : 0.0f;
     const simd::KernelTable &kt = simd::table();
+    // One MAC row's lanes through the batched writeback, then to their
+    // output positions.
+    auto scatter = [&](const auto *acc, const NeuronIndex *pos,
+                       int count) {
+        float y[kPosLanes];
+        for (int l = 0; l < count; ++l)
+            y[l] = accReal(acc[l], b);
+        writebackRow(y, count, y);
+        for (int l = 0; l < count; ++l)
+            out.at(pos[l]) = y[l];
+    };
 
     if (integer) {
         auto xq = arena.ints(xsLen);
@@ -678,13 +689,7 @@ Conv2D::forwardWeightSub(const Tensor &x, const OperandSub &sub,
             [&](const std::int32_t *rowsG, const NeuronIndex *pos,
                 int count) {
                 kt.batchMacI64(rowsG, wq.data(), redLen, 1, acc);
-                // Left-associated like computeNeuron: the double
-                // rounding order is part of the bit contract.
-                for (int l = 0; l < count; ++l)
-                    out.at(pos[l]) = writeback(
-                        static_cast<double>(acc[l]) * inQuant_.scale *
-                            wQuant_.scale,
-                        b);
+                scatter(acc, pos, count);
             });
         return true;
     }
@@ -701,8 +706,7 @@ Conv2D::forwardWeightSub(const Tensor &x, const OperandSub &sub,
         off.data(), redLen, xg.data(),
         [&](const float *rowsG, const NeuronIndex *pos, int count) {
             kt.batchMacF32(rowsG, wcol.data(), redLen, 1, 1, acc);
-            for (int l = 0; l < count; ++l)
-                out.at(pos[l]) = writeback(static_cast<double>(acc[l]), b);
+            scatter(acc, pos, count);
         });
     return true;
 }
@@ -734,17 +738,27 @@ Conv2D::laneKernels(const Region *boxes, std::size_t numBoxes,
     constexpr int kBlockRow = simd::kF32Lanes * W;
 
     // One loop nest per lane axis, shared by the three operand types.
-    // Width 1 runs the channel-lane kernel: `gemm` over lane blocks,
-    // then the scalar writeback `wb`.  Width kBatchLanes runs the
-    // injection-lane rows: `mac` per pack block over `cols` adjacent
-    // output channels, then `wbRow`, which is `wb` per element over
-    // the block's lane rows.
+    // Width 1 runs the channel-lane kernel: `gemm` over lane blocks.
+    // Width kBatchLanes runs the injection-lane rows: `mac` per pack
+    // block over `cols` adjacent output channels.  Both end in
+    // `wbRow(row, cols, op, oc)`: W lanes per channel, each lane's
+    // real value formed in `op`, then one batched writeback over the
+    // cols * W values.
+    auto wbRow = [&](const auto *row, int cols, float *op, int oc) {
+        for (int c = 0; c < cols; ++c) {
+            const float b = biasAt(oc + c);
+            for (int l = c * W; l < (c + 1) * W; ++l)
+                op[l] = accReal(row[l], b);
+        }
+        writebackRow(op, cols * W, op);
+    };
     auto run = [&](const auto &pk, auto *xg, auto *acc, auto gemm,
-                   auto mac, auto wb, auto wbRow) {
+                   auto mac) {
         for (std::size_t i = 0; i < numBoxes; ++i) {
             if constexpr (W == 1) {
                 convChannelLanes(spec_, cpg, opg, pk, boxes[i], shape,
-                                 out.lanes(0), xg, acc, load, gemm, wb);
+                                 out.lanes(0), xg, acc, load, gemm,
+                                 wbRow);
             } else {
                 convInjectionLanes<W>(
                     spec_, cpg, opg, pk, boxes[i], cover, shape, out,
@@ -760,7 +774,6 @@ Conv2D::laneKernels(const Region *boxes, std::size_t numBoxes,
     };
 
     if (!integer) {
-        const bool half = precision_ == Precision::FP16;
         WeightPack<float> pk(wPackF_.data(), redLen, opg);
         auto xg = arena.floats(rows * W);
         auto acc = arena.floats(
@@ -771,44 +784,10 @@ Conv2D::laneKernels(const Region *boxes, std::size_t numBoxes,
             },
             [&](const float *x, const float *col, int cols, float *a) {
                 kt.batchMacF32(x, col, redLen, pk.lanes, cols, a);
-            },
-            [&](float a, int oc) { return writeback(a, biasAt(oc)); },
-            [&](const float *row, int cols, float *op, int oc) {
-                for (int c = 0; c < cols; ++c) {
-                    const float b = biasAt(oc + c);
-                    for (int l = 0; l < W; ++l)
-                        op[c * W + l] = row[c * W + l] + b;
-                }
-                if (half)
-                    simd::roundToHalfBatch(op, op, cols * W);
             });
         return;
     }
 
-    // Integer writeback, left-associated like computeNeuron: the double
-    // rounding order is part of the bit contract.  The row form splits
-    // it into real value, batch quantise and dequantise, which keeps
-    // each lane's arithmetic exactly the scalar sequence.
-    const double s = inQuant_.scale;
-    const double ws = wQuant_.scale;
-    auto wb = [&](std::int64_t a, int oc) {
-        return writeback(static_cast<double>(a) * s * ws, biasAt(oc));
-    };
-    auto wbRow = [&](const std::int64_t *row, int cols, float *op,
-                     int oc) {
-        float real[kBlockRow] = {}; // zeroed: GCC cannot see cols >= 1
-        std::int32_t q[kBlockRow];
-        for (int c = 0; c < cols; ++c) {
-            const float b = biasAt(oc + c);
-            for (int l = c * W; l < (c + 1) * W; ++l)
-                real[l] = static_cast<float>(static_cast<double>(row[l]) *
-                                             s * ws) +
-                          b;
-        }
-        simd::quantizeBatch(real, q, cols * W, outQuant_);
-        for (int l = 0; l < cols * W; ++l)
-            op[l] = dequantize(q[l], outQuant_);
-    };
     auto acc = arena.longs(
         W == 1 ? simd::packSize(1, opg,
                                 narrow ? simd::kNarrowLanes
@@ -832,8 +811,7 @@ Conv2D::laneKernels(const Region *boxes, std::size_t numBoxes,
                     kt.batchMacNarrow(x, col + 2 * c, redPairs,
                                       2 * pk.lanes, chunkPairs_,
                                       a + c * W);
-            },
-            wb, wbRow);
+            });
     } else {
         WeightPack<std::int32_t> pk(wPackI_.data(), redLen, opg);
         auto xg = arena.ints(rows * W);
@@ -845,8 +823,7 @@ Conv2D::laneKernels(const Region *boxes, std::size_t numBoxes,
                 for (int c = 0; c < cols; ++c)
                     kt.batchMacI64(x, col + c, redLen, pk.lanes,
                                    a + c * W);
-            },
-            wb, wbRow);
+            });
     }
 }
 
@@ -1018,7 +995,8 @@ Conv2D::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                              LanePlane *const *inPlanes,
                              const Region &region,
                              const BatchCover *cover,
-                             const Tensor &golden, LanePlane &out) const
+                             const Tensor &golden, LanePlane &out,
+                             const GoldenPrep *) const
 {
     checkInput(ins);
     if (region.empty())

@@ -102,7 +102,8 @@ class Conv2D : public MacLayer
                               const Region &region,
                               const BatchCover *cover,
                               const Tensor &golden,
-                              LanePlane &out) const override;
+                              LanePlane &out,
+                              const GoldenPrep *prep) const override;
 
     /** Flat weight index of (kh, kw, ci_in_group, oc). */
     std::size_t weightIndex(int kh, int kw, int cig, int oc) const;

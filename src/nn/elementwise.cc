@@ -71,7 +71,8 @@ Elementwise::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                                   const Region &region,
                                   const BatchCover *cover,
                                   const Tensor &golden,
-                                  LanePlane &out) const
+                                  LanePlane &out,
+                                  const GoldenPrep *) const
 {
     if (region.empty())
         return;
@@ -159,7 +160,8 @@ ConcatC::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                               const Region &region,
                               const BatchCover *cover,
                               const Tensor &golden,
-                              LanePlane &out) const
+                              LanePlane &out,
+                              const GoldenPrep *) const
 {
     if (region.empty())
         return;
@@ -252,7 +254,8 @@ Slice::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                             LanePlane *const *inPlanes,
                             const Region &region,
                             const BatchCover *cover,
-                            const Tensor &golden, LanePlane &out) const
+                            const Tensor &golden, LanePlane &out,
+                            const GoldenPrep *) const
 {
     if (region.empty())
         return;
@@ -320,7 +323,8 @@ ScaleShift::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                                  const Region &region,
                                  const BatchCover *cover,
                                  const Tensor &golden,
-                                 LanePlane &out) const
+                                 LanePlane &out,
+                                 const GoldenPrep *) const
 {
     if (region.empty())
         return;

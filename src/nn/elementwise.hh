@@ -44,7 +44,8 @@ class Elementwise : public Layer
                               const Region &region,
                               const BatchCover *cover,
                               const Tensor &golden,
-                              LanePlane &out) const override;
+                              LanePlane &out,
+                              const GoldenPrep *prep) const override;
 
   private:
     Op op_;
@@ -73,7 +74,8 @@ class ConcatC : public Layer
                               const Region &region,
                               const BatchCover *cover,
                               const Tensor &golden,
-                              LanePlane &out) const override;
+                              LanePlane &out,
+                              const GoldenPrep *prep) const override;
 };
 
 /** Slice a contiguous range along one axis (H or C). */
@@ -103,7 +105,8 @@ class Slice : public Layer
                               const Region &region,
                               const BatchCover *cover,
                               const Tensor &golden,
-                              LanePlane &out) const override;
+                              LanePlane &out,
+                              const GoldenPrep *prep) const override;
 
   private:
     Axis axis_;
@@ -135,7 +138,8 @@ class ScaleShift : public Layer
                               const Region &region,
                               const BatchCover *cover,
                               const Tensor &golden,
-                              LanePlane &out) const override;
+                              LanePlane &out,
+                              const GoldenPrep *prep) const override;
 
   private:
     float scale_;

@@ -5,8 +5,6 @@
 #include "nn/lanes.hh"
 #include "sim/arena.hh"
 #include "sim/logging.hh"
-#include "simd/convert.hh"
-#include "simd/gemm.hh"
 
 namespace fidelity
 {
@@ -25,8 +23,8 @@ FC::FC(std::string name, int in_c, int units, std::vector<float> weights,
              bias_.size() != static_cast<std::size_t>(units),
              "fc ", name_, ": bias size mismatch");
     // Immutable weights pack once, here; the quantised modes repack
-    // lazily through onQuantChanged().
-    packWeights();
+    // lazily after onQuantChanged().
+    packed();
 }
 
 void
@@ -108,130 +106,21 @@ FC::computeNeuron(const std::vector<const Tensor *> &ins,
     return writeback(facc, b);
 }
 
-void
-FC::packWeights() const
+const PackedOperand &
+FC::packed() const
 {
-    // Stored-form conversion + lane-blocked scatter (see Conv2D).
-    bool integer = precision_ == Precision::INT8 ||
-                   precision_ == Precision::INT16;
-    Arena &arena = Arena::local();
-    auto get = [&](const auto *src) {
-        return [src, this](int k, int c) {
-            return src[static_cast<std::size_t>(k) * units_ + c];
-        };
-    };
-    if (integer) {
-        auto tmp = arena.ints(weights_.size());
-        simd::quantizeBatch(weights_.data(), tmp.data(),
-                            weights_.size(), wQuant_);
-        // Max |w| plus the operand bound |x| <= 2^(bits-1) proves the
-        // narrow kernels' int32 chunk length; commit to the narrow or
-        // the wide pack accordingly (both exact — see Conv2D).
-        std::int32_t maxAbsW = 0;
-        for (std::size_t i = 0; i < weights_.size(); ++i) {
-            std::int32_t a = tmp[i] < 0 ? -tmp[i] : tmp[i];
-            maxAbsW = a > maxAbsW ? a : maxAbsW;
-        }
-        const int bits = precision_ == Precision::INT8 ? 8 : 16;
-        int chunk = simd::narrowChunkPairs(bits, maxAbsW);
-        if (simd::narrowEligible(chunk)) {
-            chunkPairs_ = chunk;
-            wPackN_.resize(simd::packNarrowSize(inC_, units_));
-            wPackI_.clear();
-            wPackF_.clear();
-            simd::packNarrow(inC_, units_, get(tmp.data()),
-                             wPackN_.data());
-        } else {
-            constexpr int L = simd::kI64Lanes;
-            chunkPairs_ = 0;
-            wPackI_.resize(simd::packSize(inC_, units_, L));
-            wPackN_.clear();
-            wPackF_.clear();
-            simd::packLaneBlocked(inC_, units_, L, get(tmp.data()),
-                                  wPackI_.data());
-        }
-    } else {
-        constexpr int L = simd::kF32Lanes;
-        chunkPairs_ = 0;
-        const float *src = weights_.data();
-        Arena::Lease<float> tmp = arena.floats(
-            precision_ == Precision::FP16 ? weights_.size() : 0);
-        if (precision_ == Precision::FP16) {
-            simd::roundToHalfBatch(weights_.data(), tmp.data(),
-                                   weights_.size());
-            src = tmp.data();
-        }
-        wPackF_.resize(simd::packSize(inC_, units_, L));
-        wPackI_.clear();
-        wPackN_.clear();
-        simd::packLaneBlocked(inC_, units_, L, get(src),
-                              wPackF_.data());
+    if (!wPackValid_) {
+        wPack_ = packOperand(weights_.data(), inC_, units_, false);
+        wPackValid_ = true;
     }
-    wPackValid_ = true;
+    return wPack_;
 }
 
 void
 FC::denseRows(const float *x, std::size_t rows, float *y) const
 {
-    // Fast path, bit-identical to computeNeuron(); see Conv2D.
-    bool integer = precision_ == Precision::INT8 ||
-                   precision_ == Precision::INT16;
-    if (!wPackValid_)
-        packWeights();
-
-    const std::size_t size = rows * inC_;
-    const bool narrow = integer && chunkPairs_ > 0;
-    Arena &arena = Arena::local();
-    auto xs = arena.floats(
-        integer || precision_ == Precision::FP32 ? 0 : size);
-    auto xq = arena.ints(integer ? size : 0);
-    // Narrowed operands, one zeroed pad element past the end so the
-    // final position's odd-reduction pair is readable (its weight is
-    // zero, so the value cannot matter).
-    auto xn = arena.shorts(narrow ? size + 1 : 0);
-    auto accF = arena.floats(
-        integer ? 0 : simd::packSize(1, units_, simd::kF32Lanes));
-    auto accL = arena.longs(
-        integer
-            ? (narrow ? simd::packSize(1, units_, simd::kNarrowLanes)
-                      : simd::packSize(1, units_, simd::kI64Lanes))
-            : 0);
-    const float *xf = x;
-    if (integer) {
-        simd::quantizeBatch(xf, xq.data(), size, inQuant_);
-        if (narrow) {
-            for (std::size_t i = 0; i < size; ++i)
-                xn[i] = static_cast<std::int16_t>(xq[i]);
-            xn[size] = 0;
-        }
-    } else if (precision_ == Precision::FP16) {
-        simd::roundToHalfBatch(xf, xs.data(), size);
-        xf = xs.data();
-    }
-
-    auto biasAt = [&](int u) {
-        return bias_.empty() ? 0.0f : bias_[u];
-    };
-    const simd::KernelTable &kt = simd::table();
-    if (integer) {
-        auto wb = [&](std::int64_t iacc, int u) {
-            return writeback(static_cast<double>(iacc) *
-                                 inQuant_.scale * wQuant_.scale,
-                             biasAt(u));
-        };
-        if (narrow)
-            simd::denseNarrow(kt, xn.data(), rows, inC_, units_,
-                              wPackN_.data(), chunkPairs_, accL.data(),
-                              y, wb);
-        else
-            simd::denseInt(kt, xq.data(), rows, inC_, units_,
-                           wPackI_.data(), accL.data(), y, wb);
-    } else {
-        simd::denseFloat(kt, xf, rows, inC_, units_, wPackF_.data(),
-                         accF.data(), y, [&](double acc, int u) {
-                             return writeback(acc, biasAt(u));
-                         });
-    }
+    mulPacked(x, rows, inC_, units_, packed(),
+              bias_.empty() ? nullptr : bias_.data(), 1.0, y);
 }
 
 Tensor
@@ -257,7 +146,8 @@ void
 FC::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                          LanePlane *const *inPlanes, const Region &region,
                          const BatchCover *cover, const Tensor &golden,
-                         LanePlane &out) const
+                         LanePlane &out,
+                         const GoldenPrep *) const
 {
     checkInput(ins);
     if (region.empty())

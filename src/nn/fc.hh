@@ -53,7 +53,8 @@ class FC : public MacLayer
                               const Region &region,
                               const BatchCover *cover,
                               const Tensor &golden,
-                              LanePlane &out) const override;
+                              LanePlane &out,
+                              const GoldenPrep *prep) const override;
 
     std::size_t
     weightCount(const std::vector<const Tensor *> &ins) const override;
@@ -86,9 +87,6 @@ class FC : public MacLayer
   private:
     void checkInput(const std::vector<const Tensor *> &ins) const;
 
-    /** Re-pack weights into the lane-blocked kernel layout. */
-    void packWeights() const;
-
     /**
      * The layer's one row loop: y = W^T x + b for `rows` contiguous
      * positions of raw input ([rows][inC] in, [rows][units] out).
@@ -97,19 +95,17 @@ class FC : public MacLayer
      */
     void denseRows(const float *x, std::size_t rows, float *y) const;
 
+    /** The packed weights, repacked on first use after a quant
+     *  change. */
+    const PackedOperand &packed() const;
+
     int inC_;
     int units_;
     std::vector<float> weights_; //!< [in_c][units] flat
     std::vector<float> bias_;
 
-    // Lane-blocked packed weight cache (see Conv2D).  Integer
-    // precisions hold either the narrow pair-interleaved int16 pack
-    // (chunkPairs_ > 0) or the wide int32 pack.
     mutable bool wPackValid_ = false;
-    mutable AlignedVec<float> wPackF_;
-    mutable AlignedVec<std::int32_t> wPackI_;
-    mutable AlignedVec<std::int16_t> wPackN_;
-    mutable int chunkPairs_ = 0; //!< 0: narrow path off (wide pack)
+    mutable PackedOperand wPack_;
 };
 
 } // namespace fidelity

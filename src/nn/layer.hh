@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "nn/region.hh"
+#include "sim/arena.hh"
 #include "tensor/quant.hh"
 #include "tensor/tensor.hh"
 
@@ -102,6 +103,26 @@ struct OperandSub
     int termIndex = -1;
 };
 
+/**
+ * What a layer's region kernel derives from its golden inputs alone
+ * (MatMulAB's packed golden B): built once per golden pass by
+ * Layer::prepareGolden and handed back to every region-kernel call
+ * against that pass.  Its owner keeps it next to the golden
+ * activations it was built from (Injector), so one Network can serve
+ * several inputs at once.
+ */
+class GoldenPrep
+{
+  public:
+    GoldenPrep() = default;
+    GoldenPrep(const GoldenPrep &) = delete;
+    GoldenPrep &operator=(const GoldenPrep &) = delete;
+    virtual ~GoldenPrep() = default;
+};
+
+/** Per-node golden preps of one golden pass (null where none). */
+using GoldenPreps = std::vector<std::unique_ptr<const GoldenPrep>>;
+
 /** Base class of every layer. */
 class Layer
 {
@@ -182,13 +203,21 @@ class Layer
      * (skipped cells keep the plane's golden fill).  Every written lane
      * value must be bit-identical to what forward() would produce from
      * that lane's inputs.  Every layer has one, so the sparse engine
-     * never falls back to a per-lane dense forward().
+     * never falls back to a per-lane dense forward().  `prep`, when
+     * non-null, is prepareGolden() of these same golden `ins`.
      */
     virtual void
     forwardRegionBatched(const std::vector<const Tensor *> &ins,
                          LanePlane *const *inPlanes, const Region &region,
                          const BatchCover *cover, const Tensor &golden,
-                         LanePlane &out) const = 0;
+                         LanePlane &out, const GoldenPrep *prep) const = 0;
+
+    /**
+     * Derive the region kernel's golden prep from the golden inputs
+     * `ins` (see GoldenPrep).  The default derives none.
+     */
+    virtual std::unique_ptr<const GoldenPrep>
+    prepareGolden(const std::vector<const Tensor *> &ins) const;
 
     /** Set the execution precision (refreshes precision-derived state). */
     void
@@ -206,6 +235,20 @@ class Layer
 
     std::string name_;
     Precision precision_ = Precision::FP32;
+};
+
+/**
+ * A [red][cols] MAC operand (FC weights, a MatMulAB B) in stored form,
+ * packed for MacLayer::mulPacked: the float pack, or for the integer
+ * modes the narrow pair-interleaved int16 pack when the chunk bound
+ * allows it (chunkPairs > 0), else the wide int32 pack.
+ */
+struct PackedOperand
+{
+    AlignedVec<float> f;
+    AlignedVec<std::int32_t> i;
+    AlignedVec<std::int16_t> s;
+    int chunkPairs = 0;
 };
 
 /**
@@ -295,8 +338,58 @@ class MacLayer : public Layer
     float storeInput(float x) const;
     float storeWeight(float x) const;
 
-    /** Round a finished accumulator + bias through the output path. */
+    /**
+     * Round a finished accumulator + bias through the output path: the
+     * scalar reference computeNeuron() uses.
+     */
     float writeback(double acc, float bias) const;
+
+    /**
+     * The batched writeback: out[i] = the output path applied to
+     * real[i], bit-identical to writeback() of the accumulator and
+     * bias whose real value `real[i]` is (accReal()).  FP32 copies,
+     * FP16 rounds through binary16, INT8/INT16 quantise into the
+     * output range and dequantise.  In place (out == real) is allowed.
+     */
+    void writebackRow(const float *real, std::size_t n, float *out) const;
+
+    /**
+     * The real value writeback() sees for a finished accumulator plus
+     * bias, in computeNeuron's left-associated order: an integer
+     * accumulator's double product with both operand scales is
+     * rounded to float once, then the bias is added.  The rounding
+     * order is part of the bit contract.
+     */
+    static float accReal(float acc, float bias) { return acc + bias; }
+    float
+    accReal(std::int64_t acc, float bias) const
+    {
+        return static_cast<float>(static_cast<double>(acc) *
+                                  inQuant_.scale * wQuant_.scale) +
+               bias;
+    }
+
+    /**
+     * Convert a raw [red][cols] operand through the weight path and
+     * pack it.  Element (k, c) is w[k * cols + c], or w[c * red + k]
+     * when `transposed`.  The narrow decision is made on this
+     * operand's own quantised magnitudes.
+     */
+    PackedOperand packOperand(const float *w, int red, int cols,
+                              bool transposed) const;
+
+    /**
+     * The dense row loop of FC and MatMulAB: `rows` raw input rows
+     * x[r][0..red) times `pk` into y[r][0..cols).  Inputs convert once
+     * per call, accumulate in canonical k order, and each output row
+     * holds the real values (float)(acc * scale) + bias[c] (acc the
+     * integer accumulator times both operand scales, bias null for
+     * zero) for one writebackRow.  Multiplying by a scale of 1 is
+     * exact, so this is computeNeuron's arithmetic for both layers.
+     */
+    void mulPacked(const float *x, std::size_t rows, int red, int cols,
+                   const PackedOperand &pk, const float *bias,
+                   double scale, float *y) const;
 
     /** Apply a PsumFlip substitution to a floating accumulator. */
     static float psumFlipFloat(float acc, std::uint32_t mask);

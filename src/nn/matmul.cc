@@ -5,8 +5,7 @@
 #include "nn/lanes.hh"
 #include "sim/arena.hh"
 #include "sim/logging.hh"
-#include "simd/convert.hh"
-#include "simd/gemm.hh"
+#include "simd/simd.hh"
 
 namespace fidelity
 {
@@ -111,117 +110,37 @@ MatMulAB::computeNeuron(const std::vector<const Tensor *> &ins,
     return writeback(facc * scale_, 0.0f);
 }
 
-struct MatMulAB::PackedB
+/** The golden B's pack: the golden pass's prep of this layer. */
+struct MatMulAB::GoldenB final : GoldenPrep
 {
-    Arena::Lease<float> f;        //!< FP32 / FP16 lane-blocked pack
-    Arena::Lease<std::int32_t> i; //!< wide integer pack
-    Arena::Lease<std::int16_t> s; //!< narrow integer pack
-    int chunkPairs = 0;           //!< > 0: the narrow pack is live
+    PackedOperand pack;
 };
 
-MatMulAB::PackedB
-MatMulAB::packB(const float *b, std::size_t size, int red, int cols) const
+std::unique_ptr<const GoldenPrep>
+MatMulAB::prepareGolden(const std::vector<const Tensor *> &ins) const
 {
-    // B is an activation, so its pack is per-call arena scratch
-    // rather than a persistent cache; the pack step also resolves
-    // transB so the kernel always streams the fixed-width layouts.
-    auto bAt = [&](int k, int c) {
-        return transB_ ? static_cast<std::size_t>(c) * red + k
-                       : static_cast<std::size_t>(k) * cols + c;
-    };
-    Arena &arena = Arena::local();
-    if (precision_ == Precision::INT8 || precision_ == Precision::INT16) {
-        auto bq = arena.ints(size);
-        simd::quantizeBatch(b, bq.data(), size, wQuant_);
-        // Per-pack narrow eligibility: scan this B's quantised
-        // magnitudes for the chunk bound (see Conv2D::packWeights).
-        std::int32_t maxAbsW = 0;
-        for (std::size_t i = 0; i < size; ++i) {
-            std::int32_t v = bq[i] < 0 ? -bq[i] : bq[i];
-            maxAbsW = v > maxAbsW ? v : maxAbsW;
-        }
-        const int bits = precision_ == Precision::INT8 ? 8 : 16;
-        const int chunk = simd::narrowChunkPairs(bits, maxAbsW);
-        auto get = [&](int k, int c) { return bq[bAt(k, c)]; };
-        if (simd::narrowEligible(chunk)) {
-            PackedB p{arena.floats(0), arena.ints(0),
-                      arena.shorts(simd::packNarrowSize(red, cols)),
-                      chunk};
-            simd::packNarrow(red, cols, get, p.s.data());
-            return p;
-        }
-        constexpr int L = simd::kI64Lanes;
-        PackedB p{arena.floats(0),
-                  arena.ints(simd::packSize(red, cols, L)),
-                  arena.shorts(0), 0};
-        simd::packLaneBlocked(red, cols, L, get, p.i.data());
-        return p;
-    }
-    constexpr int L = simd::kF32Lanes;
-    const bool half = precision_ == Precision::FP16;
-    auto bs = arena.floats(half ? size : 0);
-    const float *bf = b;
-    if (half) {
-        simd::roundToHalfBatch(b, bs.data(), size);
-        bf = bs.data();
-    }
-    PackedB p{arena.floats(simd::packSize(red, cols, L)), arena.ints(0),
-              arena.shorts(0), 0};
-    simd::packLaneBlocked(
-        red, cols, L, [&](int k, int c) { return bf[bAt(k, c)]; },
-        p.f.data());
-    return p;
+    // B is an activation, so its pack cannot live in the layer: one
+    // pack per golden pass, owned next to the activations it came from.
+    checkInputs(ins);
+    const Tensor &b = *ins[1];
+    auto gb = std::make_unique<GoldenB>();
+    gb->pack = packOperand(b.data().data(), ins[0]->c(),
+                           transB_ ? b.h() : b.c(), transB_);
+    return gb;
 }
 
 void
 MatMulAB::mulRows(const float *a, std::size_t rows, int red, int cols,
-                  const PackedB &bp, float *y) const
+                  const float *b, const PackedOperand *bp, float *y) const
 {
-    // Fast path, bit-identical to computeNeuron(): A converts once per
-    // call, then accumulates against B in canonical k order.
-    const std::size_t size = rows * red;
-    Arena &arena = Arena::local();
-    const simd::KernelTable &kt = simd::table();
-    if (precision_ == Precision::INT8 || precision_ == Precision::INT16) {
-        auto aq = arena.ints(size);
-        simd::quantizeBatch(a, aq.data(), size, inQuant_);
-        auto wb = [&](std::int64_t iacc, int) {
-            double facc = static_cast<double>(iacc) * inQuant_.scale *
-                          wQuant_.scale;
-            return writeback(facc * scale_, 0.0f);
-        };
-        if (bp.chunkPairs > 0) {
-            // One zeroed pad element past the end keeps the final
-            // row's odd-reduction pair readable (its B entry is zero).
-            auto an = arena.shorts(size + 1);
-            for (std::size_t i = 0; i < size; ++i)
-                an[i] = static_cast<std::int16_t>(aq[i]);
-            an[size] = 0;
-            auto accL = arena.longs(
-                simd::packSize(1, cols, simd::kNarrowLanes));
-            simd::denseNarrow(kt, an.data(), rows, red, cols,
-                              bp.s.data(), bp.chunkPairs, accL.data(),
-                              y, wb);
-        } else {
-            auto accL =
-                arena.longs(simd::packSize(1, cols, simd::kI64Lanes));
-            simd::denseInt(kt, aq.data(), rows, red, cols, bp.i.data(),
-                           accL.data(), y, wb);
-        }
-        return;
+    PackedOperand own;
+    if (!bp) {
+        own = packOperand(b, red, cols, transB_);
+        bp = &own;
     }
-    const bool half = precision_ == Precision::FP16;
-    auto as = arena.floats(half ? size : 0);
-    const float *af = a;
-    if (half) {
-        simd::roundToHalfBatch(a, as.data(), size);
-        af = as.data();
-    }
-    auto accF = arena.floats(simd::packSize(1, cols, simd::kF32Lanes));
-    simd::denseFloat(kt, af, rows, red, cols, bp.f.data(), accF.data(),
-                     y, [&](double acc, int) {
-                         return writeback(acc * scale_, 0.0f);
-                     });
+    // computeNeuron's writeback(facc * scale_, 0.0f): no bias, and the
+    // + 0.0f turns -0 into +0.
+    mulPacked(a, rows, red, cols, *bp, nullptr, scale_, y);
 }
 
 Tensor
@@ -232,9 +151,8 @@ MatMulAB::forward(const std::vector<const Tensor *> &ins) const
     const Tensor &b = *ins[1];
     const int red = a.c();
     lastReduction_.store(red, std::memory_order_relaxed);
-    PackedB bp = packB(b.data().data(), b.size(), red, out.c());
     mulRows(a.data().data(), static_cast<std::size_t>(a.n()) * a.h(),
-            red, out.c(), bp, out.data().data());
+            red, out.c(), b.data().data(), nullptr, out.data().data());
     return out;
 }
 
@@ -262,7 +180,8 @@ MatMulAB::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                                LanePlane *const *inPlanes,
                                const Region &region,
                                const BatchCover *cover,
-                               const Tensor &golden, LanePlane &out) const
+                               const Tensor &golden, LanePlane &out,
+                               const GoldenPrep *prep) const
 {
     checkInputs(ins);
     if (region.empty())
@@ -339,8 +258,10 @@ MatMulAB::forwardRegionBatched(const std::vector<const Tensor *> &ins,
     });
 
     if (sharedRows > 0)
-        mulRows(xr.data(), sharedRows, red, cols,
-                packB(bd, b.size(), red, cols), yr.data());
+        mulRows(xr.data(), sharedRows, red, cols, bd,
+                prep ? &static_cast<const GoldenB *>(prep)->pack
+                     : nullptr,
+                yr.data());
     if (dirtyB) {
         bpl.ensure(b, Region::full(b));
         auto bl = arena.floats(W == 1 ? 0 : b.size());
@@ -356,9 +277,8 @@ MatMulAB::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                            bl.data());
                 lb = bl.data();
             }
-            mulRows(xr.data() + start * red, laneRows[l], red, cols,
-                    packB(lb, b.size(), red, cols),
-                    yr.data() + start * cols);
+            mulRows(xr.data() + start * red, laneRows[l], red, cols, lb,
+                    nullptr, yr.data() + start * cols);
             start += laneRows[l];
         }
     }

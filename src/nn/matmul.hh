@@ -57,7 +57,12 @@ class MatMulAB : public MacLayer
                               const Region &region,
                               const BatchCover *cover,
                               const Tensor &golden,
-                              LanePlane &out) const override;
+                              LanePlane &out,
+                              const GoldenPrep *prep) const override;
+
+    /** The packed golden B, built once per golden pass. */
+    std::unique_ptr<const GoldenPrep>
+    prepareGolden(const std::vector<const Tensor *> &ins) const override;
 
     std::size_t
     weightCount(const std::vector<const Tensor *> &ins) const override;
@@ -83,26 +88,20 @@ class MatMulAB : public MacLayer
     bool hasBias() const override { return false; }
 
   private:
-    struct PackedB;
+    struct GoldenB;
 
     void checkInputs(const std::vector<const Tensor *> &ins) const;
 
     /**
-     * One B operand (raw, B's flat layout) converted and packed for
-     * the dense drivers, with the narrow decision made on its own
-     * magnitudes.
-     */
-    PackedB packB(const float *b, std::size_t size, int red,
-                  int cols) const;
-
-    /**
      * The layer's one row loop: `rows` contiguous raw A rows
-     * ([rows][red]) times a packed B into `y` ([rows][cols]).  Rows are
-     * independent, so forward() runs it over all of A and the region
-     * kernel over gathered (row, lane) rows.
+     * ([rows][red]) times B into `y` ([rows][cols]), against `bp`, or
+     * when null a per-call pack of the raw B `b` (forward(), and lanes
+     * whose B differs from the golden one).  Rows are independent, so
+     * forward() runs it over all of A and the region kernel over
+     * gathered (row, lane) rows.
      */
     void mulRows(const float *a, std::size_t rows, int red, int cols,
-                 const PackedB &bp, float *y) const;
+                 const float *b, const PackedOperand *bp, float *y) const;
 
     bool transB_;
     float scale_;

@@ -108,6 +108,15 @@ Network::forwardAll(const Tensor &input) const
     return acts;
 }
 
+GoldenPreps
+Network::prepareGolden(const std::vector<Tensor> &acts) const
+{
+    GoldenPreps preps(nodes_.size());
+    for (NodeId id = 1; id < numNodes(); ++id)
+        preps[id] = nodes_[id].layer->prepareGolden(gatherInputs(id, acts));
+    return preps;
+}
+
 Tensor
 Network::forward(const Tensor &input) const
 {

@@ -84,6 +84,9 @@ class Network
     Tensor forwardFrom(NodeId node, const Tensor &replacement,
                        const std::vector<Tensor> &cached) const;
 
+    /** Every layer's golden prep from a forwardAll() result. */
+    GoldenPreps prepareGolden(const std::vector<Tensor> &acts) const;
+
     /** Nodes holding MAC layers (fault-injection targets). */
     std::vector<NodeId> macNodes() const;
 

@@ -102,7 +102,8 @@ Pool::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                            const Region &region,
                            const BatchCover *cover,
                            const Tensor &golden,
-                           LanePlane &out) const
+                           LanePlane &out,
+                           const GoldenPrep *) const
 {
     // The window walk and padding tests run once per output cell, the
     // pool reduction per lane column.
@@ -209,7 +210,8 @@ GlobalAvgPool::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                                     const Region &region,
                                     const BatchCover *cover,
                                     const Tensor &golden,
-                                    LanePlane &out) const
+                                    LanePlane &out,
+                                    const GoldenPrep *) const
 {
     // The spatial collapse reads the whole H x W extent of every
     // region channel; without a lane kernel the batched engine would

@@ -44,7 +44,8 @@ class Pool : public Layer
                               const Region &region,
                               const BatchCover *cover,
                               const Tensor &golden,
-                              LanePlane &out) const override;
+                              LanePlane &out,
+                              const GoldenPrep *prep) const override;
 
   private:
     Mode mode_;
@@ -77,7 +78,8 @@ class GlobalAvgPool : public Layer
                               const Region &region,
                               const BatchCover *cover,
                               const Tensor &golden,
-                              LanePlane &out) const override;
+                              LanePlane &out,
+                              const GoldenPrep *prep) const override;
 };
 
 } // namespace fidelity

@@ -83,7 +83,8 @@ Softmax::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                               LanePlane *const *inPlanes,
                               const Region &region,
                               const BatchCover *cover,
-                              const Tensor &golden, LanePlane &out) const
+                              const Tensor &golden, LanePlane &out,
+                              const GoldenPrep *) const
 {
     if (region.empty())
         return;

@@ -34,7 +34,8 @@ class Softmax : public Layer
                               const Region &region,
                               const BatchCover *cover,
                               const Tensor &golden,
-                              LanePlane &out) const override;
+                              LanePlane &out,
+                              const GoldenPrep *prep) const override;
 };
 
 } // namespace fidelity

@@ -41,12 +41,6 @@ quantize(float x, const QuantParams &qp)
     return static_cast<std::int32_t>(q);
 }
 
-float
-dequantize(std::int32_t q, const QuantParams &qp)
-{
-    return static_cast<float>(q * qp.scale);
-}
-
 // clampToRange moved to the header as a constexpr inline so the
 // compile-time tests can evaluate range edges; qmin()/qmax() are
 // likewise constexpr-safe.

@@ -51,7 +51,11 @@ QuantParams calibrateAbsMax(double abs_max, int bits);
 std::int32_t quantize(float x, const QuantParams &qp);
 
 /** Dequantise one value. */
-float dequantize(std::int32_t q, const QuantParams &qp);
+inline float
+dequantize(std::int32_t q, const QuantParams &qp)
+{
+    return static_cast<float>(q * qp.scale);
+}
 
 } // namespace fidelity
 

@@ -22,10 +22,12 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/campaign.hh"
+#include "core/injector.hh"
 #include "nn/batched.hh"
 #include "nn/matmul.hh"
 #include "nn/region.hh"
@@ -112,7 +114,7 @@ TEST(BatchedEngine, BitIdenticalToForwardFromAcrossPrecisions)
         for (NodeId node : net.macNodes()) {
             const Tensor &golden = acts[node];
             for (const auto &lanes : laneSets) {
-                eng->begin(net, node, acts);
+                eng->begin(net, node, acts, nullptr);
                 std::vector<std::vector<NeuronIndex>> at(lanes.size());
                 std::vector<std::vector<float>> val(lanes.size());
                 for (std::size_t i = 0; i < lanes.size(); ++i) {
@@ -140,7 +142,7 @@ TEST(BatchedEngine, BitIdenticalToForwardFromAcrossPrecisions)
                         eng->laneOutput(lanes[i])))
                         << "node " << node << " lane " << lanes[i]
                         << " precision " << static_cast<int>(p);
-                    one->begin(net, node, acts);
+                    one->begin(net, node, acts, nullptr);
                     one->seedLane(0, at[i].data(), val[i].data(),
                                   val[i].size());
                     one->execute();
@@ -176,7 +178,7 @@ TEST(BatchedEngine, PerLaneEarlyExitDivergence)
     NeuronIndex at = golden.indexOf(neg);
 
     auto eng = makeBatchedEngine(kMaxBatchLanes);
-    eng->begin(net, node, acts);
+    eng->begin(net, node, acts, nullptr);
     float dead = -1234.5f;
     float live = 1234.5f;
     float same = golden.at(at);
@@ -229,7 +231,7 @@ TEST(BatchedEngine, EmptySeedBatchCountsNoSkippedLayers)
 
     for (int width : {1, kMaxBatchLanes}) {
         auto eng = makeBatchedEngine(width);
-        eng->begin(net, node, acts);
+        eng->begin(net, node, acts, nullptr);
         for (int l = 0; l < width; ++l)
             eng->seedLane(l, nullptr, nullptr, 0);
         eng->execute();
@@ -247,7 +249,7 @@ TEST(BatchedEngine, EmptySeedBatchCountsNoSkippedLayers)
 
         // The same batch with lane 0 carrying a delta that dies at the
         // ReLU: every layer past it counts as skipped.
-        eng->begin(net, node, acts);
+        eng->begin(net, node, acts, nullptr);
         eng->seedLane(0, &at, &dead, 1);
         for (int l = 1; l < width; ++l)
             eng->seedLane(l, nullptr, nullptr, 0);
@@ -267,7 +269,8 @@ TEST(BatchedEngine, RowLayerKernelsMatchPerLaneForward)
     // than the shared golden one.  Width 1 runs twice, as perturbation
     // 0 (golden B) and as perturbation 1 (saturating dirty B).  Every
     // lane of the recomputed box must equal forward() on that lane's
-    // inputs, with and without union-of-cones coverage.
+    // inputs, with and without union-of-cones coverage, and with and
+    // without the golden pass's prep.
     struct Case
     {
         std::unique_ptr<Layer> layer;
@@ -297,6 +300,9 @@ TEST(BatchedEngine, RowLayerKernelsMatchPerLaneForward)
             if (p == Precision::INT8)
                 layer.calibrate(ins, layer.forward(ins));
             const Tensor golden = layer.forward(ins);
+            // The golden pass's prep (matmul's packed golden B), and
+            // none, when the kernel packs the golden B itself.
+            const auto prep = layer.prepareGolden(ins);
             // (width, perturbation of lane 0)
             for (auto [W, first] : {std::pair{1, 0}, std::pair{1, 1},
                                     std::pair{kMaxBatchLanes, 0}}) {
@@ -353,7 +359,10 @@ TEST(BatchedEngine, RowLayerKernelsMatchPerLaneForward)
                     fill(bp, cs.b, lb, bBox);
                 LanePlane *planes[2] = {&ap, &bp};
 
-                for (bool useCover : {false, true}) {
+                for (int variant = 0; variant < 4; ++variant) {
+                    const bool useCover = variant & 1;
+                    const GoldenPrep *gp = variant & 2 ? prep.get()
+                                                       : nullptr;
                     BatchCover cover;
                     if (useCover)
                         cover.build(cones, mask, W, unionBox);
@@ -361,7 +370,7 @@ TEST(BatchedEngine, RowLayerKernelsMatchPerLaneForward)
                     op.ensure(golden, unionBox);
                     layer.forwardRegionBatched(ins, planes, unionBox,
                                                useCover ? &cover : nullptr,
-                                               golden, op);
+                                               golden, op, gp);
                     for (int l = 0; l < W; ++l) {
                         std::vector<const Tensor *> lins{&la[l]};
                         if (twoInputs)
@@ -381,7 +390,8 @@ TEST(BatchedEngine, RowLayerKernelsMatchPerLaneForward)
                                 << precisionName(p) << " W=" << W
                                 << " first " << first
                                 << " lane " << l << " cover "
-                                << useCover << " at "
+                                << useCover << " prep "
+                                << (gp != nullptr) << " at "
                                 << NeuronIndex{n, h, w, c}.str();
                         }
                     }
@@ -445,7 +455,7 @@ TEST(BatchedEngine, ConvChannelSpansCutPackBlocks)
                     op.ensure(golden, unionBox);
                     conv->forwardRegionBatched(ins, planes, unionBox,
                                                useCover ? &cover : nullptr,
-                                               golden, op);
+                                               golden, op, nullptr);
                     const Region &r = unionBox;
                     for (int h = r.h0; h < r.h1; ++h)
                     for (int w = r.w0; w < r.w1; ++w)
@@ -468,6 +478,123 @@ TEST(BatchedEngine, ConvChannelSpansCutPackBlocks)
                     }
                 }
             }
+        }
+    }
+}
+
+TEST(BatchedEngine, OneNetworkServesTwoInjectors)
+{
+    // Each Injector keeps its own golden pass, MatMulAB's packed golden
+    // B included, so one Network serves two inputs at once: batches of
+    // both Injectors interleaved on shared per-thread engines, from two
+    // threads, must give exactly the records each Injector gives run
+    // alone, on a Network of its own.  The injection nodes include the
+    // producers upstream of every matmul's B operand, so dirty-B lanes
+    // take their own packs next to lanes on the shared golden one.
+    // Outcomes are bit-exact (masked iff the output keeps every golden
+    // bit), so a lane run against the other input's golden B cannot
+    // pass unnoticed.
+    const CorrectnessFn exact = [](const Tensor &g, const Tensor &f) {
+        return bitIdentical(g, f);
+    };
+    constexpr int kCount = 12;
+    for (Precision p : {Precision::INT8, Precision::FP16}) {
+        const Tensor xs[2] = {defaultInputFor("transformer", 4),
+                              defaultInputFor("transformer", 5)};
+        auto build = [&] {
+            Network n = buildTransformer(3);
+            n.setPrecision(p);
+            if (p == Precision::INT8)
+                n.calibrate(xs[0]);
+            return n;
+        };
+        const Network net = build();
+        const Network solo[2] = {build(), build()};
+        const Injector injs[2] = {Injector(net, xs[0], NvdlaConfig{}),
+                                  Injector(net, xs[1], NvdlaConfig{})};
+        const Injector soloInjs[2] = {
+            Injector(solo[0], xs[0], NvdlaConfig{}),
+            Injector(solo[1], xs[1], NvdlaConfig{})};
+
+        // Every MAC node feeding some matmul's B operand, directly or
+        // through other layers.
+        std::vector<char> feedsB(net.numNodes(), 0);
+        for (NodeId id = net.numNodes() - 1; id >= 1; --id) {
+            if (net.layer(id).kind() == LayerKind::MatMul)
+                feedsB[net.producers(id)[1]] = 1;
+            if (feedsB[id])
+                for (NodeId in : net.producers(id))
+                    feedsB[in] = 1;
+        }
+        struct Cell
+        {
+            NodeId node;
+            FFCategory cat;
+        };
+        std::vector<Cell> cells;
+        bool bSide = false;
+        for (NodeId node : net.macNodes()) {
+            bSide = bSide || feedsB[node];
+            for (FFCategory cat :
+                 {FFCategory::OutputPsum, FFCategory::OperandWeight})
+                cells.push_back({node, cat});
+        }
+        ASSERT_TRUE(bSide) << "no injection reaches a matmul's B";
+
+        // recs[inj][cell][i]; each (injector, cell) draws one stream.
+        using Recs = std::vector<std::vector<InjectionRecord>>;
+        auto run = [&](const Injector &inj, std::size_t c,
+                       BatchedEngine &eng, Recs &out) {
+            Rng rng(1000 + 37 * c);
+            out[c].resize(kCount);
+            inj.injectBatch(cells[c].node, cells[c].cat, exact, rng,
+                            kCount, 0.0, eng, out[c].data());
+        };
+        for (int width : {1, kMaxBatchLanes}) {
+            Recs alone[2], mixed[2];
+            for (int inj = 0; inj < 2; ++inj) {
+                alone[inj].resize(cells.size());
+                mixed[inj].resize(cells.size());
+                auto eng = makeBatchedEngine(width);
+                for (std::size_t c = 0; c < cells.size(); ++c)
+                    run(soloInjs[inj], c, *eng, alone[inj]);
+            }
+            // Thread t takes every other cell and alternates the
+            // Injectors on one engine, each thread in its own order.
+            std::vector<std::thread> threads;
+            for (int t = 0; t < 2; ++t)
+                threads.emplace_back([&, t] {
+                    auto eng = makeBatchedEngine(width);
+                    for (std::size_t c = t; c < cells.size(); c += 2)
+                        for (int k = 0; k < 2; ++k)
+                            run(injs[k ^ t], c, *eng, mixed[k ^ t]);
+                });
+            for (std::thread &th : threads)
+                th.join();
+
+            std::size_t masked = 0, total = 0;
+            for (int inj = 0; inj < 2; ++inj)
+                for (std::size_t c = 0; c < cells.size(); ++c) {
+                    SCOPED_TRACE(testing::Message()
+                                 << precisionName(p) << " width " << width
+                                 << " injector " << inj << " node "
+                                 << cells[c].node);
+                    for (int i = 0; i < kCount; ++i) {
+                        const InjectionRecord &a = alone[inj][c][i];
+                        const InjectionRecord &b = mixed[inj][c][i];
+                        EXPECT_EQ(a.masked, b.masked) << "sample " << i;
+                        EXPECT_EQ(a.earlyExit, b.earlyExit);
+                        EXPECT_EQ(a.numFaultyNeurons, b.numFaultyNeurons);
+                        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.maxAbsDelta),
+                                  std::bit_cast<std::uint64_t>(
+                                      b.maxAbsDelta));
+                        masked += a.masked;
+                        ++total;
+                    }
+                }
+            // Both outcomes occur, so the comparison discriminates.
+            EXPECT_GT(masked, 0u) << precisionName(p);
+            EXPECT_LT(masked, total) << precisionName(p);
         }
     }
 }

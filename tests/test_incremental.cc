@@ -349,7 +349,7 @@ TEST(Incremental, BitIdenticalToForwardFromAcrossPrecisions)
                     corrupted.at(at.back()) = val.back();
                 }
                 Tensor dense = net.forwardFrom(node, corrupted, acts);
-                engine->begin(net, node, acts);
+                engine->begin(net, node, acts, nullptr);
                 engine->seedLane(0, at.data(), val.data(), at.size());
                 engine->execute();
                 EXPECT_TRUE(bitIdentical(dense, engine->laneOutput(0)))
@@ -387,7 +387,7 @@ TEST(Incremental, EarlyMaskingExitSkipsDownstream)
     auto engine = makeBatchedEngine(1);
     auto run = [&](const NeuronIndex *neurons, const float *values,
                    std::size_t count) {
-        engine->begin(net, node, acts);
+        engine->begin(net, node, acts, nullptr);
         engine->seedLane(0, neurons, values, count);
         engine->execute();
     };

@@ -122,6 +122,16 @@ adversarialFloats()
     return v;
 }
 
+/** An FC that opens MacLayer's writeback datapath to the tests. */
+struct WritebackProbe : FC
+{
+    using FC::FC;
+    using MacLayer::accReal;
+    using MacLayer::psumFlipInt;
+    using MacLayer::writeback;
+    using MacLayer::writebackRow;
+};
+
 } // namespace
 
 TEST(SimdDispatch, TableMatchesReportedBackend)
@@ -260,6 +270,80 @@ TEST(SimdBackend, BitDiffScansMatchReference)
     std::vector<float> b{-0.0f, std::bit_cast<float>(0x7fc00001u)};
     EXPECT_EQ(simd::firstBitDiff(a.data(), b.data(), 2), 0u);
     EXPECT_EQ(simd::lastBitDiff(a.data(), b.data(), 2), 1u);
+}
+
+TEST(SimdConvert, WritebackRowMatchesScalarWriteback)
+{
+    // The batched writeback against the scalar reference, element by
+    // element, on real values formed the way each caller forms them:
+    // conv/FC float (accumulator + bias), conv/FC integer (accReal
+    // of int64 accumulators, psum-flipped ones included) and matmul
+    // (scaled, then + 0.0f, which maps -0 to +0).  The reals cover
+    // NaN, infinities, signed zeros, binary16 and quantiser ties, and
+    // values past qmin/qmax; rows are long enough for the chunked
+    // quantiser and odd for vector tails.
+    SimdToggle guard;
+    WritebackProbe fc("wb", 2, 2, {0.5f, -0.25f, 1.0f, 2.0f}, {});
+    Tensor x(1, 1, 1, 2), y(1, 1, 1, 2);
+    x[0] = 1.0f;
+    y[0] = 3.7f; // output range: |y| <= 3.7
+    for (Precision p : kAllPrecisions) {
+        fc.setPrecision(p);
+        fc.calibrate({&x}, y);
+        const QuantParams &oq = fc.outputQuant();
+        const double inScale = fc.inputQuant().scale;
+        const double wScale = fc.weightQuant().scale;
+        std::vector<float> real, want;
+
+        // Conv/FC float form; a -0 bias keeps -0 reals.
+        std::vector<float> reals = adversarialFloats();
+        for (std::int32_t k : {oq.qmax(), oq.qmin(), 0, 1, -1, 126})
+            for (double d : {-1.0, -0.5, 0.0, 0.5, 1.0, 1e6})
+                reals.push_back(static_cast<float>((k + d) * oq.scale));
+        for (float r : reals)
+            for (float b : {0.0f, -0.0f, 0.75f}) {
+                real.push_back(fc.accReal(r, b));
+                want.push_back(fc.writeback(r, b));
+            }
+
+        // Conv/FC integer form, with psum-flipped accumulators.
+        const std::int64_t qmaxAcc = static_cast<std::int64_t>(
+            oq.qmax() * oq.scale / (inScale * wScale));
+        for (std::int64_t acc : {std::int64_t{0}, std::int64_t{1},
+                                 std::int64_t{-1}, qmaxAcc, -qmaxAcc,
+                                 2 * qmaxAcc + 1,
+                                 -(std::int64_t{1} << 40)})
+            for (std::uint32_t mask : {0u, 1u, 1u << 20, 1u << 31, ~0u})
+                for (float b : {-0.0f, 0.5f}) {
+                    const std::int64_t a = fc.psumFlipInt(acc, mask);
+                    real.push_back(fc.accReal(a, b));
+                    want.push_back(fc.writeback(
+                        static_cast<double>(a) * inScale * wScale, b));
+                }
+
+        // Matmul form: scale, then + 0.0f; -0 becomes +0.
+        for (float r : reals) {
+            const double facc = r;
+            real.push_back(static_cast<float>(facc * 0.125) + 0.0f);
+            want.push_back(fc.writeback(facc * 0.125f, 0.0f));
+        }
+
+        for (bool on : {true, false}) {
+            simd::setEnabled(on);
+            std::vector<float> out(real.size()), inplace = real;
+            fc.writebackRow(real.data(), real.size(), out.data());
+            fc.writebackRow(inplace.data(), inplace.size(),
+                            inplace.data());
+            for (std::size_t i = 0; i < real.size(); ++i) {
+                ASSERT_EQ(std::bit_cast<std::uint32_t>(out[i]),
+                          std::bit_cast<std::uint32_t>(want[i]))
+                    << precisionName(p) << " simd " << on << " element "
+                    << i << " real " << real[i];
+                ASSERT_EQ(std::bit_cast<std::uint32_t>(inplace[i]),
+                          std::bit_cast<std::uint32_t>(want[i]));
+            }
+        }
+    }
 }
 
 TEST(SimdConvert, RoundToHalfBatchMatchesScalar)
@@ -431,7 +515,7 @@ TEST(SimdKernels, ConvForwardRegionMatchesAcrossBoxes)
                                         -1234.5f;
                     LanePlane *xpp = &xp;
                     conv->forwardRegionBatched(ins, &xpp, r, nullptr,
-                                               golden, op);
+                                               golden, op, nullptr);
                     for (int h = r.h0; h < r.h1; ++h)
                         for (int w = r.w0; w < r.w1; ++w)
                             for (int c = r.c0; c < r.c1; ++c) {
