@@ -7,6 +7,8 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <numeric>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -173,6 +175,8 @@ struct alignas(64) WorkerSlot
     MetricSet metrics;
     std::unique_ptr<BatchedEngine> engine; //!< made on first use
     std::vector<InjectionRecord> recs;
+    std::vector<Rng> rngs; //!< a group's shard streams, advanced
+    std::vector<Injector::ShardDraws> draws;
 
     /** The engine's totals; zero when the slot never needed one. */
     BatchedTotals
@@ -266,13 +270,43 @@ fixedShardStreams(const CampaignConfig &cfg, std::size_t count)
 }
 
 /**
+ * The pooled groups of a round's work items `ids` (ascending indices
+ * into `plan`, whose cells each own one contiguous run of shards): the
+ * runs of consecutive indices that fall into one aligned block of
+ * max(1, kPoolDraws / shardGrain) shards of their cell's run.  Returns
+ * the position in `ids` where each group starts, plus ids.size().  A
+ * pure function of the plan and `ids` — the range, stop and resume
+ * holes cut groups, the thread count never does — so every engine
+ * counter is thread-count-invariant.
+ */
+std::vector<std::size_t>
+poolGroups(const std::vector<ShardPlanEntry> &plan,
+           const std::vector<std::size_t> &ids, int shard_grain)
+{
+    const std::size_t per = static_cast<std::size_t>(
+        std::max(1, kPoolDraws / shard_grain));
+    std::vector<std::size_t> starts;
+    std::size_t cell_first = 0; // index of the first shard of ids[j]'s cell
+    for (std::size_t j = 0; j < ids.size(); ++j) {
+        const std::size_t i = ids[j];
+        while (cell_first < i && plan[cell_first].cell != plan[i].cell)
+            ++cell_first;
+        if (j == 0 || ids[j - 1] + 1 != i || (i - cell_first) % per == 0)
+            starts.push_back(j);
+    }
+    starts.push_back(ids.size());
+    return starts;
+}
+
+/**
  * The one shard path behind both the in-process fan-out and
  * FixedShardExecutor, so threads and worker processes cannot drift
  * apart.  Holds what every shard shares: the Injector (whose
  * construction runs the golden forward pass and warms the MAC layers'
  * precision-converted weight caches, a precondition of concurrent
- * inject calls), the config, and the attached result cache.  run() is
- * safe to call concurrently as long as each caller owns its slot.
+ * inject calls), the config, and the attached result cache.
+ * runGroup() is safe to call concurrently as long as each caller owns
+ * its slot.
  */
 class ShardRunner
 {
@@ -291,58 +325,86 @@ class ShardRunner
     }
 
     /**
-     * Execute every sample of `e`, drawing from `rng`, through the
-     * engines cfg selects, and account them into the entry's record
-     * and the slot's counters.  The record is a pure function of the
-     * entry, the stream and the config's sample identity.  When
-     * `fingerprints` is non-null, the fault-site fingerprints of the
-     * cache-eligible injections are appended to it in sample order.
+     * Execute plan[first, first + count) — one group of poolGroups(),
+     * consecutive shards of one cell — shard i drawing from a copy of
+     * streams[i], through the engine cfg selects, into records[i -
+     * first], and account them into the slot's counters.  Each record
+     * is a pure function of its entry, its stream and the config's
+     * sample identity, whatever group it ran in.  When `fingerprints`
+     * is non-null, fingerprints[i - first] receives the fault-site
+     * fingerprints of shard i's cache-eligible injections in sample
+     * order.
      */
-    ShardRecord
-    run(const ShardPlanEntry &e, Rng rng, WorkerSlot &slot,
-        std::vector<std::uint64_t> *fingerprints) const
+    void
+    runGroup(const std::vector<ShardPlanEntry> &plan,
+             const std::vector<Rng> &streams, std::size_t first,
+             std::size_t count, WorkerSlot &slot, ShardRecord *records,
+             std::vector<std::uint64_t> *fingerprints) const
     {
-        ShardRecord r;
-        r.ordinal = e.ordinal;
-        r.cell = e.cell;
-        auto account = [&](const InjectionRecord &rec) {
-            r.maskedCount += rec.masked ? 1 : 0;
-            r.trials += 1;
-            // Which probes hit is interleaving-dependent on a shared
-            // table, so no live hit/miss counters here (the manifest
-            // must stay deterministic); the fingerprint log feeds the
-            // deterministic plan replay instead.
-            if (fingerprints && rec.cacheEligible)
-                fingerprints->push_back(rec.fingerprint);
-            slot.metrics
-                .counter(rec.masked ? "inject.masked" : "inject.unmasked")
-                .add();
-            if (rec.numFaultyNeurons == 1 &&
-                isDatapathCategory(e.category)) {
-                r.samples.emplace_back(rec.maxAbsDelta, !rec.masked);
-                slot.metrics
-                    .histogram("inject.abs_delta", deltaHistogramEdges())
-                    .add(rec.maxAbsDelta);
-            }
-        };
+        const auto group = std::span(plan).subspan(first, count);
+        const ShardPlanEntry &head = group.front();
+        std::size_t draws = 0;
+        for (const ShardPlanEntry &e : group)
+            draws += static_cast<std::size_t>(e.samples);
 
+        // The group's draws land in slot.recs, shard after shard.
+        slot.recs.resize(draws);
+        slot.rngs.assign(streams.begin() + first,
+                         streams.begin() + first + count);
         if (cfg_.incremental) {
             if (!slot.engine)
                 slot.engine = makeBatchedEngine(cfg_.batchWidth);
-            slot.recs.resize(static_cast<std::size_t>(e.samples));
-            injector_.injectBatch(e.node, e.category, correct_, rng,
-                                  e.samples, cfg_.outputClampAbs,
-                                  *slot.engine, slot.recs.data());
-            for (int s = 0; s < e.samples; ++s)
-                account(slot.recs[static_cast<std::size_t>(s)]);
+            slot.draws.clear();
+            std::size_t at = 0;
+            for (std::size_t k = 0; k < count; ++k) {
+                slot.draws.push_back(
+                    {&slot.rngs[k], group[k].samples, &slot.recs[at]});
+                at += static_cast<std::size_t>(group[k].samples);
+            }
+            injector_.injectBatch(head.node, head.category, correct_,
+                                  slot.draws, cfg_.outputClampAbs,
+                                  *slot.engine);
         } else {
-            for (int s = 0; s < e.samples; ++s)
-                account(injector_.inject(e.node, e.category, correct_,
-                                         rng, cfg_.outputClampAbs));
+            std::size_t at = 0;
+            for (std::size_t k = 0; k < count; ++k)
+                for (int s = 0; s < group[k].samples; ++s)
+                    slot.recs[at++] = injector_.inject(
+                        head.node, head.category, correct_, slot.rngs[k],
+                        cfg_.outputClampAbs);
         }
-        slot.shards += 1;
-        slot.injections += r.trials;
-        return r;
+
+        const InjectionRecord *rec = slot.recs.data();
+        for (std::size_t k = 0; k < count; ++k) {
+            const ShardPlanEntry &e = group[k];
+            ShardRecord &r = records[k];
+            r = ShardRecord{};
+            r.ordinal = e.ordinal;
+            r.cell = e.cell;
+            for (int s = 0; s < e.samples; ++s, ++rec) {
+                r.maskedCount += rec->masked ? 1 : 0;
+                r.trials += 1;
+                // Which probes hit is interleaving-dependent on a
+                // shared table, so no live hit/miss counters here (the
+                // manifest must stay deterministic); the fingerprint
+                // log feeds the deterministic plan replay instead.
+                if (fingerprints && rec->cacheEligible)
+                    fingerprints[k].push_back(rec->fingerprint);
+                slot.metrics
+                    .counter(rec->masked ? "inject.masked"
+                                         : "inject.unmasked")
+                    .add();
+                if (rec->numFaultyNeurons == 1 &&
+                    isDatapathCategory(e.category)) {
+                    r.samples.emplace_back(rec->maxAbsDelta, !rec->masked);
+                    slot.metrics
+                        .histogram("inject.abs_delta",
+                                   deltaHistogramEdges())
+                        .add(rec->maxAbsDelta);
+                }
+            }
+            slot.shards += 1;
+            slot.injections += r.trials;
+        }
     }
 
   private:
@@ -390,19 +452,20 @@ fixedShardPlan(const Network &net, const CampaignConfig &cfg)
 
 /** The fixed plan, its streams and a shard runner with one slot:
  *  construction pays all of it once, so each execute() costs only its
- *  shards. */
+ *  shards, run as the pooled groups the range cuts out of the plan. */
 struct FixedShardExecutor::Impl
 {
     Impl(const Network &net, const Tensor &input,
          const CorrectnessFn &correct, const CampaignConfig &cfg)
         : plan(fixedShardPlan(net, cfg)),
           streams(fixedShardStreams(cfg, plan.size())),
-          runner(net, input, correct, cfg)
+          shardGrain(cfg.shardGrain), runner(net, input, correct, cfg)
     {
     }
 
     std::vector<ShardPlanEntry> plan;
     std::vector<Rng> streams;
+    int shardGrain;
     ShardRunner runner;
     WorkerSlot slot;
 };
@@ -430,11 +493,15 @@ FixedShardExecutor::execute(std::uint64_t first, std::uint64_t count)
     fatal_if(first > im.plan.size() || count > im.plan.size() - first,
              "shard range [", first, ", ", first + count,
              ") exceeds the ", im.plan.size(), "-shard plan");
-    std::vector<ShardRecord> records;
-    records.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = first; i < first + count; ++i)
-        records.push_back(
-            im.runner.run(im.plan[i], im.streams[i], im.slot, nullptr));
+    std::vector<std::size_t> ids(static_cast<std::size_t>(count));
+    std::iota(ids.begin(), ids.end(), static_cast<std::size_t>(first));
+    const std::vector<std::size_t> starts =
+        poolGroups(im.plan, ids, im.shardGrain);
+    std::vector<ShardRecord> records(ids.size());
+    for (std::size_t g = 0; g + 1 < starts.size(); ++g)
+        im.runner.runGroup(im.plan, im.streams, ids[starts[g]],
+                           starts[g + 1] - starts[g], im.slot,
+                           &records[starts[g]], nullptr);
     return records;
 }
 
@@ -611,21 +678,31 @@ runCampaign(const Network &net, const Tensor &input,
             coord_metrics.counter("checkpoint.bytes").add(ev.bytes);
         };
 
+        // Fan out pooled groups, not shards: one worker runs a whole
+        // group, so the engine batches its survivors together.
+        const std::vector<std::size_t> starts =
+            poolGroups(plan, pending, cfg.shardGrain);
         ScopedTimer inject_scope(inject_timer);
-        pool.forEachOf(pending, [&](std::size_t i) {
+        pool.forEach(starts.size() - 1, [&](std::size_t g) {
             WorkerSlot &slot =
                 worker_slots[static_cast<std::size_t>(pool.callerSlot())];
-            records[i] =
-                runner.run(plan[i], streams[i], slot, &fingerprints[i]);
-            const std::uint64_t trials = records[i].trials;
-            done[i].store(true, std::memory_order_release);
+            const std::size_t first = pending[starts[g]];
+            const std::size_t count = starts[g + 1] - starts[g];
+            runner.runGroup(plan, streams, first, count, slot,
+                            &records[first], &fingerprints[first]);
+            std::uint64_t trials = 0;
+            for (std::size_t i = first; i < first + count; ++i) {
+                trials += records[i].trials;
+                done[i].store(true, std::memory_order_release);
+            }
 
             std::uint64_t inj =
                 injections_done.fetch_add(trials,
                                           std::memory_order_relaxed) +
                 trials;
             std::uint64_t nth =
-                shards_done.fetch_add(1, std::memory_order_relaxed) + 1;
+                shards_done.fetch_add(count, std::memory_order_relaxed) +
+                count;
             std::int64_t now = now_ns();
             if (cfg.progress) {
                 std::int64_t prev =

@@ -77,11 +77,12 @@ struct CampaignConfig
 
     /**
      * Lane width of the sparse engine: up to this many surviving
-     * injections of one (layer, category) shard are carried through
-     * the network in one pass, with lanes indexing injections (see
-     * DESIGN.md §7).  Must be in [1, kMaxBatchLanes]; at 1 every
-     * injection runs alone on the 1-lane engine, and > 1 batches
-     * kMaxBatchLanes (8) injections per walk.  Ignored when
+     * injections of one (layer, category) cell, pooled over a group
+     * of its shards (kPoolDraws), are carried through the network in
+     * one pass, with lanes indexing injections (see DESIGN.md §7).
+     * Must be in [1, kMaxBatchLanes]; at 1 every injection runs alone
+     * on the 1-lane engine, and > 1 batches kMaxBatchLanes (8)
+     * injections per walk.  Ignored when
      * incremental = false (the dense path has no lanes).  Purely a
      * performance knob: the sampled faults, every record field, and
      * campaignChecksum are bit-identical for every width, and it does
@@ -299,6 +300,19 @@ struct CampaignResult
 CampaignResult runCampaign(const Network &net, const Tensor &input,
                            const CorrectnessFn &correct,
                            const CampaignConfig &cfg);
+
+/**
+ * Draws one pooled group of shards holds (when shardGrain divides it):
+ * the shards of a cell run in aligned groups of max(1, kPoolDraws /
+ * shardGrain), and the sparse engine batches the survivors of a whole
+ * group, so its 8-lane walks fill up and the Morton sort has a pool to
+ * cluster (DESIGN.md §6, "Pooled shard groups").  Groups are cut at
+ * round, executor-range, stop and resume boundaries, never by the
+ * thread count, and no record depends on them.  64 is the service's
+ * default lease of 8 shards at a grain of 8, so those leases are whole
+ * groups.
+ */
+inline constexpr int kPoolDraws = 64;
 
 /**
  * One shard of the deterministic fixed-schedule plan: `samples` draws

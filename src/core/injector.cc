@@ -207,17 +207,21 @@ Injector::inject(NodeId node, FFCategory cat, const CorrectnessFn &correct,
 
 std::size_t
 Injector::injectBatch(NodeId node, FFCategory cat,
-                      const CorrectnessFn &correct, Rng &rng, int count,
-                      double clamp_abs, BatchedEngine &eng,
-                      InjectionRecord *recs) const
+                      const CorrectnessFn &correct,
+                      std::span<const ShardDraws> shards, double clamp_abs,
+                      BatchedEngine &eng) const
 {
-    if (count <= 0)
+    std::size_t draws = 0;
+    for (const ShardDraws &sd : shards)
+        draws += static_cast<std::size_t>(std::max(sd.count, 0));
+    if (draws == 0)
         return 0;
     if (cat == FFCategory::GlobalControl) {
         // Nothing to propagate: GlobalControl is classified outright.
-        for (int i = 0; i < count; ++i)
-            recs[i] = inject(node, cat, correct, rng, clamp_abs);
-        return static_cast<std::size_t>(count);
+        for (const ShardDraws &sd : shards)
+            for (int i = 0; i < sd.count; ++i)
+                sd.recs[i] = inject(node, cat, correct, *sd.rng, clamp_abs);
+        return draws;
     }
     const int width = eng.maxLanes();
 
@@ -226,22 +230,22 @@ Injector::injectBatch(NodeId node, FFCategory cat,
     auto ins = net_.gatherInputs(node, acts_);
     const Tensor &golden = acts_[node];
 
-    // Pending survivors over the whole call (post-bounding,
-    // bit-changed neurons only).  Survivors queue up here and are
-    // grouped into batches *by seed-site proximity* after the sampling
-    // loop: spatially adjacent faults have overlapping cones, so
-    // clustered lanes keep every layer's union recompute box close to a
-    // single injection's.  All RNG draws and cache probes happen inside
-    // the sequential loop, so the grouping cannot perturb the rng
-    // stream, the record fault fields, or any outcome.
+    // Pending survivors of every shard (post-bounding, bit-changed
+    // neurons only).  Survivors queue up here and are grouped into
+    // batches *by seed-site proximity* after the sampling loop:
+    // spatially adjacent faults have overlapping cones, so clustered
+    // lanes keep every layer's union recompute box close to a single
+    // injection's.  All RNG draws and cache probes happen inside the
+    // sequential loop, so the grouping cannot perturb any rng stream,
+    // the record fault fields, or any outcome.
     std::vector<NeuronIndex> qn; // flat neuron storage
     std::vector<float> qv;       // flat value storage
     struct Pending
     {
-        std::size_t begin; //!< first neuron in qn/qv
-        std::size_t end;   //!< one past the last neuron
-        int rec;           //!< index into recs
-        std::uint64_t key; //!< batch n, then Z-order of the seed centre
+        std::size_t begin;    //!< first neuron in qn/qv
+        std::size_t end;      //!< one past the last neuron
+        InjectionRecord *rec; //!< the draw's record in its shard
+        std::uint64_t key;    //!< batch n, then Z-order of the seed centre
     };
     std::vector<Pending> pend;
 
@@ -269,7 +273,7 @@ Injector::injectBatch(NodeId node, FFCategory cat,
         }
         eng.execute();
         for (int l = 0; l < q; ++l) {
-            InjectionRecord &r = recs[pend[g0 + l].rec];
+            InjectionRecord &r = *pend[g0 + l].rec;
             r.masked = correct(goldenOutput(), eng.laneOutput(l));
             r.earlyExit = eng.laneEarlyMasked(l);
             if (cache_)
@@ -278,72 +282,76 @@ Injector::injectBatch(NodeId node, FFCategory cat,
         }
     };
 
-    for (int i = 0; i < count; ++i) {
-        InjectionRecord &rec = recs[i];
-        rec = InjectionRecord{};
-        rec.category = cat;
-        rec.node = node;
+    for (const ShardDraws &sd : shards) {
+        for (int i = 0; i < sd.count; ++i) {
+            InjectionRecord &rec = sd.recs[i];
+            rec = InjectionRecord{};
+            rec.category = cat;
+            rec.node = node;
 
-        FaultApplication app =
-            models_.apply(cat, *mac, ins, golden, rng);
-        rec.numFaultyNeurons = static_cast<int>(app.neurons.size());
-        rec.maxAbsDelta = app.maxAbsDelta;
-        if (app.masked()) {
-            rec.masked = true;
-            continue;
-        }
-
-        // Probe the memo table per injection, before batching, so the
-        // rng stream and record fields match the sequential path.
-        if (cache_) {
-            rec.fingerprint = faultSiteFingerprint(
-                cacheContext_, node, cat, clamp_abs, app, golden);
-            rec.cacheEligible = true;
-            CachedOutcome memo;
-            if (cache_->probe(rec.fingerprint, memo)) {
-                rec.masked = memo.masked;
-                rec.earlyExit = memo.earlyExit;
-                rec.cacheHit = true;
+            FaultApplication app =
+                models_.apply(cat, *mac, ins, golden, *sd.rng);
+            rec.numFaultyNeurons = static_cast<int>(app.neurons.size());
+            rec.maxAbsDelta = app.maxAbsDelta;
+            if (app.masked()) {
+                rec.masked = true;
                 continue;
             }
-        }
 
-        Pending p;
-        p.begin = qn.size();
-        Region seed;
-        for (std::size_t j = 0; j < app.neurons.size(); ++j) {
-            float v = app.values[j];
-            if (clamp_abs > 0.0)
-                v = boundValue(v, clamp_abs);
-            if (std::bit_cast<std::uint32_t>(v) !=
-                std::bit_cast<std::uint32_t>(golden.at(app.neurons[j])))
-            {
-                qn.push_back(app.neurons[j]);
-                qv.push_back(v);
-                seed.include(app.neurons[j]);
+            // Probe the memo table per injection, before batching, so
+            // the rng stream and record fields match the sequential
+            // path.
+            if (cache_) {
+                rec.fingerprint = faultSiteFingerprint(
+                    cacheContext_, node, cat, clamp_abs, app, golden);
+                rec.cacheEligible = true;
+                CachedOutcome memo;
+                if (cache_->probe(rec.fingerprint, memo)) {
+                    rec.masked = memo.masked;
+                    rec.earlyExit = memo.earlyExit;
+                    rec.cacheHit = true;
+                    continue;
+                }
             }
-        }
-        p.end = qn.size();
-        p.rec = i;
-        p.key = seed.empty()
-            ? 0
-            : (static_cast<std::uint64_t>(seed.n0 + seed.n1) << 33) |
-                  morton(static_cast<std::uint32_t>(seed.h0 + seed.h1),
-                         static_cast<std::uint32_t>(seed.w0 + seed.w1));
-        pend.push_back(p);
-        if (width == 1) {
-            // Nothing to cluster: run each survivor before the next
-            // draw, so a repeated site hits the cache as in inject().
-            runBatch(0, 1);
-            pend.clear();
-            qn.clear();
-            qv.clear();
+
+            Pending p;
+            p.begin = qn.size();
+            Region seed;
+            for (std::size_t j = 0; j < app.neurons.size(); ++j) {
+                float v = app.values[j];
+                if (clamp_abs > 0.0)
+                    v = boundValue(v, clamp_abs);
+                if (std::bit_cast<std::uint32_t>(v) !=
+                    std::bit_cast<std::uint32_t>(golden.at(app.neurons[j])))
+                {
+                    qn.push_back(app.neurons[j]);
+                    qv.push_back(v);
+                    seed.include(app.neurons[j]);
+                }
+            }
+            p.end = qn.size();
+            p.rec = &rec;
+            p.key = seed.empty()
+                ? 0
+                : (static_cast<std::uint64_t>(seed.n0 + seed.n1) << 33) |
+                      morton(static_cast<std::uint32_t>(seed.h0 + seed.h1),
+                             static_cast<std::uint32_t>(seed.w0 + seed.w1));
+            pend.push_back(p);
+            if (width == 1) {
+                // Nothing to cluster: run each survivor before the next
+                // draw, so a repeated site hits the cache as in
+                // inject().
+                runBatch(0, 1);
+                pend.clear();
+                qn.clear();
+                qv.clear();
+            }
         }
     }
 
-    // Cluster: sort survivors by seed centre, stable so equal sites
-    // keep arrival order — the grouping is deterministic and thus
-    // identical at every thread count.
+    // Cluster: sort the pooled survivors by seed centre, stable so
+    // equal sites keep draw order — the grouping is a function of the
+    // draws alone and thus identical at every thread count.
     std::stable_sort(pend.begin(), pend.end(),
                      [](const Pending &a, const Pending &b) {
                          return a.key < b.key;
@@ -351,7 +359,7 @@ Injector::injectBatch(NodeId node, FFCategory cat,
     for (std::size_t g0 = 0; g0 < pend.size(); g0 += width)
         runBatch(g0, static_cast<int>(std::min<std::size_t>(
                          width, pend.size() - g0)));
-    return static_cast<std::size_t>(count);
+    return draws;
 }
 
 namespace

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 
 #include "core/fault_models.hh"
 #include "nn/batched.hh"
@@ -97,24 +98,37 @@ class Injector
                            const CorrectnessFn &correct, Rng &rng,
                            double clamp_abs = 0.0) const;
 
+    /** One shard's share of a pooled injectBatch() call. */
+    struct ShardDraws
+    {
+        Rng *rng = nullptr;              //!< the shard's own stream
+        int count = 0;                   //!< draws of the shard
+        InjectionRecord *recs = nullptr; //!< its records, [0, count)
+    };
+
     /**
-     * Run `count` experiments at one (node, category) cell through the
-     * sparse engine `eng`, carrying surviving injections through the
-     * network in SIMD-lane batches of eng.maxLanes() (a ragged last
-     * batch fills fewer lanes).  Sample identity is untouched
-     * relative to `count` sequential inject() calls: the fault models
-     * draw from `rng` in the same order, the result cache is probed
-     * per injection *before* batching, and every record field except
-     * cacheHit (within-batch duplicate sites compute instead of
-     * hitting) is identical — outputs are bit-identical, so
-     * masked/earlyExit agree.  Writes the records to `recs[0..count)`
-     * in sample order and returns count.  Thread-safe under the same
+     * Run the draws of a group of shards of one (node, category) cell
+     * through the sparse engine `eng`, pooling the survivors of every
+     * shard and carrying them through the network in SIMD-lane
+     * batches of eng.maxLanes() (a ragged last batch fills fewer
+     * lanes).  Shards draw in the order given, each from its own
+     * stream into its own records, so sample identity is untouched
+     * relative to `count` sequential inject() calls per shard: the
+     * fault models draw from each `rng` in the same order, the result
+     * cache is probed per injection *before* batching, and every
+     * record field except cacheHit (a site repeated within the group
+     * computes instead of hitting) is identical — outputs are
+     * bit-identical, so masked/earlyExit agree.  Pooling only decides
+     * which survivors share a walk: the pool is Morton-sorted by seed
+     * site, so spatially close faults of different shards batch
+     * together.  At width 1 each survivor runs before the next draw.
+     * Returns the draws of all shards.  Thread-safe under the same
      * contract as inject() (engines are per-caller).
      */
     std::size_t injectBatch(NodeId node, FFCategory cat,
-                            const CorrectnessFn &correct, Rng &rng,
-                            int count, double clamp_abs, BatchedEngine &eng,
-                            InjectionRecord *recs) const;
+                            const CorrectnessFn &correct,
+                            std::span<const ShardDraws> shards,
+                            double clamp_abs, BatchedEngine &eng) const;
 
     const FaultModels &models() const { return models_; }
     const Network &network() const { return net_; }

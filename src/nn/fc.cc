@@ -173,18 +173,18 @@ FC::forwardRegionBatched(const std::vector<const Tensor *> &ins,
     float *xw = xr.data();
     forEachCoveredLaneCell(
         region, cover, W, [&](int n, int h, int w, std::uint32_t lanes) {
-            const float *src = xp.lanes(x.offset(n, h, w, 0));
-            for (; lanes; lanes &= lanes - 1, xw += inC_)
-                gatherLane(src, W, std::countr_zero(lanes), inC_, xw);
+            gatherLanes(xp.lanes(x.offset(n, h, w, 0)), W, lanes, inC_, xw,
+                        inC_);
+            xw += std::popcount(lanes) * static_cast<std::size_t>(inC_);
         });
     denseRows(xr.data(), rows, yr.data());
     const float *yw = yr.data();
     forEachCoveredLaneCell(
         region, cover, W, [&](int n, int h, int w, std::uint32_t lanes) {
-            float *dst = out.lanes(golden.offset(n, h, w, region.c0));
-            for (; lanes; lanes &= lanes - 1, yw += units_)
-                scatterLane(yw + region.c0, region.c1 - region.c0, dst, W,
-                            std::countr_zero(lanes));
+            scatterLanes(yw + region.c0, units_, region.c1 - region.c0,
+                         out.lanes(golden.offset(n, h, w, region.c0)), W,
+                         lanes);
+            yw += std::popcount(lanes) * static_cast<std::size_t>(units_);
         });
 }
 

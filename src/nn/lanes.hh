@@ -403,33 +403,63 @@ forEachCoveredLaneCell(const Region &region, const BatchCover *cover,
 }
 
 /**
- * Copy lane `l` of the `count` consecutive lane columns (of `width`
- * floats each) at `cols` into the contiguous run `out`: how the row
- * kernels gather one injection's operand row.  At width 1 the columns
- * are the run already, so it is one row copy.
+ * Copy the lanes set in `mask` of the `count` consecutive lane columns
+ * (of `width` floats each) at `cols` into popcount(mask) runs of
+ * `count` floats, `stride` floats apart, lowest lane first: how the
+ * row kernels gather the operand rows of every injection that
+ * recomputes one cell.  Under a full 8-lane mask the columns go as 8x8
+ * transposes (simd::transpose8x8), reading each cache line of the
+ * plane once for all lanes; other masks copy lane by lane.  At width 1
+ * the columns are the run already, so it is one row copy.
  */
 inline void
-gatherLane(const float *cols, int width, int l, int count, float *out)
+gatherLanes(const float *cols, int width, std::uint32_t mask, int count,
+            float *rows, std::size_t stride)
 {
     if (width == 1) {
-        std::copy_n(cols, count, out);
+        if (mask)
+            std::copy_n(cols, count, rows);
         return;
     }
-    for (int c = 0; c < count; ++c)
-        out[c] = cols[c * width + l];
+    constexpr int B = kMaxBatchLanes;
+    int c = 0;
+    if (mask == (1u << B) - 1) {
+        for (; c + B <= count; c += B)
+            simd::transpose8x8(cols + static_cast<std::size_t>(c) * B, B,
+                               rows + c, stride);
+    }
+    for (float *row = rows; mask; mask &= mask - 1, row += stride) {
+        const int l = std::countr_zero(mask);
+        for (int j = c; j < count; ++j)
+            row[j] = cols[static_cast<std::size_t>(j) * B + l];
+    }
 }
 
-/** gatherLane's inverse: write the run `in` into lane `l` of the
- *  `count` lane columns at `cols`. */
+/** gatherLanes' inverse: write the popcount(mask) runs of `count`
+ *  floats at `rows` (`stride` apart) into the lanes set in `mask` of
+ *  the `count` lane columns at `cols`; other lanes keep their
+ *  values. */
 inline void
-scatterLane(const float *in, int count, float *cols, int width, int l)
+scatterLanes(const float *rows, std::size_t stride, int count, float *cols,
+             int width, std::uint32_t mask)
 {
     if (width == 1) {
-        std::copy_n(in, count, cols);
+        if (mask)
+            std::copy_n(rows, count, cols);
         return;
     }
-    for (int c = 0; c < count; ++c)
-        cols[c * width + l] = in[c];
+    constexpr int B = kMaxBatchLanes;
+    int c = 0;
+    if (mask == (1u << B) - 1) {
+        for (; c + B <= count; c += B)
+            simd::transpose8x8(rows + c, stride,
+                               cols + static_cast<std::size_t>(c) * B, B);
+    }
+    for (const float *row = rows; mask; mask &= mask - 1, row += stride) {
+        const int l = std::countr_zero(mask);
+        for (int j = c; j < count; ++j)
+            cols[static_cast<std::size_t>(j) * B + l] = row[j];
+    }
 }
 
 } // namespace fidelity

@@ -218,22 +218,26 @@ MatMulAB::forwardRegionBatched(const std::vector<const Tensor *> &ins,
 
     // The (row, lane) pairs to recompute, numbered in gather order:
     // the lanes that share the golden B pack first, row-major, then
-    // each dirty lane's rows as one contiguous block.
+    // each dirty lane's rows as one contiguous block.  f(i, n, h,
+    // lanes) takes A row (n, h) of every lane in `lanes` at once, as
+    // rows i, i + 1, ... lowest lane first.
     const std::uint32_t shared = ((1u << W) - 1) & ~dirtyB;
-    auto forEachRow = [&](auto &&f) {
+    auto forEachRun = [&](auto &&f) {
         std::size_t i = 0;
         forEachCoveredLaneCell(
             region, cover, W, [&](int n, int h, int, std::uint32_t lanes) {
-                for (lanes &= shared; lanes; lanes &= lanes - 1)
-                    f(i++, n, h, std::countr_zero(lanes));
+                if ((lanes &= shared)) {
+                    f(i, n, h, lanes);
+                    i += std::popcount(lanes);
+                }
             });
         for (std::uint32_t d = dirtyB; d; d &= d - 1) {
-            const int l = std::countr_zero(d);
+            const std::uint32_t bit = d & -d;
             forEachCoveredLaneCell(region, cover, W,
                                    [&](int n, int h, int,
                                        std::uint32_t lanes) {
-                                       if ((lanes >> l) & 1u)
-                                           f(i++, n, h, l);
+                                       if (lanes & bit)
+                                           f(i++, n, h, bit);
                                    });
         }
     };
@@ -252,9 +256,9 @@ MatMulAB::forwardRegionBatched(const std::vector<const Tensor *> &ins,
     Arena &arena = Arena::local();
     auto xr = arena.floats(rows * red);
     auto yr = arena.floats(rows * cols);
-    forEachRow([&](std::size_t i, int n, int h, int l) {
-        gatherLane(ap.lanes(a.offset(n, h, 0, 0)), W, l, red,
-                   xr.data() + i * red);
+    forEachRun([&](std::size_t i, int n, int h, std::uint32_t lanes) {
+        gatherLanes(ap.lanes(a.offset(n, h, 0, 0)), W, lanes, red,
+                    xr.data() + i * red, red);
     });
 
     if (sharedRows > 0)
@@ -273,8 +277,8 @@ MatMulAB::forwardRegionBatched(const std::vector<const Tensor *> &ins,
             // One lane's B is the plane itself at width 1.
             const float *lb = bpl.lanes(0);
             if (W > 1) {
-                gatherLane(lb, W, l, static_cast<int>(b.size()),
-                           bl.data());
+                gatherLanes(lb, W, 1u << l, static_cast<int>(b.size()),
+                            bl.data(), b.size());
                 lb = bl.data();
             }
             mulRows(xr.data() + start * red, laneRows[l], red, cols, lb,
@@ -283,10 +287,11 @@ MatMulAB::forwardRegionBatched(const std::vector<const Tensor *> &ins,
         }
     }
 
-    forEachRow([&](std::size_t i, int n, int h, int l) {
-        scatterLane(yr.data() + i * cols + region.c0,
-                    region.c1 - region.c0,
-                    out.lanes(golden.offset(n, h, 0, region.c0)), W, l);
+    forEachRun([&](std::size_t i, int n, int h, std::uint32_t lanes) {
+        scatterLanes(yr.data() + i * cols + region.c0, cols,
+                     region.c1 - region.c0,
+                     out.lanes(golden.offset(n, h, 0, region.c0)), W,
+                     lanes);
     });
 }
 

@@ -105,28 +105,6 @@ ThreadPool::forEach(std::size_t n,
 }
 
 void
-ThreadPool::forEachOf(const std::vector<std::size_t> &ids,
-                      const std::function<void(std::size_t)> &fn)
-{
-    std::vector<std::future<void>> futures;
-    futures.reserve(ids.size());
-    for (std::size_t id : ids)
-        futures.push_back(submit([&fn, id] { fn(id); }));
-
-    std::exception_ptr first;
-    for (std::future<void> &f : futures) {
-        try {
-            f.get();
-        } catch (...) {
-            if (!first)
-                first = std::current_exception();
-        }
-    }
-    if (first)
-        std::rethrow_exception(first);
-}
-
-void
 ThreadPool::workerLoop(int index)
 {
     tlsWorkerIndex = index;

@@ -56,18 +56,6 @@ class ThreadPool
     void forEach(std::size_t n,
                  const std::function<void(std::size_t)> &fn);
 
-    /**
-     * Run fn(id) for every id in `ids` across the pool and wait for
-     * all of them.  The sparse counterpart of forEach: the adaptive
-     * campaign scheduler retires (layer, category) cells round by
-     * round and resumes from checkpoints, so the live work items of a
-     * round are an arbitrary subset of the shard plan, not a dense
-     * [0, n) range.  Exception semantics match forEach (first
-     * exception in `ids` order, after every task ran).
-     */
-    void forEachOf(const std::vector<std::size_t> &ids,
-                   const std::function<void(std::size_t)> &fn);
-
     /** Number of worker threads. */
     int size() const { return static_cast<int>(workers_.size()); }
 

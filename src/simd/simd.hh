@@ -259,6 +259,40 @@ laneNeMask(const float *p, float x)
 #endif
 }
 
+/**
+ * Transpose the 8x8 block of floats at `src` (rows `sstride` floats
+ * apart) into `dst` (rows `dstride` apart): dst[j][i] = src[i][j].
+ * How the lane kernels turn eight lane columns into eight lane rows
+ * and back.  Pure copies, so every bit pattern survives; four SSE2
+ * 4x4 shuffles where the baseline ISA has them.
+ */
+inline void
+transpose8x8(const float *src, std::size_t sstride, float *dst,
+             std::size_t dstride)
+{
+#if defined(FIDELITY_SIMD_X86_BASELINE)
+    for (int a = 0; a < 8; a += 4) {
+        for (int b = 0; b < 8; b += 4) {
+            const float *s = src + a * sstride + b;
+            __m128 r0 = _mm_loadu_ps(s);
+            __m128 r1 = _mm_loadu_ps(s + sstride);
+            __m128 r2 = _mm_loadu_ps(s + 2 * sstride);
+            __m128 r3 = _mm_loadu_ps(s + 3 * sstride);
+            _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+            float *d = dst + b * dstride + a;
+            _mm_storeu_ps(d, r0);
+            _mm_storeu_ps(d + dstride, r1);
+            _mm_storeu_ps(d + 2 * dstride, r2);
+            _mm_storeu_ps(d + 3 * dstride, r3);
+        }
+    }
+#else
+    for (int i = 0; i < 8; ++i)
+        for (int j = 0; j < 8; ++j)
+            dst[j * dstride + i] = src[i * sstride + j];
+#endif
+}
+
 } // namespace fidelity::simd
 
 #endif // FIDELITY_SIMD_SIMD_HH

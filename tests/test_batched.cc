@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
@@ -32,6 +33,7 @@
 #include "nn/matmul.hh"
 #include "nn/region.hh"
 #include "nn/softmax.hh"
+#include "sim/result_cache.hh"
 #include "test_util.hh"
 #include "workloads/metrics.hh"
 #include "workloads/models.hh"
@@ -85,6 +87,53 @@ TEST(LanePlane, EnsureFillsGoldenAndKeepsLaneValues)
                     << "W=" << W << " lane " << l << " at "
                     << NeuronIndex{n, h, w, c}.str();
         }
+    }
+}
+
+TEST(LanePlane, GatherAndScatterLanesCopyExactlyTheMaskedLanes)
+{
+    // gatherLanes copies the masked lanes of `count` lane columns into
+    // runs `stride` apart, lowest lane first, in 8-column blocks plus a
+    // tail; scatterLanes writes them back.  Neither touches anything
+    // else: the gaps between runs and the unmasked lanes keep their
+    // values.
+    constexpr int B = kMaxBatchLanes;
+    constexpr float kUntouched = -7.0f;
+    for (int count : {1, 7, 8, 13, 24}) {
+        std::vector<float> cols(static_cast<std::size_t>(count) * B);
+        for (std::size_t i = 0; i < cols.size(); ++i)
+            cols[i] = static_cast<float>(i);
+        const std::size_t stride = static_cast<std::size_t>(count) + 3;
+        for (std::uint32_t mask : {0x01u, 0x80u, 0xa5u, 0x3cu, 0xffu}) {
+            SCOPED_TRACE(testing::Message()
+                         << "count " << count << " mask " << mask);
+            std::vector<float> rows(B * stride, kUntouched);
+            gatherLanes(cols.data(), B, mask, count, rows.data(), stride);
+            std::vector<float> back(cols.size(), kUntouched);
+            scatterLanes(rows.data(), stride, count, back.data(), B, mask);
+            int k = 0;
+            for (int l = 0; l < B; ++l) {
+                const bool in = (mask >> l) & 1u;
+                for (int c = 0; c < count; ++c) {
+                    const std::size_t at = static_cast<std::size_t>(c) * B + l;
+                    EXPECT_EQ(back[at], in ? cols[at] : kUntouched);
+                    if (in) {
+                        EXPECT_EQ(rows[k * stride + c], cols[at]);
+                    }
+                }
+                k += in;
+            }
+            for (std::size_t r = 0; r < rows.size(); ++r) {
+                if (r / stride >= static_cast<std::size_t>(k) ||
+                    r % stride >= static_cast<std::size_t>(count)) {
+                    EXPECT_EQ(rows[r], kUntouched) << "run slot " << r;
+                }
+            }
+        }
+        // Width 1: the one column is the run.
+        std::vector<float> one(count, kUntouched);
+        gatherLanes(cols.data(), 1, 1u, count, one.data(), 0);
+        EXPECT_TRUE(std::equal(one.begin(), one.end(), cols.begin()));
     }
 }
 
@@ -547,8 +596,9 @@ TEST(BatchedEngine, OneNetworkServesTwoInjectors)
                        BatchedEngine &eng, Recs &out) {
             Rng rng(1000 + 37 * c);
             out[c].resize(kCount);
-            inj.injectBatch(cells[c].node, cells[c].cat, exact, rng,
-                            kCount, 0.0, eng, out[c].data());
+            const Injector::ShardDraws shard{&rng, kCount, out[c].data()};
+            inj.injectBatch(cells[c].node, cells[c].cat, exact, {&shard, 1},
+                            0.0, eng);
         };
         for (int width : {1, kMaxBatchLanes}) {
             Recs alone[2], mixed[2];
@@ -596,6 +646,92 @@ TEST(BatchedEngine, OneNetworkServesTwoInjectors)
             EXPECT_GT(masked, 0u) << precisionName(p);
             EXPECT_LT(masked, total) << precisionName(p);
         }
+    }
+}
+
+TEST(BatchedEngine, PooledShardsMatchSeparateWidthOneCalls)
+{
+    // One injectBatch over a group of shards pools their survivors into
+    // shared 8-lane walks, but each shard draws from its own stream
+    // into its own records: every record equals the one k separate
+    // width-1 calls give (cacheHit aside: a site repeated across the
+    // group computes instead of hitting), and every stream ends in the
+    // same state.
+    const int counts[] = {8, 3, 8, 1, 8, 5};
+    constexpr std::size_t k = std::size(counts);
+    for (const char *name : {"resnet", "transformer"}) {
+        Network net = buildNetwork(name, 3);
+        const Tensor x = defaultInputFor(name, 4);
+        net.setPrecision(Precision::FP16);
+        const CorrectnessFn metric = std::string(name) == "transformer"
+                                         ? bleuMetric(0.10)
+                                         : top1Metric();
+        // Each side probes a cache of its own, so both fill the
+        // fingerprint fields.
+        ResultCache cacheA(1 << 20), cacheB(1 << 20);
+        Injector pooled(net, x, NvdlaConfig{});
+        Injector single(net, x, NvdlaConfig{});
+        pooled.attachResultCache(&cacheA);
+        single.attachResultCache(&cacheB);
+        auto wide = makeBatchedEngine(kMaxBatchLanes);
+        auto one = makeBatchedEngine(1);
+
+        std::size_t reached = 0;
+        for (NodeId node : net.macNodes()) {
+            for (FFCategory cat : allFFCategories()) {
+                SCOPED_TRACE(std::string(name) + " node " +
+                             std::to_string(node) + " " +
+                             ffCategoryName(cat));
+                std::vector<Rng> ra, rb;
+                std::vector<std::vector<InjectionRecord>> a(k), b(k);
+                std::vector<Injector::ShardDraws> draws;
+                for (std::size_t j = 0; j < k; ++j) {
+                    ra.emplace_back(977 * node + 31 * j +
+                                    static_cast<int>(cat));
+                    rb.push_back(ra.back());
+                    a[j].resize(counts[j]);
+                    b[j].resize(counts[j]);
+                }
+                for (std::size_t j = 0; j < k; ++j)
+                    draws.push_back({&ra[j], counts[j], a[j].data()});
+                EXPECT_EQ(pooled.injectBatch(node, cat, metric, draws,
+                                             0.0, *wide),
+                          33u);
+                for (std::size_t j = 0; j < k; ++j) {
+                    const Injector::ShardDraws shard{&rb[j], counts[j],
+                                                     b[j].data()};
+                    single.injectBatch(node, cat, metric, {&shard, 1}, 0.0,
+                                       *one);
+                }
+                for (std::size_t j = 0; j < k; ++j) {
+                    for (int i = 0; i < counts[j]; ++i) {
+                        const InjectionRecord &p = a[j][i];
+                        const InjectionRecord &q = b[j][i];
+                        SCOPED_TRACE(testing::Message()
+                                     << "shard " << j << " draw " << i);
+                        EXPECT_EQ(p.category, q.category);
+                        EXPECT_EQ(p.node, q.node);
+                        EXPECT_EQ(p.masked, q.masked);
+                        EXPECT_EQ(p.globalFailure, q.globalFailure);
+                        EXPECT_EQ(p.numFaultyNeurons, q.numFaultyNeurons);
+                        EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                                      p.maxAbsDelta),
+                                  std::bit_cast<std::uint64_t>(
+                                      q.maxAbsDelta));
+                        EXPECT_EQ(p.earlyExit, q.earlyExit);
+                        EXPECT_EQ(p.fingerprint, q.fingerprint);
+                        EXPECT_EQ(p.cacheEligible, q.cacheEligible);
+                        reached += p.cacheEligible;
+                    }
+                    EXPECT_EQ(ra[j].next64(), rb[j].next64())
+                        << "stream " << j << " ends elsewhere";
+                }
+            }
+        }
+        // Survivors reached the engine, several per pooled walk.
+        EXPECT_GT(reached, 2 * net.macNodes().size()) << name;
+        EXPECT_GT(wide->totals().lanesSeeded, wide->totals().batches)
+            << name;
     }
 }
 

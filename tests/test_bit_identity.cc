@@ -77,6 +77,14 @@ struct Case
     bool adaptive = false;
     std::uint64_t seed = 1;
 
+    /** shardGrain; with `samples` part of the sample identity. */
+    int grain = 2;
+
+    /** samplesPerCategory of a fixed schedule; an adaptive one draws
+     *  samples / 2 per cell in its first round and at most 2 * samples
+     *  in all. */
+    int samples = 4;
+
     /** Fixed schedules: execute the plan as this many
      *  FixedShardExecutor ranges, out of order, under the last
      *  slice's knobs, and merge them through resumeSnapshot. */
@@ -116,6 +124,21 @@ const std::vector<Case> kPinnedCases = {
      .slices = {{.engine = 8, .backend = "sse2"}}},
     {.net = "mobilenet", .precision = Precision::FP16, .seed = 23,
      .slices = {{.engine = 8, .backend = "sse2"}}},
+    // Pooled shard groups: cells of two groups (21 shards of 3, then
+    // 2) ending in a ragged shard; the stop cuts a group of cell 1 and
+    // the resume runs at another thread count.
+    {.net = "branchy", .precision = Precision::FP16, .seed = 29,
+     .grain = 3, .samples = 67,
+     .slices = {{.threads = 1, .engine = 8, .stop = 30},
+                {.threads = 4, .engine = 8}}},
+    // Executor ranges that cut groups of 8 shards of 8 (cells of 9).
+    {.net = "branchy", .precision = Precision::INT16, .seed = 31,
+     .grain = 8, .samples = 70, .split = 4,
+     .slices = {{.threads = 2, .engine = 8}}},
+    // Adaptive rounds cut groups; ragged first-round slices at width 8.
+    {.net = "transformer", .precision = Precision::INT8, .adaptive = true,
+     .seed = 37, .grain = 3, .samples = 22,
+     .slices = {{.threads = 2, .engine = 8}}},
 };
 
 const char *const kNets[] = {"resnet", "mobilenet", "transformer",
@@ -159,13 +182,13 @@ identityConfig(const Case &c)
 {
     CampaignConfig cfg;
     cfg.seed = c.seed;
-    cfg.shardGrain = 2;
+    cfg.shardGrain = c.grain;
     if (c.adaptive) {
         cfg.targetHalfWidth = 0.2;
-        cfg.minSamples = 2;
-        cfg.maxSamplesPerCategory = 8;
+        cfg.minSamples = std::max(1, c.samples / 2);
+        cfg.maxSamplesPerCategory = 2 * c.samples;
     } else {
-        cfg.samplesPerCategory = 4;
+        cfg.samplesPerCategory = c.samples;
     }
     return cfg;
 }
@@ -212,10 +235,11 @@ const Reference &
 reference(const Case &c)
 {
     static std::map<std::tuple<std::string, Precision, bool,
-                               std::uint64_t>,
+                               std::uint64_t, int, int>,
                     Reference>
         memo;
-    auto key = std::make_tuple(c.net, c.precision, c.adaptive, c.seed);
+    auto key = std::make_tuple(c.net, c.precision, c.adaptive, c.seed,
+                               c.grain, c.samples);
     auto it = memo.find(key);
     if (it != memo.end())
         return it->second;
@@ -433,6 +457,11 @@ repro(const Case &c)
     if (c.adaptive)
         o << ", .adaptive = true";
     o << ", .seed = " << c.seed;
+    const Case dflt;
+    if (c.grain != dflt.grain)
+        o << ", .grain = " << c.grain;
+    if (c.samples != dflt.samples)
+        o << ", .samples = " << c.samples;
     if (c.split > 0)
         o << ", .split = " << c.split;
     std::ostringstream slices;
@@ -507,6 +536,21 @@ drawCase(std::uint64_t base, std::uint64_t index)
     c.seed = 1 + Rng(base + w).below(1000);
 
     Rng rng(base ^ (index * 0x9e3779b97f4a7c15ull));
+
+    // A grain the samples are no multiple of, so each cell ends in a
+    // ragged shard.  Branchy is cheap enough for cells of more shards
+    // than one pooled group holds; elsewhere a cell is one group.
+    static const int kGrains[] = {1, 2, 3, 8};
+    c.grain = kGrains[rng.below(4)];
+    const int full = c.net == "branchy"
+                         ? kPoolDraws / c.grain + 1 +
+                               static_cast<int>(rng.below(4))
+                         : 1 + static_cast<int>(rng.below(2));
+    c.samples = full * c.grain +
+                (c.grain > 1 ? 1 + static_cast<int>(rng.below(
+                                       static_cast<std::uint32_t>(
+                                           c.grain - 1)))
+                             : 0);
 
     const auto shards = reference(c).journal.size();
     const int slices = 1 + static_cast<int>(rng.below(3));

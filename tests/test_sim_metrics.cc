@@ -429,9 +429,13 @@ TEST(Manifest, EngineTotalsAreIdenticalAcrossThreadCounts)
     // With the result cache off (a live shared table hits in
     // scheduling order), the campaign-wide engine and batched totals
     // are a pure function of the shard plan, whichever worker slot ran
-    // each shard.
+    // each pooled group.  Each cell's 3 shards of 4 form one group,
+    // whose 12 draws fill at most 2 batches of 8 lanes; batching shard
+    // by shard would walk up to 3.
     Network net = buildResNet(3);
     Tensor x = defaultInputFor("resnet", 4);
+    ASSERT_EQ(kPoolDraws % smallConfig().shardGrain, 0);
+    ASSERT_GE(kPoolDraws, smallConfig().samplesPerCategory);
 
     std::string want_engine, want_batched;
     for (int threads : {1, 4, 8}) {
@@ -442,7 +446,9 @@ TEST(Manifest, EngineTotalsAreIdenticalAcrossThreadCounts)
         cfg.numThreads = threads;
         cfg.resultCacheEnabled = false;
         cfg.reportPath = report.str();
-        (void)runCampaign(net, x, top1Metric(), cfg);
+        const CampaignResult res = runCampaign(net, x, top1Metric(), cfg);
+        const std::uint64_t sampled_cells =
+            res.cells.size() - net.macNodes().size();
 
         const std::string exec =
             jsonSection(slurp(report.str()), "execution");
@@ -452,6 +458,7 @@ TEST(Manifest, EngineTotalsAreIdenticalAcrossThreadCounts)
         ASSERT_FALSE(batched.empty());
         EXPECT_EQ(batched.find("\"batches\": 0,"), std::string::npos)
             << batched;
+        EXPECT_LE(fieldU64(batched, "batches"), 2 * sampled_cells);
         if (want_engine.empty()) {
             want_engine = engine;
             want_batched = batched;

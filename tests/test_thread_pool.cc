@@ -111,26 +111,11 @@ TEST(ThreadPool, TasksRunConcurrently)
     SUCCEED();
 }
 
-TEST(ThreadPool, ForEachOfRunsExactlyTheGivenIds)
+TEST(ThreadPool, ForEachZeroIsANoOp)
 {
-    // The sparse fan-out used by the adaptive campaign scheduler: a
-    // round's live shards are an arbitrary subset of the plan.
-    ThreadPool pool(4);
-    std::vector<std::size_t> ids = {3, 0, 17, 8, 4, 4};
-    std::vector<std::atomic<int>> hits(20);
-    pool.forEachOf(ids, [&hits](std::size_t id) { hits[id] += 1; });
-
-    std::vector<int> expected(20, 0);
-    for (std::size_t id : ids)
-        expected[id] += 1;
-    for (std::size_t i = 0; i < hits.size(); ++i)
-        EXPECT_EQ(hits[i].load(), expected[i]) << "id " << i;
-}
-
-TEST(ThreadPool, ForEachOfEmptyIsANoOp)
-{
+    // A campaign round whose shards were all restored fans out nothing.
     ThreadPool pool(2);
-    pool.forEachOf({}, [](std::size_t) { FAIL() << "must not run"; });
+    pool.forEach(0, [](std::size_t) { FAIL() << "must not run"; });
     SUCCEED();
 }
 
@@ -203,23 +188,4 @@ TEST(ThreadPool, MainAndWorkerRecordMetricsConcurrently)
     for (MetricSet &s : slots)
         merged.mergeFrom(s);
     EXPECT_EQ(merged.counter("work").count(), 15000u);
-}
-
-TEST(ThreadPool, ForEachOfPropagatesFirstException)
-{
-    ThreadPool pool(3);
-    std::atomic<int> ran{0};
-    std::vector<std::size_t> ids = {5, 6, 7, 8};
-    try {
-        pool.forEachOf(ids, [&ran](std::size_t id) {
-            ran += 1;
-            if (id >= 6)
-                throw std::runtime_error("id " + std::to_string(id));
-        });
-        FAIL() << "expected an exception";
-    } catch (const std::runtime_error &e) {
-        // First exception in ids order, after every task ran.
-        EXPECT_STREQ(e.what(), "id 6");
-    }
-    EXPECT_EQ(ran.load(), 4);
 }
