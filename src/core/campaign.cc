@@ -218,6 +218,9 @@ validateCampaignConfig(const Network &net, const CampaignConfig &cfg)
                  cfg.resultCacheMB <= 0,
              "campaign resultCacheMB must be > 0 when the result cache "
              "is enabled, got ", cfg.resultCacheMB);
+    fatal_if(cfg.targetHalfWidth == 0.0 && cfg.samplesPerCategory <= 0,
+             "campaign samplesPerCategory must be > 0 for a fixed "
+             "schedule, got ", cfg.samplesPerCategory);
     if (cfg.targetHalfWidth > 0.0) {
         fatal_if(cfg.confidenceZ <= 0.0,
                  "campaign confidenceZ must be > 0, got ",
@@ -228,6 +231,28 @@ validateCampaignConfig(const Network &net, const CampaignConfig &cfg)
                  "campaign maxSamplesPerCategory (",
                  cfg.maxSamplesPerCategory, ") must be >= minSamples (",
                  cfg.minSamples, ")");
+    }
+}
+
+/**
+ * Append one cell's `quota` samples to `plan` as shards of at most
+ * `grain` samples, numbered from `ordinal` (advanced past them).  The
+ * one slicing of both schedules: the fixed plan and every adaptive
+ * round.
+ */
+void
+appendCellShards(std::vector<ShardPlanEntry> &plan, std::uint64_t &ordinal,
+                 std::uint64_t cell, NodeId node, FFCategory cat,
+                 int quota, int grain)
+{
+    for (int s = 0; s < quota; s += grain) {
+        ShardPlanEntry e;
+        e.ordinal = ordinal++;
+        e.cell = cell;
+        e.node = node;
+        e.category = cat;
+        e.samples = std::min(grain, quota - s);
+        plan.push_back(e);
     }
 }
 
@@ -428,22 +453,13 @@ fixedShardPlan(const Network &net, const CampaignConfig &cfg)
     // table), GlobalControl ineligible, quotas sliced into shards of
     // at most shardGrain.
     std::vector<ShardPlanEntry> plan;
+    std::uint64_t ordinal = 0;
     std::uint64_t cell = 0;
     for (NodeId node : net.macNodes()) {
         for (FFCategory cat : allFFCategories()) {
-            if (cat != FFCategory::GlobalControl) {
-                for (int s = 0; s < cfg.samplesPerCategory;
-                     s += cfg.shardGrain) {
-                    ShardPlanEntry e;
-                    e.ordinal = plan.size();
-                    e.cell = cell;
-                    e.node = node;
-                    e.category = cat;
-                    e.samples = std::min(cfg.shardGrain,
-                                         cfg.samplesPerCategory - s);
-                    plan.push_back(e);
-                }
-            }
+            if (cat != FFCategory::GlobalControl)
+                appendCellShards(plan, ordinal, cell, node, cat,
+                                 cfg.samplesPerCategory, cfg.shardGrain);
             ++cell;
         }
     }
@@ -606,6 +622,34 @@ runCampaign(const Network &net, const Tensor &input,
             .count();
     };
 
+    // The one snapshot writer: everything already archived (previous
+    // rounds) plus the shards of `round` whose `done` flag is set.
+    // Runs on a worker mid-round (throttled; `round` is the running
+    // round) and on the submitting thread once the campaign ends
+    // (`round` empty, `final_` set).  The mutex serialises writers and
+    // guards the checkpoint telemetry they share; collecting under it
+    // keeps a later snapshot from journaling fewer shards.
+    auto writeCheckpoint = [&](const std::vector<ShardRecord> &round,
+                               const std::vector<std::atomic<bool>> &done,
+                               bool final_) {
+        std::lock_guard<std::mutex> lock(ckpt_mutex);
+        ScopedTimer span(ckpt_timer);
+        CampaignSnapshot snap;
+        snap.configHash = cfg_hash;
+        snap.shards = archive;
+        for (std::size_t i = 0; i < round.size(); ++i)
+            if (done[i].load(std::memory_order_acquire))
+                snap.shards.push_back(round[i]);
+        CheckpointEvent ev;
+        ev.shardsJournaled = snap.shards.size();
+        ev.bytes = writeSnapshot(cfg.checkpointPath, snap);
+        ev.atSeconds = static_cast<double>(now_ns()) * 1e-9;
+        ev.final_ = final_;
+        tel.checkpoints.push_back(ev);
+        coord_metrics.counter("checkpoint.writes").add();
+        coord_metrics.counter("checkpoint.bytes").add(ev.bytes);
+    };
+
     ThreadPool pool(cfg.numThreads);
     // One slot per pool worker plus the reserved off-pool slot, so a
     // shard running on the submitting thread (or any foreign thread)
@@ -655,29 +699,6 @@ runCampaign(const Network &net, const Tensor &input,
             }
         }
 
-        // Snapshot the completed shards: everything already archived
-        // (previous rounds) plus this round's done shards.  Runs on a
-        // worker mid-round (throttled) and on the submitting thread
-        // at round/stop boundaries; the mutex serialises writers (and
-        // guards the checkpoint telemetry they share).
-        auto writeCheckpoint = [&] {
-            std::lock_guard<std::mutex> lock(ckpt_mutex);
-            ScopedTimer span(ckpt_timer);
-            CampaignSnapshot snap;
-            snap.configHash = cfg_hash;
-            snap.shards = archive;
-            for (std::size_t i = 0; i < n; ++i)
-                if (done[i].load(std::memory_order_acquire))
-                    snap.shards.push_back(records[i]);
-            CheckpointEvent ev;
-            ev.shardsJournaled = snap.shards.size();
-            ev.bytes = writeSnapshot(cfg.checkpointPath, snap);
-            ev.atSeconds = static_cast<double>(now_ns()) * 1e-9;
-            tel.checkpoints.push_back(ev);
-            coord_metrics.counter("checkpoint.writes").add();
-            coord_metrics.counter("checkpoint.bytes").add(ev.bytes);
-        };
-
         // Fan out pooled groups, not shards: one worker runs a whole
         // group, so the engine batches its survivors together.
         const std::vector<std::size_t> starts =
@@ -721,7 +742,7 @@ runCampaign(const Network &net, const Tensor &input,
                 if (now - prev >= ckpt_period_ns &&
                     last_ckpt_ns.compare_exchange_strong(
                         prev, now, std::memory_order_relaxed)) {
-                    writeCheckpoint();
+                    writeCheckpoint(records, done, false);
                 }
             }
         });
@@ -804,16 +825,13 @@ runCampaign(const Network &net, const Tensor &input,
                     const int quota = cs.trials == 0
                                           ? cfg.minSamples
                                           : nextQuota(cs);
-                    for (int s = 0; s < quota; s += cfg.shardGrain) {
-                        ShardPlanEntry e;
-                        e.ordinal = next_ordinal++;
-                        e.cell = cell;
-                        e.node = result.cells[cell].node;
-                        e.category = result.cells[cell].category;
-                        e.samples = std::min(cfg.shardGrain, quota - s);
-                        plan.push_back(e);
+                    const std::size_t first = plan.size();
+                    appendCellShards(plan, next_ordinal, cell,
+                                     result.cells[cell].node,
+                                     result.cells[cell].category, quota,
+                                     cfg.shardGrain);
+                    for (std::size_t i = first; i < plan.size(); ++i)
                         streams.push_back(cs.stream.fork());
-                    }
                 }
             }
             if (plan.empty())
@@ -886,18 +904,7 @@ runCampaign(const Network &net, const Tensor &input,
     // plan lives only here) and refreshed on completion so a re-run
     // with resumeFrom = checkpointPath restores instantly.
     if (!cfg.checkpointPath.empty()) {
-        ScopedTimer ckpt_scope(ckpt_timer);
-        CampaignSnapshot snap;
-        snap.configHash = cfg_hash;
-        snap.shards = archive;
-        CheckpointEvent ev;
-        ev.shardsJournaled = snap.shards.size();
-        ev.bytes = writeSnapshot(cfg.checkpointPath, snap);
-        ev.atSeconds = static_cast<double>(now_ns()) * 1e-9;
-        ev.final_ = true;
-        tel.checkpoints.push_back(ev);
-        coord_metrics.counter("checkpoint.writes").add();
-        coord_metrics.counter("checkpoint.bytes").add(ev.bytes);
+        writeCheckpoint({}, {}, true);
     } else if (stopped && cfg.progress) {
         warn("campaign ", net.name(), " stopped after ",
              executed_this_run,

@@ -6,7 +6,6 @@
 #include "sim/logging.hh"
 #include "simd/convert.hh"
 #include "simd/simd.hh"
-#include "tensor/bitops.hh"
 
 namespace fidelity
 {
@@ -40,32 +39,6 @@ Activation::makeOutput(const std::vector<const Tensor *> &ins) const
     return Tensor(x.n(), x.h(), x.w(), x.c());
 }
 
-Tensor
-Activation::forward(const std::vector<const Tensor *> &ins) const
-{
-    const Tensor &x = *ins[0];
-    Tensor out = makeOutput(ins);
-    const float *xd = x.data().data();
-    float *od = out.data().data();
-    const std::size_t sz = x.size();
-    if (func_ == Func::ReLU || func_ == Func::LeakyReLU) {
-        // x > 0 ? x : {0, alpha*x} — the kernels' ordered-GT select
-        // matches the scalar ternary exactly (NaN takes the negative
-        // branch).
-        const simd::KernelTable &kt = simd::table();
-        if (func_ == Func::ReLU)
-            kt.reluF32(xd, od, sz);
-        else
-            kt.lreluF32(xd, alpha_, od, sz);
-    } else {
-        for (std::size_t i = 0; i < sz; ++i)
-            od[i] = apply(xd[i]);
-    }
-    if (precision_ == Precision::FP16)
-        simd::roundToHalfBatch(od, od, sz);
-    return out;
-}
-
 Region
 Activation::propagateRegion(const std::vector<const Tensor *> &, int,
                             const Region &in, const Tensor &out) const
@@ -89,16 +62,17 @@ Activation::forwardRegionBatched(const std::vector<const Tensor *> &ins,
     xp.ensure(x, region);
 
     // Lane rows of consecutive channels are one contiguous float run,
-    // so each (n, h, w) row applies the function like forward() does —
-    // vector select for the ReLU family — and rounds the whole run as
-    // one batch (identical per element to the scalar ternary + round).
+    // as are whole-channel rows of consecutive cells, so each run
+    // applies the function in one call — the vector select for the
+    // ReLU family, whose ordered-GT select matches the scalar ternary
+    // exactly (NaN takes the negative branch) — and rounds as one
+    // batch (identical per element to apply() + round).
     const int W = out.laneWidth();
     const bool half = precision_ == Precision::FP16;
-    const std::size_t run =
-        static_cast<std::size_t>(region.c1 - region.c0) * W;
     const simd::KernelTable &kt = simd::table();
-    forEachCoveredCell(region, cover, [&](int n, int h, int w) {
-        std::size_t f0 = golden.offset(n, h, w, region.c0);
+    forEachCoveredRun(region, cover, golden,
+                      [&](std::size_t f0, std::size_t count) {
+        const std::size_t run = count * W;
         const float *ip = xp.lanes(f0);
         float *op = out.lanes(f0);
         if (func_ == Func::ReLU) {

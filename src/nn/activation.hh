@@ -26,10 +26,7 @@ class Activation : public Layer
     LayerKind kind() const override { return LayerKind::Activation; }
     Func func() const { return func_; }
 
-    using Layer::forward;
-
     Tensor makeOutput(const std::vector<const Tensor *> &ins) const override;
-    Tensor forward(const std::vector<const Tensor *> &ins) const override;
 
     /** Element-wise: the cone is the input box itself. */
     Region propagateRegion(const std::vector<const Tensor *> &ins,

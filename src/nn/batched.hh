@@ -36,9 +36,11 @@
  * NHWC layout, so the engine runs the same kernels on contiguous rows.
  *
  * Every lane's output is bit-identical to Network::forwardFrom for that
- * injection alone: every element inside a cone is produced by the same
- * canonical accumulation order the dense kernels use, and every element
- * outside a cone provably cannot differ from its golden value.  So
+ * injection alone: every element inside a cone is the layer's
+ * per-element definition, which its region kernel produces at any
+ * region and lane width (forwardFrom runs the same kernel over the
+ * whole output at width 1), and every element outside a cone provably
+ * cannot differ from its golden value.  So
  * campaign checksums are invariant under the batch width.  Per-node
  * scratch lives in the engine and is reused across batches, so one
  * engine per campaign worker keeps the hot loop allocation-free at

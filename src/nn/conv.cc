@@ -495,17 +495,6 @@ Conv2D::packWeights() const
     wPackValid_ = true;
 }
 
-Tensor
-Conv2D::forward(const std::vector<const Tensor *> &ins) const
-{
-    // The region kernel over the full output: every input element
-    // converts to its stored form once, then the channel-lane kernel
-    // runs (bit-identical to computeNeuron()).
-    Tensor out = makeOutput(ins);
-    forwardRegion(ins, Region::full(out), out);
-    return out;
-}
-
 Region
 Conv2D::propagateRegion(const std::vector<const Tensor *> &ins, int,
                         const Region &in, const Tensor &out) const

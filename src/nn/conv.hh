@@ -50,12 +50,9 @@ class Conv2D : public MacLayer
 
     LayerKind kind() const override { return LayerKind::Conv; }
 
-    using Layer::forward;
-
     const ConvSpec &spec() const { return spec_; }
 
     Tensor makeOutput(const std::vector<const Tensor *> &ins) const override;
-    Tensor forward(const std::vector<const Tensor *> &ins) const override;
 
     /** Receptive cone: output box whose windows touch the input box. */
     Region propagateRegion(const std::vector<const Tensor *> &ins,
@@ -84,18 +81,18 @@ class Conv2D : public MacLayer
 
     /**
      * Vector paths for a single Input substitution (output-channel
-     * lanes, as in forward()) and a single Weight substitution (output
-     * positions of the weight's channel in the lanes); psum flips,
-     * chains and termIndex substitutions return false.
+     * lanes, as in the width-1 region kernel) and a single Weight
+     * substitution (output positions of the weight's channel in the
+     * lanes); psum flips, chains and termIndex substitutions return
+     * false.
      */
     bool forwardWithSub(const std::vector<const Tensor *> &ins,
                         const OperandSub *sub, const Region *boxes,
                         std::size_t numBoxes, Tensor &out) const override;
 
     /**
-     * The region kernel (also forward() over the full output): lane
-     * width 1 runs the channel-lane kernel, width kBatchLanes the
-     * injection-lane rows; other widths panic.
+     * The region kernel: lane width 1 runs the channel-lane kernel,
+     * width kBatchLanes the injection-lane rows; other widths panic.
      */
     void forwardRegionBatched(const std::vector<const Tensor *> &ins,
                               LanePlane *const *inPlanes,

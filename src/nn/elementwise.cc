@@ -6,23 +6,9 @@
 #include "sim/logging.hh"
 #include "simd/convert.hh"
 #include "simd/simd.hh"
-#include "tensor/bitops.hh"
 
 namespace fidelity
 {
-
-namespace
-{
-
-void
-roundForPrecision(Tensor &t, Precision p)
-{
-    if (p == Precision::FP16)
-        simd::roundToHalfBatch(t.data().data(), t.data().data(),
-                               t.size());
-}
-
-} // namespace
 
 Elementwise::Elementwise(std::string name, Op op)
     : Layer(std::move(name)), op_(op)
@@ -38,24 +24,6 @@ Elementwise::makeOutput(const std::vector<const Tensor *> &ins) const
              ins[0]->shapeStr(), " vs ", ins[1]->shapeStr());
     const Tensor &x = *ins[0];
     return Tensor(x.n(), x.h(), x.w(), x.c());
-}
-
-Tensor
-Elementwise::forward(const std::vector<const Tensor *> &ins) const
-{
-    const Tensor &a = *ins[0];
-    const Tensor &b = *ins[1];
-    Tensor out = makeOutput(ins);
-    const float *ad = a.data().data();
-    const float *bd = b.data().data();
-    float *od = out.data().data();
-    const std::size_t sz = a.size();
-    const simd::KernelTable &kt = simd::table();
-    (op_ == Op::Add ? kt.addF32
-     : op_ == Op::Mul ? kt.mulF32
-                      : kt.subF32)(ad, bd, od, sz);
-    roundForPrecision(out, precision_);
-    return out;
 }
 
 Region
@@ -83,19 +51,19 @@ Elementwise::forwardRegionBatched(const std::vector<const Tensor *> &ins,
     ap.ensure(a, region);
     bp.ensure(b, region);
 
-    // Lane rows of consecutive channels are one contiguous float run;
-    // combine each (n, h, w) row with the vector op like forward()
-    // does and round the run as one batch (identical per element).
+    // Lane rows of consecutive channels are one contiguous float run,
+    // as are whole-channel rows of consecutive cells; combine each run
+    // with the vector op and round it as one batch (identical per
+    // element to a op b + round).
     const int W = out.laneWidth();
     const bool half = precision_ == Precision::FP16;
-    const std::size_t run =
-        static_cast<std::size_t>(region.c1 - region.c0) * W;
     const simd::KernelTable &kt = simd::table();
     auto op = op_ == Op::Add ? kt.addF32
               : op_ == Op::Mul ? kt.mulF32
                                : kt.subF32;
-    forEachCoveredCell(region, cover, [&](int n, int h, int w) {
-        std::size_t f0 = golden.offset(n, h, w, region.c0);
+    forEachCoveredRun(region, cover, golden,
+                      [&](std::size_t f0, std::size_t count) {
+        const std::size_t run = count * W;
         float *od = out.lanes(f0);
         op(ap.lanes(f0), bp.lanes(f0), od, run);
         if (half)
@@ -118,25 +86,6 @@ ConcatC::makeOutput(const std::vector<const Tensor *> &ins) const
              "concat ", name_, ": spatial mismatch ", a.shapeStr(),
              " vs ", b.shapeStr());
     return Tensor(a.n(), a.h(), a.w(), a.c() + b.c());
-}
-
-Tensor
-ConcatC::forward(const std::vector<const Tensor *> &ins) const
-{
-    const Tensor &a = *ins[0];
-    const Tensor &b = *ins[1];
-    Tensor out = makeOutput(ins);
-    for (int n = 0; n < out.n(); ++n) {
-        for (int h = 0; h < out.h(); ++h) {
-            for (int w = 0; w < out.w(); ++w) {
-                for (int c = 0; c < a.c(); ++c)
-                    out.at(n, h, w, c) = a.at(n, h, w, c);
-                for (int c = 0; c < b.c(); ++c)
-                    out.at(n, h, w, a.c() + c) = b.at(n, h, w, c);
-            }
-        }
-    }
-    return out;
 }
 
 Region
@@ -214,22 +163,6 @@ Slice::makeOutput(const std::vector<const Tensor *> &ins) const
     return Tensor(x.n(), x.h(), x.w(), length_);
 }
 
-Tensor
-Slice::forward(const std::vector<const Tensor *> &ins) const
-{
-    const Tensor &x = *ins[0];
-    Tensor out = makeOutput(ins);
-    for (int n = 0; n < out.n(); ++n)
-        for (int h = 0; h < out.h(); ++h)
-            for (int w = 0; w < out.w(); ++w)
-                for (int c = 0; c < out.c(); ++c) {
-                    int sh = axis_ == Axis::H ? h + offset_ : h;
-                    int sc = axis_ == Axis::C ? c + offset_ : c;
-                    out.at(n, h, w, c) = x.at(n, sh, w, sc);
-                }
-    return out;
-}
-
 Region
 Slice::propagateRegion(const std::vector<const Tensor *> &, int,
                        const Region &in, const Tensor &out) const
@@ -297,19 +230,6 @@ ScaleShift::makeOutput(const std::vector<const Tensor *> &ins) const
     return Tensor(x.n(), x.h(), x.w(), x.c());
 }
 
-Tensor
-ScaleShift::forward(const std::vector<const Tensor *> &ins) const
-{
-    const Tensor &x = *ins[0];
-    Tensor out = makeOutput(ins);
-    const float *xd = x.data().data();
-    float *od = out.data().data();
-    const std::size_t sz = x.size();
-    simd::table().scaleShiftF32(xd, scale_, shift_, od, sz);
-    roundForPrecision(out, precision_);
-    return out;
-}
-
 Region
 ScaleShift::propagateRegion(const std::vector<const Tensor *> &, int,
                             const Region &in, const Tensor &out) const
@@ -332,15 +252,15 @@ ScaleShift::forwardRegionBatched(const std::vector<const Tensor *> &ins,
     LanePlane &xp = *inPlanes[0];
     xp.ensure(x, region);
 
-    // One contiguous run per (n, h, w) row, like forward(): vector
-    // scale/shift, then one batch round (identical per element).
+    // Each contiguous run of covered elements: vector scale/shift,
+    // then one batch round (identical per element to x*scale+shift +
+    // round).
     const int W = out.laneWidth();
     const bool half = precision_ == Precision::FP16;
-    const std::size_t run =
-        static_cast<std::size_t>(region.c1 - region.c0) * W;
     const simd::KernelTable &kt = simd::table();
-    forEachCoveredCell(region, cover, [&](int n, int h, int w) {
-        std::size_t f0 = golden.offset(n, h, w, region.c0);
+    forEachCoveredRun(region, cover, golden,
+                      [&](std::size_t f0, std::size_t count) {
+        const std::size_t run = count * W;
         float *op = out.lanes(f0);
         kt.scaleShiftF32(xp.lanes(f0), scale_, shift_, op, run);
         if (half)

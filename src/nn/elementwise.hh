@@ -28,10 +28,7 @@ class Elementwise : public Layer
     int numInputs() const override { return 2; }
     Op op() const { return op_; }
 
-    using Layer::forward;
-
     Tensor makeOutput(const std::vector<const Tensor *> &ins) const override;
-    Tensor forward(const std::vector<const Tensor *> &ins) const override;
 
     /** Element-wise: the cone is the input box itself. */
     Region propagateRegion(const std::vector<const Tensor *> &ins,
@@ -61,7 +58,6 @@ class ConcatC : public Layer
     int numInputs() const override { return 2; }
 
     Tensor makeOutput(const std::vector<const Tensor *> &ins) const override;
-    Tensor forward(const std::vector<const Tensor *> &ins) const override;
 
     /** Input 0 maps in place; input 1 shifts by ins[0]'s channels. */
     Region propagateRegion(const std::vector<const Tensor *> &ins,
@@ -88,10 +84,7 @@ class Slice : public Layer
 
     LayerKind kind() const override { return LayerKind::Slice; }
 
-    using Layer::forward;
-
     Tensor makeOutput(const std::vector<const Tensor *> &ins) const override;
-    Tensor forward(const std::vector<const Tensor *> &ins) const override;
 
     /** The input box clipped to the slice window, shifted to output
      *  coordinates; empty when the change is sliced away entirely. */
@@ -122,10 +115,7 @@ class ScaleShift : public Layer
 
     LayerKind kind() const override { return LayerKind::Elementwise; }
 
-    using Layer::forward;
-
     Tensor makeOutput(const std::vector<const Tensor *> &ins) const override;
-    Tensor forward(const std::vector<const Tensor *> &ins) const override;
 
     /** Element-wise: the cone is the input box itself. */
     Region propagateRegion(const std::vector<const Tensor *> &ins,

@@ -116,22 +116,6 @@ FC::packed() const
     return wPack_;
 }
 
-void
-FC::denseRows(const float *x, std::size_t rows, float *y) const
-{
-    mulPacked(x, rows, inC_, units_, packed(),
-              bias_.empty() ? nullptr : bias_.data(), 1.0, y);
-}
-
-Tensor
-FC::forward(const std::vector<const Tensor *> &ins) const
-{
-    Tensor out = makeOutput(ins);
-    const Tensor &x = *ins[0];
-    denseRows(x.data().data(), x.size() / inC_, out.data().data());
-    return out;
-}
-
 Region
 FC::propagateRegion(const std::vector<const Tensor *> &, int,
                     const Region &in, const Tensor &out) const
@@ -159,8 +143,8 @@ FC::forwardRegionBatched(const std::vector<const Tensor *> &ins,
 
     // Injections are just more positions: gather the input row of
     // every (position, lane) pair to recompute into one
-    // [position][lane] matrix, run the row loop once, scatter the
-    // region's units back.
+    // [position][lane] matrix, run the packed row loop once (y = W^T x
+    // + b per row), scatter the region's units back.
     const int W = out.laneWidth();
     std::size_t rows = 0;
     forEachCoveredLaneCell(region, cover, W,
@@ -177,7 +161,8 @@ FC::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                         inC_);
             xw += std::popcount(lanes) * static_cast<std::size_t>(inC_);
         });
-    denseRows(xr.data(), rows, yr.data());
+    mulPacked(xr.data(), rows, inC_, units_, packed(),
+              bias_.empty() ? nullptr : bias_.data(), 1.0, yr.data());
     const float *yw = yr.data();
     forEachCoveredLaneCell(
         region, cover, W, [&](int n, int h, int w, std::uint32_t lanes) {

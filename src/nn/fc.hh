@@ -35,13 +35,10 @@ class FC : public MacLayer
 
     LayerKind kind() const override { return LayerKind::FC; }
 
-    using Layer::forward;
-
     int units() const { return units_; }
     int inC() const { return inC_; }
 
     Tensor makeOutput(const std::vector<const Tensor *> &ins) const override;
-    Tensor forward(const std::vector<const Tensor *> &ins) const override;
 
     /** Row cone: the input box's positions x every output unit. */
     Region propagateRegion(const std::vector<const Tensor *> &ins,
@@ -86,14 +83,6 @@ class FC : public MacLayer
 
   private:
     void checkInput(const std::vector<const Tensor *> &ins) const;
-
-    /**
-     * The layer's one row loop: y = W^T x + b for `rows` contiguous
-     * positions of raw input ([rows][inC] in, [rows][units] out).
-     * Positions are independent, so forward() runs it over the whole
-     * tensor and the region kernel over gathered (position, lane) rows.
-     */
-    void denseRows(const float *x, std::size_t rows, float *y) const;
 
     /** The packed weights, repacked on first use after a quant
      *  change. */

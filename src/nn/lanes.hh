@@ -361,12 +361,13 @@ class BatchCover
 };
 
 /**
- * Call f(n, h, w) for every (n, h, w) cell of `region` that `cover`
- * covers — every cell when `cover` is null — in NHW order.
+ * Call f(n, h, w0, w1) for every covered w-interval [w0, w1) of each
+ * (n, h) row of `region` — the row's whole [region.w0, region.w1) when
+ * `cover` is null — in NHW order.
  */
 template <class F>
 void
-forEachCoveredCell(const Region &region, const BatchCover *cover, F &&f)
+forEachCoveredSpan(const Region &region, const BatchCover *cover, F &&f)
 {
     const BatchCover::Span full{region.w0, region.w1};
     for (int n = region.n0; n < region.n1; ++n) {
@@ -376,10 +377,62 @@ forEachCoveredCell(const Region &region, const BatchCover *cover, F &&f)
             if (cover)
                 sp = cover->row(n, h, nsp);
             for (int si = 0; si < nsp; ++si)
-                for (int w = sp[si].w0; w < sp[si].w1; ++w)
-                    f(n, h, w);
+                f(n, h, sp[si].w0, sp[si].w1);
         }
     }
+}
+
+/**
+ * Call f(n, h, w) for every (n, h, w) cell of `region` that `cover`
+ * covers — every cell when `cover` is null — in NHW order.
+ */
+template <class F>
+void
+forEachCoveredCell(const Region &region, const BatchCover *cover, F &&f)
+{
+    forEachCoveredSpan(region, cover, [&](int n, int h, int w0, int w1) {
+        for (int w = w0; w < w1; ++w)
+            f(n, h, w);
+    });
+}
+
+/**
+ * forEachCoveredCell for kernels that treat every element alike:
+ * f(flat, count) receives the covered cells' channel runs [c0, c1) as
+ * maximal runs of `count` consecutive flat elements of `t` starting at
+ * `flat`, in NHW order.  Where the channel range is all of `t`'s, a
+ * covered span is one run and adjacent spans merge, so a full-tensor
+ * region is a single run.
+ */
+template <class F>
+void
+forEachCoveredRun(const Region &region, const BatchCover *cover,
+                  const Tensor &t, F &&f)
+{
+    const std::size_t depth = static_cast<std::size_t>(region.c1 - region.c0);
+    const bool whole = region.c0 == 0 && region.c1 == t.c();
+    std::size_t start = 0, count = 0;
+    auto add = [&](std::size_t flat, std::size_t len) {
+        if (count > 0 && start + count == flat) {
+            count += len;
+            return;
+        }
+        if (count > 0)
+            f(start, count);
+        start = flat;
+        count = len;
+    };
+    forEachCoveredSpan(region, cover, [&](int n, int h, int w0, int w1) {
+        if (whole) {
+            const std::size_t cells = static_cast<std::size_t>(w1 - w0);
+            add(t.offset(n, h, w0, 0), cells * depth);
+            return;
+        }
+        for (int w = w0; w < w1; ++w)
+            add(t.offset(n, h, w, region.c0), depth);
+    });
+    if (count > 0)
+        f(start, count);
 }
 
 /**

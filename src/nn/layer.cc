@@ -63,6 +63,14 @@ Layer::Layer(std::string name)
 Layer::~Layer() = default;
 
 Tensor
+Layer::forward(const std::vector<const Tensor *> &ins) const
+{
+    Tensor out = makeOutput(ins);
+    forwardRegion(ins, Region::full(out), out);
+    return out;
+}
+
+Tensor
 Layer::forward(const Tensor &in) const
 {
     panic_if(numInputs() != 1,

@@ -144,8 +144,11 @@ class Layer
     virtual Tensor
     makeOutput(const std::vector<const Tensor *> &ins) const = 0;
 
-    /** Run the layer. Input count must equal numInputs(). */
-    virtual Tensor forward(const std::vector<const Tensor *> &ins) const = 0;
+    /**
+     * Run the layer: its region kernel at lane width 1 (forwardRegion)
+     * over the whole output.  Input count must equal numInputs().
+     */
+    Tensor forward(const std::vector<const Tensor *> &ins) const;
 
     /** Convenience for single-input layers. */
     Tensor forward(const Tensor &in) const;
@@ -179,11 +182,10 @@ class Layer
      * Recompute only `region` of the output, in place.  `out` must have
      * the layer's output shape and already hold values that are correct
      * outside the region (the engine seeds it with the golden
-     * activation).  Every element inside the region must be
-     * bit-identical to what forward() would produce on the same inputs
-     * — same operand conversions, same canonical accumulation order.
-     * Runs the layer's region kernel (forwardRegionBatched) at lane
-     * width 1 on views of `ins` and `out`.
+     * activation).  Runs the layer's region kernel
+     * (forwardRegionBatched) at lane width 1 on views of `ins` and
+     * `out`, so every element inside the region is the layer's
+     * per-element definition of that output on these inputs.
      */
     void forwardRegion(const std::vector<const Tensor *> &ins,
                        const Region &region, Tensor &out) const;
@@ -201,10 +203,14 @@ class Layer
      * union-of-cones coverage of `region`: cells outside it provably
      * recompute golden bits, so kernels walk only the covered row spans
      * (skipped cells keep the plane's golden fill).  Every written lane
-     * value must be bit-identical to what forward() would produce from
-     * that lane's inputs.  Every layer has one, so the sparse engine
-     * never falls back to a per-lane dense forward().  `prep`, when
-     * non-null, is prepareGolden() of these same golden `ins`.
+     * value must be the layer's per-element definition of that output
+     * on that lane's inputs, independent of the region, the cover and
+     * the lane width: computeNeuron() for a MAC layer (same operand
+     * conversions, same canonical accumulation order), the layer's
+     * scalar function followed by the precision's rounding otherwise.
+     * forward() is this kernel over the full output at width 1, and
+     * the sparse engine runs it at every width.  `prep`, when non-null,
+     * is prepareGolden() of these same golden `ins`.
      */
     virtual void
     forwardRegionBatched(const std::vector<const Tensor *> &ins,
@@ -293,9 +299,9 @@ class MacLayer : public Layer
                     std::size_t widx) const = 0;
 
     /**
-     * Recompute one output neuron, optionally substituting an operand.
-     * Bit-identical to the value forward() produces for that neuron when
-     * sub is null.
+     * Recompute one output neuron, optionally substituting an operand:
+     * the scalar per-element definition that the region kernel (and so
+     * forward()) must match bit for bit when sub is null.
      */
     virtual float
     computeNeuron(const std::vector<const Tensor *> &ins,

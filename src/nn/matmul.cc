@@ -143,19 +143,6 @@ MatMulAB::mulRows(const float *a, std::size_t rows, int red, int cols,
     mulPacked(a, rows, red, cols, *bp, nullptr, scale_, y);
 }
 
-Tensor
-MatMulAB::forward(const std::vector<const Tensor *> &ins) const
-{
-    Tensor out = makeOutput(ins);
-    const Tensor &a = *ins[0];
-    const Tensor &b = *ins[1];
-    const int red = a.c();
-    lastReduction_.store(red, std::memory_order_relaxed);
-    mulRows(a.data().data(), static_cast<std::size_t>(a.n()) * a.h(),
-            red, out.c(), b.data().data(), nullptr, out.data().data());
-    return out;
-}
-
 Region
 MatMulAB::propagateRegion(const std::vector<const Tensor *> &,
                           int inputIdx, const Region &in,

@@ -33,7 +33,6 @@ class MatMulAB : public MacLayer
 
     LayerKind kind() const override { return LayerKind::MatMul; }
 
-    using Layer::forward;
     int numInputs() const override { return 2; }
 
     bool transB() const { return transB_; }
@@ -42,7 +41,6 @@ class MatMulAB : public MacLayer
     float outScale() const { return scale_; }
 
     Tensor makeOutput(const std::vector<const Tensor *> &ins) const override;
-    Tensor forward(const std::vector<const Tensor *> &ins) const override;
 
     /**
      * Row cone of A (its rows x every output column) or column cone of
@@ -95,10 +93,9 @@ class MatMulAB : public MacLayer
     /**
      * The layer's one row loop: `rows` contiguous raw A rows
      * ([rows][red]) times B into `y` ([rows][cols]), against `bp`, or
-     * when null a per-call pack of the raw B `b` (forward(), and lanes
-     * whose B differs from the golden one).  Rows are independent, so
-     * forward() runs it over all of A and the region kernel over
-     * gathered (row, lane) rows.
+     * when null a per-call pack of the raw B `b` (calls without a
+     * golden prep, and lanes whose B differs from the golden one).
+     * Each output equals computeNeuron() of its row and column.
      */
     void mulRows(const float *a, std::size_t rows, int red, int cols,
                  const float *b, const PackedOperand *bp, float *y) const;
@@ -106,10 +103,11 @@ class MatMulAB : public MacLayer
     bool transB_;
     float scale_;
 
-    // Recorded on every forward()/computeNeuron() so reductionLength()
-    // has a defined value; the reduction depth is fixed by the input
-    // shapes, so concurrent recorders always store the same number —
-    // relaxed atomics make that benign race a defined one.
+    // Recorded on every region-kernel and computeNeuron() call so
+    // reductionLength() has a defined value; the reduction depth is
+    // fixed by the input shapes, so concurrent recorders always store
+    // the same number — relaxed atomics make that benign race a
+    // defined one.
     mutable std::atomic<int> lastReduction_ = 0;
 };
 

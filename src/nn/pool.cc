@@ -2,28 +2,14 @@
 
 #include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "nn/lanes.hh"
 #include "sim/logging.hh"
 #include "simd/convert.hh"
-#include "tensor/bitops.hh"
 
 namespace fidelity
 {
-
-namespace
-{
-
-/** FP16 execution rounds every produced activation through binary16. */
-void
-roundForPrecision(Tensor &t, Precision p)
-{
-    if (p == Precision::FP16)
-        for (std::size_t i = 0; i < t.size(); ++i)
-            t[i] = roundToHalf(t[i]);
-}
-
-} // namespace
 
 Pool::Pool(std::string name, Mode mode, int window, int stride, int pad)
     : Layer(std::move(name)), mode_(mode), window_(window),
@@ -43,43 +29,6 @@ Pool::makeOutput(const std::vector<const Tensor *> &ins) const
     fatal_if(oh <= 0 || ow <= 0, "pool ", name_,
              ": window larger than input ", x.shapeStr());
     return Tensor(x.n(), oh, ow, x.c());
-}
-
-Tensor
-Pool::forward(const std::vector<const Tensor *> &ins) const
-{
-    const Tensor &x = *ins[0];
-    Tensor out = makeOutput(ins);
-    for (int n = 0; n < out.n(); ++n) {
-        for (int oh = 0; oh < out.h(); ++oh) {
-            for (int ow = 0; ow < out.w(); ++ow) {
-                for (int c = 0; c < out.c(); ++c) {
-                    float acc = mode_ == Mode::Max
-                        ? -std::numeric_limits<float>::infinity()
-                        : 0.0f;
-                    for (int ph = 0; ph < window_; ++ph) {
-                        for (int pw = 0; pw < window_; ++pw) {
-                            int ih = oh * stride_ - pad_ + ph;
-                            int iw = ow * stride_ - pad_ + pw;
-                            float v = 0.0f;
-                            if (ih >= 0 && ih < x.h() && iw >= 0 &&
-                                iw < x.w())
-                                v = x.at(n, ih, iw, c);
-                            if (mode_ == Mode::Max)
-                                acc = std::max(acc, v);
-                            else
-                                acc += v;
-                        }
-                    }
-                    if (mode_ == Mode::Avg)
-                        acc /= static_cast<float>(window_ * window_);
-                    out.at(n, oh, ow, c) = acc;
-                }
-            }
-        }
-    }
-    roundForPrecision(out, precision_);
-    return out;
 }
 
 Region
@@ -105,8 +54,7 @@ Pool::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                            LanePlane &out,
                            const GoldenPrep *) const
 {
-    // The window walk and padding tests run once per output cell, the
-    // pool reduction per lane column.
+    // The window walk and padding tests run once per output cell.
     if (region.empty())
         return;
     const Tensor &x = *ins[0];
@@ -121,44 +69,48 @@ Pool::forwardRegionBatched(const std::vector<const Tensor *> &ins,
               region.c1};
     xp.ensure(x, fp.clipped(x));
 
-    const int W = out.laneWidth();
+    // A cell's lane rows of consecutive channels are one contiguous
+    // run in both planes: each window tap streams the whole run into
+    // the output (every element still reduces its taps in window
+    // order), and the cell rounds as one batch.
     const bool half = precision_ == Precision::FP16;
     const bool isMax = mode_ == Mode::Max;
     const float init = isMax
         ? -std::numeric_limits<float>::infinity()
         : 0.0f;
-    float acc[kMaxBatchLanes];
+    const float area = static_cast<float>(window_ * window_);
+    const std::size_t run =
+        static_cast<std::size_t>(region.c1 - region.c0) * out.laneWidth();
     forEachCoveredCell(region, cover, [&](int n, int oh, int ow) {
-        for (int c = region.c0; c < region.c1; ++c) {
-            for (int l = 0; l < W; ++l)
-                acc[l] = init;
-            for (int ph = 0; ph < window_; ++ph) {
-                for (int pw = 0; pw < window_; ++pw) {
-                    int ih = oh * stride_ - pad_ + ph;
-                    int iw = ow * stride_ - pad_ + pw;
-                    bool ok = ih >= 0 && ih < x.h() && iw >= 0 && iw < x.w();
-                    const float *ip = ok
-                        ? xp.lanes(x.offset(n, ih, iw, c))
-                        : nullptr;
-                    for (int l = 0; l < W; ++l) {
-                        float v = ok ? ip[l] : 0.0f;
-                        if (isMax)
-                            acc[l] = std::max(acc[l], v);
-                        else
-                            acc[l] += v;
-                    }
+        float *op = out.lanes(golden.offset(n, oh, ow, region.c0));
+        std::fill_n(op, run, init);
+        for (int ph = 0; ph < window_; ++ph) {
+            for (int pw = 0; pw < window_; ++pw) {
+                int ih = oh * stride_ - pad_ + ph;
+                int iw = ow * stride_ - pad_ + pw;
+                if (ih < 0 || ih >= x.h() || iw < 0 || iw >= x.w()) {
+                    // Padding taps read 0 (which also turns an avg
+                    // accumulator's -0 into +0).
+                    for (std::size_t i = 0; i < run; ++i)
+                        op[i] = isMax ? std::max(op[i], 0.0f)
+                                      : op[i] + 0.0f;
+                    continue;
+                }
+                const float *ip = xp.lanes(x.offset(n, ih, iw, region.c0));
+                if (isMax) {
+                    for (std::size_t i = 0; i < run; ++i)
+                        op[i] = std::max(op[i], ip[i]);
+                } else {
+                    for (std::size_t i = 0; i < run; ++i)
+                        op[i] += ip[i];
                 }
             }
-            float *op = out.lanes(golden.offset(n, oh, ow, c));
-            for (int l = 0; l < W; ++l) {
-                float v = acc[l];
-                if (!isMax)
-                    v /= static_cast<float>(window_ * window_);
-                op[l] = v;
-            }
-            if (half)
-                simd::roundToHalfBatch(op, op, W);
         }
+        if (!isMax)
+            for (std::size_t i = 0; i < run; ++i)
+                op[i] /= area;
+        if (half)
+            simd::roundToHalfBatch(op, op, run);
     });
 }
 
@@ -173,25 +125,6 @@ GlobalAvgPool::makeOutput(const std::vector<const Tensor *> &ins) const
     panic_if(ins.size() != 1, "pool expects one input");
     const Tensor &x = *ins[0];
     return Tensor(x.n(), 1, 1, x.c());
-}
-
-Tensor
-GlobalAvgPool::forward(const std::vector<const Tensor *> &ins) const
-{
-    const Tensor &x = *ins[0];
-    Tensor out = makeOutput(ins);
-    double denom = static_cast<double>(x.h()) * x.w();
-    for (int n = 0; n < x.n(); ++n) {
-        for (int c = 0; c < x.c(); ++c) {
-            double acc = 0.0;
-            for (int h = 0; h < x.h(); ++h)
-                for (int w = 0; w < x.w(); ++w)
-                    acc += x.at(n, h, w, c);
-            out.at(n, 0, 0, c) = static_cast<float>(acc / denom);
-        }
-    }
-    roundForPrecision(out, precision_);
-    return out;
 }
 
 Region
@@ -224,10 +157,15 @@ GlobalAvgPool::forwardRegionBatched(const std::vector<const Tensor *> &ins,
               0,         x.w(),     region.c0, region.c1};
     xp.ensure(x, fp);
 
-    const int W = out.laneWidth();
+    // The channels' lane rows of one (h, w) cell are one contiguous
+    // run: accumulate it into a per-element double sum cell by cell
+    // (each element still sums in (h, w) order), then divide and round
+    // the run as one batch.
     const bool half = precision_ == Precision::FP16;
     const double denom = static_cast<double>(x.h()) * x.w();
-    double acc[kMaxBatchLanes];
+    const std::size_t run =
+        static_cast<std::size_t>(region.c1 - region.c0) * out.laneWidth();
+    std::vector<double> acc(run);
     for (int n = region.n0; n < region.n1; ++n) {
         if (cover) {
             // Output rows are (n, 0); a batch whose cones exclude this
@@ -237,22 +175,19 @@ GlobalAvgPool::forwardRegionBatched(const std::vector<const Tensor *> &ins,
             if (nsp == 0)
                 continue;
         }
-        for (int c = region.c0; c < region.c1; ++c) {
-            for (int l = 0; l < W; ++l)
-                acc[l] = 0.0;
-            for (int h = 0; h < x.h(); ++h) {
-                for (int w = 0; w < x.w(); ++w) {
-                    const float *ip = xp.lanes(x.offset(n, h, w, c));
-                    for (int l = 0; l < W; ++l)
-                        acc[l] += ip[l];
-                }
+        std::fill(acc.begin(), acc.end(), 0.0);
+        for (int h = 0; h < x.h(); ++h) {
+            for (int w = 0; w < x.w(); ++w) {
+                const float *ip = xp.lanes(x.offset(n, h, w, region.c0));
+                for (std::size_t i = 0; i < run; ++i)
+                    acc[i] += ip[i];
             }
-            float *op = out.lanes(golden.offset(n, 0, 0, c));
-            for (int l = 0; l < W; ++l)
-                op[l] = static_cast<float>(acc[l] / denom);
-            if (half)
-                simd::roundToHalfBatch(op, op, W);
         }
+        float *op = out.lanes(golden.offset(n, 0, 0, region.c0));
+        for (std::size_t i = 0; i < run; ++i)
+            op[i] = static_cast<float>(acc[i] / denom);
+        if (half)
+            simd::roundToHalfBatch(op, op, run);
     }
 }
 

@@ -28,10 +28,7 @@ class Pool : public Layer
     LayerKind kind() const override { return LayerKind::Pool; }
     Mode mode() const { return mode_; }
 
-    using Layer::forward;
-
     Tensor makeOutput(const std::vector<const Tensor *> &ins) const override;
-    Tensor forward(const std::vector<const Tensor *> &ins) const override;
 
     /** Pooling cone: output windows that read the input box. */
     Region propagateRegion(const std::vector<const Tensor *> &ins,
@@ -62,10 +59,7 @@ class GlobalAvgPool : public Layer
 
     LayerKind kind() const override { return LayerKind::Pool; }
 
-    using Layer::forward;
-
     Tensor makeOutput(const std::vector<const Tensor *> &ins) const override;
-    Tensor forward(const std::vector<const Tensor *> &ins) const override;
 
     /** Spatial collapse: batch/channel box preserved, H and W fold. */
     Region propagateRegion(const std::vector<const Tensor *> &ins,

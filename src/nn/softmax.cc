@@ -57,19 +57,6 @@ softmaxRow(const float *x, float *y, int c, std::size_t stride, int c0,
 
 } // namespace
 
-Tensor
-Softmax::forward(const std::vector<const Tensor *> &ins) const
-{
-    const Tensor &x = *ins[0];
-    Tensor out = makeOutput(ins);
-    std::vector<double> e(x.c());
-    const float *xd = x.data().data();
-    float *od = out.data().data();
-    for (std::size_t f = 0; f < x.size(); f += x.c())
-        softmaxRow(xd + f, od + f, x.c(), 1, 0, x.c(), e.data());
-    return out;
-}
-
 Region
 Softmax::propagateRegion(const std::vector<const Tensor *> &, int,
                          const Region &in, const Tensor &out) const

@@ -19,10 +19,7 @@ class Softmax : public Layer
 
     LayerKind kind() const override { return LayerKind::Softmax; }
 
-    using Layer::forward;
-
     Tensor makeOutput(const std::vector<const Tensor *> &ins) const override;
-    Tensor forward(const std::vector<const Tensor *> &ins) const override;
 
     /** Row cone: the input box's positions x every channel. */
     Region propagateRegion(const std::vector<const Tensor *> &ins,

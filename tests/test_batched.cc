@@ -137,6 +137,52 @@ TEST(LanePlane, GatherAndScatterLanesCopyExactlyTheMaskedLanes)
     }
 }
 
+TEST(LanePlane, CoveredRunsAreTheCoveredCellsMerged)
+{
+    // forEachCoveredRun visits exactly the elements that
+    // forEachCoveredCell covers over [c0, c1), in the same order, as
+    // maximal runs: no run starts where the previous one ends, so the
+    // whole tensor is one run.
+    const Tensor t(2, 5, 4, 6);
+    const Region cones[2] = {{0, 1, 1, 3, 0, 2, 0, 6},
+                             {1, 2, 2, 4, 1, 4, 0, 6}};
+    const Region box{0, 2, 1, 4, 0, 4, 0, 6};
+    BatchCover cover;
+    cover.build(cones, 0x3u, 2, box);
+    Region part = box;
+    part.c0 = 2;
+    part.c1 = 5;
+    const std::pair<Region, const BatchCover *> cases[] = {
+        {Region::full(t), nullptr}, {box, nullptr}, {part, nullptr},
+        {box, &cover},              {part, &cover},
+    };
+    for (const auto &[region, cov] : cases) {
+        SCOPED_TRACE(testing::Message()
+                     << region.str() << (cov ? " covered" : ""));
+        std::vector<std::size_t> want, got;
+        forEachCoveredCell(region, cov, [&](int n, int h, int w) {
+            for (int c = region.c0; c < region.c1; ++c)
+                want.push_back(t.offset(n, h, w, c));
+        });
+        std::vector<std::pair<std::size_t, std::size_t>> runs;
+        forEachCoveredRun(region, cov, t,
+                          [&](std::size_t flat, std::size_t count) {
+                              runs.emplace_back(flat, count);
+                              for (std::size_t i = 0; i < count; ++i)
+                                  got.push_back(flat + i);
+                          });
+        EXPECT_EQ(got, want);
+        for (std::size_t r = 1; r < runs.size(); ++r)
+            EXPECT_NE(runs[r - 1].first + runs[r - 1].second,
+                      runs[r].first)
+                << "runs " << r - 1 << " and " << r << " are adjacent";
+    }
+    int runs = 0;
+    forEachCoveredRun(Region::full(t), nullptr, t,
+                      [&](std::size_t, std::size_t) { ++runs; });
+    EXPECT_EQ(runs, 1);
+}
+
 TEST(BatchedEngine, BitIdenticalToForwardFromAcrossPrecisions)
 {
     // Every lane of every batch must reproduce Network::forwardFrom's

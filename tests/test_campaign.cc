@@ -247,3 +247,25 @@ TEST(CampaignAdaptive, RejectsNonsenseKnobs)
     EXPECT_DEATH((void)runCampaign(net, x, top1Metric(), bad),
                  "targetHalfWidth");
 }
+
+TEST(Campaign, RejectsAFixedScheduleWithNoSamples)
+{
+    // A fixed schedule without samples would plan zero shards and
+    // report a complete campaign whose cells hold 0 trials (FIT from
+    // probSwMask = 0).
+    Network net = buildResNet(3);
+    Tensor x = defaultInputFor("resnet", 4);
+    for (int samples : {0, -1}) {
+        CampaignConfig bad = smallConfig();
+        bad.samplesPerCategory = samples;
+        EXPECT_DEATH((void)runCampaign(net, x, top1Metric(), bad),
+                     "samplesPerCategory");
+        EXPECT_DEATH((void)fixedShardPlan(net, bad), "samplesPerCategory");
+    }
+
+    // The adaptive scheduler ignores the fixed quota.
+    CampaignConfig adaptive = adaptiveSmall();
+    adaptive.samplesPerCategory = 0;
+    EXPECT_GT(runCampaign(net, x, top1Metric(), adaptive).totalInjections,
+              0u);
+}

@@ -4,27 +4,32 @@
  *
  * Region algebra and windowCone unit tests; brute-force checks that
  * every layer's propagateRegion is conservative (no output the fault
- * can reach escapes the cone); differential tests asserting the
- * one-lane sparse engine is bit-identical to Network::forwardFrom
- * across FP32/FP16/INT8 on a multi-branch DAG with
- * grouped/dilated/strided/padded convolutions; the early masking exit;
- * and the per-thread arena.  Campaign-level dense-vs-incremental
- * equality is test_bit_identity's engine axis.
+ * can reach escapes the cone); forward() (each layer's region kernel
+ * over the whole output) against independent per-element references,
+ * computeNeuron for the MAC layers and scalar loops for the rest;
+ * differential tests asserting the one-lane sparse engine is
+ * bit-identical to Network::forwardFrom across FP32/FP16/INT8 on a
+ * multi-branch DAG with grouped/dilated/strided/padded convolutions;
+ * the early masking exit; and the per-thread arena.  Campaign-level
+ * dense-vs-incremental equality is test_bit_identity's engine axis.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "nn/batched.hh"
 #include "nn/matmul.hh"
 #include "nn/region.hh"
 #include "nn/softmax.hh"
 #include "sim/arena.hh"
+#include "tensor/bitops.hh"
 #include "test_util.hh"
 
 using namespace fidelity;
@@ -221,7 +226,8 @@ TEST(Incremental, ForwardRegionPatchMatchesDense)
     // lane width 1) over full, interior, border and single-element
     // boxes must reproduce forward() bit-for-bit inside the box and
     // leave the rest of the output untouched, with NaN and -0.0 among
-    // the inputs.
+    // the inputs.  The MAC layers' forward() must also equal
+    // computeNeuron() everywhere.
     struct Case
     {
         std::string what;
@@ -283,6 +289,18 @@ TEST(Incremental, ForwardRegionPatchMatchesDense)
             if (p == Precision::INT8)
                 layer.calibrate(ins, layer.forward(ins));
             Tensor golden = layer.forward(ins);
+            // forward() is the region kernel itself; a MAC layer's
+            // independent reference is computeNeuron.
+            if (const auto *mac = dynamic_cast<const MacLayer *>(&layer)) {
+                for (std::size_t i = 0; i < golden.size(); ++i) {
+                    ASSERT_EQ(std::bit_cast<std::uint32_t>(golden[i]),
+                              std::bit_cast<std::uint32_t>(
+                                  mac->computeNeuron(ins, golden.indexOf(i),
+                                                     nullptr)))
+                        << cs.what << " precision " << precisionName(p)
+                        << " flat " << i;
+                }
+            }
             const int H = golden.h(), W = golden.w(), C = golden.c();
             auto in1 = [](int d) { return d > 2 ? 1 : 0; };
             auto out1 = [](int d) { return d > 2 ? d - 1 : d; };
@@ -314,6 +332,113 @@ TEST(Incremental, ForwardRegionPatchMatchesDense)
                     << " box " << box.str();
             }
         }
+    }
+}
+
+TEST(Incremental, ForwardMatchesScalarReference)
+{
+    // forward() is each layer's region kernel over the whole output,
+    // so the full-box case above compares the kernel with itself.
+    // The non-MAC layers' independent reference is this per-element
+    // scalar definition, written out loop by loop: FP32 and FP16, on
+    // plain inputs (every reduction finite) and with NaN and -0.0 among
+    // them.
+    for (auto [special, p] :
+         {std::pair{false, Precision::FP32}, {false, Precision::FP16},
+          {true, Precision::FP32}, {true, Precision::FP16}}) {
+        auto input = [&](std::uint64_t seed, int c) {
+            return special ? specialTensor(seed, 2, 7, 6, c)
+                           : randomTensor(seed, 2, 7, 6, c);
+        };
+        const Tensor x = input(61, 5), y = input(63, 5), z = input(65, 3);
+        const bool half = p == Precision::FP16;
+        auto store = [&](float v) { return half ? roundToHalf(v) : v; };
+        auto check = [&](Layer &layer, std::vector<const Tensor *> ins,
+                         auto &&ref) {
+            layer.setPrecision(p);
+            Tensor out = layer.forward(ins);
+            Tensor want = layer.makeOutput(ins);
+            for (int n = 0; n < want.n(); ++n)
+                for (int h = 0; h < want.h(); ++h)
+                    for (int w = 0; w < want.w(); ++w)
+                        for (int c = 0; c < want.c(); ++c)
+                            want.at(n, h, w, c) = ref(n, h, w, c);
+            EXPECT_TRUE(bitIdentical(want, out))
+                << layer.name() << " precision " << precisionName(p)
+                << (special ? " with NaN/-0 inputs" : "");
+        };
+
+        for (auto mode : {Pool::Mode::Max, Pool::Mode::Avg}) {
+            const int win = 3, stride = 2, pad = 1;
+            Pool pool(mode == Pool::Mode::Max ? "maxpool" : "avgpool",
+                      mode, win, stride, pad);
+            check(pool, {&x}, [&](int n, int oh, int ow, int c) {
+                float acc = mode == Pool::Mode::Max
+                    ? -std::numeric_limits<float>::infinity()
+                    : 0.0f;
+                for (int ph = 0; ph < win; ++ph) {
+                    for (int pw = 0; pw < win; ++pw) {
+                        const int ih = oh * stride - pad + ph;
+                        const int iw = ow * stride - pad + pw;
+                        const bool in = ih >= 0 && ih < x.h() &&
+                                        iw >= 0 && iw < x.w();
+                        const float v = in ? x.at(n, ih, iw, c) : 0.0f;
+                        acc = mode == Pool::Mode::Max ? std::max(acc, v)
+                                                      : acc + v;
+                    }
+                }
+                if (mode == Pool::Mode::Avg)
+                    acc /= static_cast<float>(win * win);
+                return store(acc);
+            });
+        }
+
+        GlobalAvgPool gap("gap");
+        check(gap, {&x}, [&](int n, int, int, int c) {
+            double acc = 0.0;
+            for (int h = 0; h < x.h(); ++h)
+                for (int w = 0; w < x.w(); ++w)
+                    acc += x.at(n, h, w, c);
+            return store(static_cast<float>(
+                acc / (static_cast<double>(x.h()) * x.w())));
+        });
+
+        ConcatC cat("concat");
+        check(cat, {&x, &z}, [&](int n, int h, int w, int c) {
+            return c < x.c() ? x.at(n, h, w, c) : z.at(n, h, w, c - x.c());
+        });
+        Slice sliceH("sliceH", Slice::Axis::H, 2, 4);
+        check(sliceH, {&x}, [&](int n, int h, int w, int c) {
+            return x.at(n, h + 2, w, c);
+        });
+        Slice sliceC("sliceC", Slice::Axis::C, 1, 3);
+        check(sliceC, {&x}, [&](int n, int h, int w, int c) {
+            return x.at(n, h, w, c + 1);
+        });
+
+        for (auto f : {Activation::Func::ReLU, Activation::Func::LeakyReLU,
+                       Activation::Func::Sigmoid, Activation::Func::Tanh}) {
+            Activation act("act" + std::to_string(static_cast<int>(f)), f,
+                           0.1f);
+            check(act, {&x}, [&](int n, int h, int w, int c) {
+                return store(act.apply(x.at(n, h, w, c)));
+            });
+        }
+        for (auto op : {Elementwise::Op::Add, Elementwise::Op::Mul,
+                        Elementwise::Op::Sub}) {
+            Elementwise elt("elt" + std::to_string(static_cast<int>(op)),
+                            op);
+            check(elt, {&x, &y}, [&](int n, int h, int w, int c) {
+                const float a = x.at(n, h, w, c), b = y.at(n, h, w, c);
+                return store(op == Elementwise::Op::Add   ? a + b
+                             : op == Elementwise::Op::Mul ? a * b
+                                                          : a - b);
+            });
+        }
+        ScaleShift ss("scaleshift", 0.5f, -0.25f);
+        check(ss, {&x}, [&](int n, int h, int w, int c) {
+            return store(x.at(n, h, w, c) * 0.5f + -0.25f);
+        });
     }
 }
 
