@@ -257,27 +257,6 @@ appendCellShards(std::vector<ShardPlanEntry> &plan, std::uint64_t &ordinal,
 }
 
 /**
- * Attach the fault-site memo table cfg selects to `injector` and
- * return it (null when the cache is disabled): the caller-supplied
- * table, which extends the sharing across campaigns, or a private one
- * of resultCacheMB.  The generation bump ages the previous campaign's
- * entries for eviction without invalidating them.
- */
-std::shared_ptr<ResultCache>
-attachResultCache(Injector &injector, const CampaignConfig &cfg)
-{
-    if (!cfg.resultCacheEnabled)
-        return nullptr;
-    std::shared_ptr<ResultCache> cache = cfg.resultCache;
-    if (!cache)
-        cache = std::make_shared<ResultCache>(
-            static_cast<std::size_t>(cfg.resultCacheMB) << 20);
-    cache->newGeneration();
-    injector.attachResultCache(cache.get(), cfg.resultCacheSalt);
-    return cache;
-}
-
-/**
  * Stream i of the fixed schedule is the i-th fork of the master seed.
  * The master is consumed only by these forks, in plan order, so the
  * faults a shard draws are a function of (seed, shardGrain,
@@ -332,21 +311,38 @@ poolGroups(const std::vector<ShardPlanEntry> &plan,
  * inject calls), the config, and the attached result cache.
  * runGroup() is safe to call concurrently as long as each caller owns
  * its slot.
+ *
+ * The memo table cfg selects is attached before any inject: a
+ * caller-supplied table, which extends the sharing across campaigns,
+ * at construction, its generation bumped so the previous campaign's
+ * entries age out first without being invalidated; a private table of
+ * resultCacheMB when the first group runs (or a FixedShardExecutor is
+ * built), so a campaign that executes nothing — a merge, a fully
+ * restored resume — builds none.
  */
 class ShardRunner
 {
   public:
     ShardRunner(const Network &net, const Tensor &input,
                 const CorrectnessFn &correct, const CampaignConfig &cfg)
-        : correct_(correct), cfg_(cfg), injector_(net, input, cfg.accel),
-          cache_(attachResultCache(injector_, cfg))
+        : correct_(correct), cfg_(cfg), injector_(net, input, cfg.accel)
     {
+        if (cfg_.resultCacheEnabled && cfg_.resultCache)
+            attach(cfg_.resultCache);
     }
 
     const Injector &injector() const { return injector_; }
-    const std::shared_ptr<ResultCache> &resultCache() const
+
+    /** Build and attach the private table cfg selects, once; a no-op
+     *  when the cache is off or the caller supplied the table. */
+    void
+    ensurePrivateCache()
     {
-        return cache_;
+        if (cfg_.resultCacheEnabled && !cfg_.resultCache)
+            std::call_once(privateCache_, [this] {
+                attach(std::make_shared<ResultCache>(
+                    static_cast<std::size_t>(cfg_.resultCacheMB) << 20));
+            });
     }
 
     /**
@@ -364,8 +360,9 @@ class ShardRunner
     runGroup(const std::vector<ShardPlanEntry> &plan,
              const std::vector<Rng> &streams, std::size_t first,
              std::size_t count, WorkerSlot &slot, ShardRecord *records,
-             std::vector<std::uint64_t> *fingerprints) const
+             std::vector<std::uint64_t> *fingerprints)
     {
+        ensurePrivateCache();
         const auto group = std::span(plan).subspan(first, count);
         const ShardPlanEntry &head = group.front();
         std::size_t draws = 0;
@@ -433,10 +430,19 @@ class ShardRunner
     }
 
   private:
+    void
+    attach(std::shared_ptr<ResultCache> cache)
+    {
+        cache_ = std::move(cache);
+        cache_->newGeneration();
+        injector_.attachResultCache(cache_.get(), cfg_.resultCacheSalt);
+    }
+
     CorrectnessFn correct_;
     CampaignConfig cfg_;
     Injector injector_;
     std::shared_ptr<ResultCache> cache_;
+    std::once_flag privateCache_;
 };
 
 } // namespace
@@ -467,8 +473,10 @@ fixedShardPlan(const Network &net, const CampaignConfig &cfg)
 }
 
 /** The fixed plan, its streams and a shard runner with one slot:
- *  construction pays all of it once, so each execute() costs only its
- *  shards, run as the pooled groups the range cuts out of the plan. */
+ *  construction pays all of it once, the result-cache table included
+ *  (an executor exists to run shards), so each execute() costs only
+ *  its shards, run as the pooled groups the range cuts out of the
+ *  plan. */
 struct FixedShardExecutor::Impl
 {
     Impl(const Network &net, const Tensor &input,
@@ -477,6 +485,7 @@ struct FixedShardExecutor::Impl
           streams(fixedShardStreams(cfg, plan.size())),
           shardGrain(cfg.shardGrain), runner(net, input, correct, cfg)
     {
+        runner.ensurePrivateCache();
     }
 
     std::vector<ShardPlanEntry> plan;
@@ -545,9 +554,7 @@ runCampaign(const Network &net, const Tensor &input,
 
     validateCampaignConfig(net, cfg);
     const bool adaptive = cfg.targetHalfWidth > 0.0;
-    const ShardRunner runner(net, input, correct, cfg);
-    const std::shared_ptr<ResultCache> &result_cache =
-        runner.resultCache();
+    ShardRunner runner(net, input, correct, cfg);
 
     // Cell table: node-major, Table II category order.  GlobalControl
     // cells never draw samples (Prob_SWmask(global, r) = 0 by
@@ -749,7 +756,7 @@ runCampaign(const Network &net, const Tensor &input,
         inject_scope.stop();
         executed_this_run += pending.size();
 
-        if (result_cache)
+        if (cfg.resultCacheEnabled)
             for (std::size_t i : pending)
                 fp_log.emplace(plan[i].ordinal,
                                std::move(fingerprints[i]));
@@ -972,20 +979,25 @@ runCampaign(const Network &net, const Tensor &input,
         (batched ? tel.batched : tel.engine).mergeFrom(slot.totals());
         tel.metrics.mergeFrom(slot.metrics);
     }
-    // Result-cache observability via plan replay: drive the archived
-    // fingerprint sequences, in shard-plan order, through a fresh
-    // sequential table of the same capacity.  The replayed counters
-    // are a pure function of the shard plan — byte-identical across
-    // thread counts — which the live shared table's own counters
+    // Result-cache observability via plan replay: the archived
+    // fingerprint sequences, in shard-plan order, as a fresh sequential
+    // table of the configured capacity would count them.  The replayed
+    // counters are a pure function of the shard plan — byte-identical
+    // across thread counts — which the live shared table's own counters
     // (exposed through ResultCache::stats() for benchmarks) are not.
-    if (result_cache) {
+    if (cfg.resultCacheEnabled) {
         ResultCacheTelemetry &rct = tel.resultCache;
         rct.enabled = true;
-        rct.capacityBytes = result_cache->capacityBytes();
-        rct.entries = result_cache->entryCount();
+        // The geometry of the table cfg selects, built or not.
+        rct.entries = cfg.resultCache
+                          ? cfg.resultCache->entryCount()
+                          : ResultCache::entryCountFor(
+                                static_cast<std::size_t>(cfg.resultCacheMB)
+                                << 20);
+        rct.capacityBytes = rct.entries * ResultCache::kEntryBytes;
         rct.shards = ResultCache::kShards;
         rct.replayComplete = true;
-        ResultCache replay(result_cache->capacityBytes());
+        std::vector<std::vector<std::uint64_t>> sequences;
         for (const ShardRecord &r : archive) {
             auto it = fp_log.find(r.ordinal);
             if (it == fp_log.end()) {
@@ -996,13 +1008,10 @@ runCampaign(const Network &net, const Tensor &input,
                 continue;
             }
             rct.replayedShards += 1;
-            for (std::uint64_t fp : it->second) {
-                CachedOutcome memo;
-                if (!replay.probe(fp, memo))
-                    replay.store(fp, memo);
-            }
+            sequences.push_back(std::move(it->second));
         }
-        const ResultCacheStats rs = replay.stats();
+        const ResultCacheStats rs =
+            ResultCache::replay(rct.capacityBytes, sequences);
         rct.hits = rs.hits;
         rct.misses = rs.misses;
         rct.stores = rs.stores;

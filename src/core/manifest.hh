@@ -97,8 +97,9 @@ struct WorkerTopology
 /**
  * Result-cache observability.  The hit/miss/store/evict counters come
  * from a deterministic *plan replay*: the fingerprint sequence of every
- * freshly executed shard is re-driven, in shard-plan order, through a
- * fresh table of the same capacity.  The replay is a pure function of
+ * freshly executed shard is counted, in shard-plan order, as a fresh
+ * table of the configured capacity would count it
+ * (ResultCache::replay).  The replay is a pure function of
  * the shard plan, so these counters are byte-identical across thread
  * counts — unlike the live shared table's own counters, whose
  * interleaving (and hence hit/miss split) is scheduling-dependent.

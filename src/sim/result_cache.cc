@@ -1,5 +1,9 @@
 #include "sim/result_cache.hh"
 
+#include <algorithm>
+#include <array>
+#include <unordered_map>
+
 namespace fidelity
 {
 
@@ -56,23 +60,36 @@ std::size_t floorPow2(std::size_t v)
     return p;
 }
 
+// Clusters per shard of a table of `capacity_bytes`: rounded down to a
+// power of two, at least one.
+std::size_t clustersPerShardFor(std::size_t capacity_bytes)
+{
+    const std::size_t cluster_bytes = ResultCache::kClusterEntries * ResultCache::kEntryBytes;
+    const std::size_t clusters = capacity_bytes / (ResultCache::kShards * cluster_bytes);
+    return clusters == 0 ? 1 : floorPow2(clusters);
+}
+
+// Table-wide cluster index of a fingerprint (shard-major), and its shard.
+std::size_t clusterIndex(std::uint64_t fingerprint, std::size_t clusters_per_shard, std::size_t &shard)
+{
+    const std::uint64_t mixed = mixIndex(fingerprint);
+    shard = static_cast<std::size_t>(mixed & (ResultCache::kShards - 1));
+    const std::size_t cluster_idx = static_cast<std::size_t>((mixed / ResultCache::kShards) & (clusters_per_shard - 1));
+    return shard * clusters_per_shard + cluster_idx;
+}
+
 } // namespace
 
 ResultCache::ResultCache(std::size_t capacity_bytes)
 {
-    const std::size_t cluster_bytes = kClusterEntries * kEntryBytes;
-    std::size_t clusters = capacity_bytes / (kShards * cluster_bytes);
-    clustersPerShard_ = clusters == 0 ? 1 : floorPow2(clusters);
+    clustersPerShard_ = clustersPerShardFor(capacity_bytes);
     entries_ = std::make_unique<Entry[]>(kShards * clustersPerShard_ * kClusterEntries);
     stats_ = std::make_unique<ShardStats[]>(kShards);
 }
 
 ResultCache::Entry *ResultCache::cluster(std::uint64_t fingerprint, std::size_t &shard)
 {
-    const std::uint64_t mixed = mixIndex(fingerprint);
-    shard = static_cast<std::size_t>(mixed & (kShards - 1));
-    const std::size_t cluster_idx = static_cast<std::size_t>((mixed / kShards) & (clustersPerShard_ - 1));
-    return entries_.get() + (shard * clustersPerShard_ + cluster_idx) * kClusterEntries;
+    return entries_.get() + clusterIndex(fingerprint, clustersPerShard_, shard) * kClusterEntries;
 }
 
 bool ResultCache::probe(std::uint64_t fingerprint, CachedOutcome &out)
@@ -109,7 +126,8 @@ void ResultCache::store(std::uint64_t fingerprint, CachedOutcome out)
     // Victim preference: refresh the same fingerprint, else take an
     // empty slot, else displace the oldest-generation entry (lowest
     // index on ties, so replaying the same sequence single-threaded
-    // reproduces the same placements).
+    // reproduces the same placements).  replay() below applies this
+    // rule to a fresh table; a change here must change it too.
     std::size_t victim = 0;
     int victim_age = -1;
     bool victim_live = true;
@@ -150,6 +168,52 @@ void ResultCache::store(std::uint64_t fingerprint, CachedOutcome out)
     c[victim].xkey.store(fingerprint ^ data, std::memory_order_relaxed);
 }
 
+ResultCacheStats ResultCache::replay(std::size_t capacity_bytes, std::span<const std::vector<std::uint64_t>> sequences)
+{
+    // store()'s victim rule on a fresh table, where every entry carries
+    // the same generation: a miss never matches a slot to refresh, so it
+    // takes the first empty slot, and in a full cluster — all entries
+    // equally old — slot 0.  A cluster is therefore its first `used`
+    // fingerprints, and a probe hits exactly on an equal fingerprint.
+    struct Cluster
+    {
+        std::array<std::uint64_t, kClusterEntries> fps{};
+        std::size_t used = 0;
+    };
+    const std::size_t clusters_per_shard = clustersPerShardFor(capacity_bytes);
+    std::size_t total = 0;
+    for (const std::vector<std::uint64_t> &seq : sequences)
+        total += seq.size();
+    std::unordered_map<std::size_t, Cluster> touched;
+    touched.reserve(std::min(total, kShards * clusters_per_shard));
+
+    ResultCacheStats s;
+    for (const std::vector<std::uint64_t> &seq : sequences)
+    {
+        for (std::uint64_t fingerprint : seq)
+        {
+            std::size_t shard = 0;
+            Cluster &c = touched[clusterIndex(fingerprint, clusters_per_shard, shard)];
+            const auto live = c.fps.begin() + static_cast<std::ptrdiff_t>(c.used);
+            if (std::find(c.fps.begin(), live, fingerprint) != live)
+            {
+                ++s.hits;
+                continue;
+            }
+            ++s.misses;
+            ++s.stores;
+            if (c.used < kClusterEntries)
+                c.fps[c.used++] = fingerprint;
+            else
+            {
+                c.fps[0] = fingerprint;
+                ++s.evictions;
+            }
+        }
+    }
+    return s;
+}
+
 void ResultCache::newGeneration()
 {
     generation_.fetch_add(1, std::memory_order_relaxed);
@@ -171,6 +235,11 @@ ResultCacheStats ResultCache::stats() const
 std::size_t ResultCache::entryCount() const
 {
     return kShards * clustersPerShard_ * kClusterEntries;
+}
+
+std::size_t ResultCache::entryCountFor(std::size_t capacity_bytes)
+{
+    return kShards * clustersPerShardFor(capacity_bytes) * kClusterEntries;
 }
 
 } // namespace fidelity

@@ -48,6 +48,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <vector>
 
 namespace fidelity
 {
@@ -127,6 +129,22 @@ class ResultCache
 
     /** Bytes of entry storage actually allocated. */
     std::size_t capacityBytes() const { return entryCount() * kEntryBytes; }
+
+    /** entryCount() of a table built with `capacity_bytes`, without
+     *  building it. */
+    static std::size_t entryCountFor(std::size_t capacity_bytes);
+
+    /**
+     * The counters a fresh table of `capacity_bytes` reports after every
+     * fingerprint of `sequences`, in order, is probed and, on a miss,
+     * stored — computed exactly without building the table: only the
+     * clusters the fingerprints touch are kept, so memory grows with
+     * the fingerprints, not the capacity.  Single-threaded and
+     * deterministic; the campaign plan replay (DESIGN.md §11).
+     */
+    static ResultCacheStats
+    replay(std::size_t capacity_bytes,
+           std::span<const std::vector<std::uint64_t>> sequences);
 
   private:
     /** One 16-byte packed entry.  `xkey` holds fingerprint ^ data;

@@ -29,6 +29,7 @@
 
 #if !defined(_WIN32)
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <poll.h>
@@ -708,6 +709,9 @@ struct CoordCtx
     bool stopRequested = false; //!< stopAfterMergedChunks fired
     double lastCheckpoint = 0.0;
 
+    /** Write end of the accept loop's self-pipe (non-blocking). */
+    int wakeFd = -1;
+
     WorkerTopology topo;
 
     CoordCtx(std::uint64_t plan_shards, std::uint64_t lease_shards)
@@ -719,6 +723,19 @@ struct CoordCtx
     doneServing() const
     {
         return stopRequested || book.allMerged();
+    }
+
+    /** Under m, after a merge: once nothing is left to serve, wake the
+     *  accept loop, which blocks with no timeout.  Completion is final,
+     *  so the byte is never drained; a full pipe is already readable. */
+    void
+    wakeIfDoneLocked() const
+    {
+        const char byte = 1;
+        if (doneServing() && ::write(wakeFd, &byte, 1) < 0 &&
+            errno != EAGAIN)
+            warn("coordinator wake-up write failed: ",
+                 std::strerror(errno));
     }
 
     /** Under m: write the merged journals to the checkpoint path. */
@@ -946,6 +963,7 @@ serveWorkerConn(int fd, CoordCtx &ctx)
                         ctx.opts->stopAfterMergedChunks)
                     ctx.stopRequested = true;
                 ctx.checkpointLocked(false);
+                ctx.wakeIfDoneLocked();
                 merged_one = true;
                 break;
             }
@@ -1002,6 +1020,16 @@ runCampaignCoordinator(const ServiceRequest &req,
                " of ", ctx.book.chunkCount(), " chunks already merged");
     }
 
+    // The accept loop sleeps until a worker connects or the connection
+    // thread whose merge finishes the campaign writes the self-pipe.
+    int wake[2];
+    fatal_if(::pipe(wake) != 0, "coordinator cannot create its wake-up "
+             "pipe: ", std::strerror(errno));
+    for (int fd : wake)
+        ::fcntl(fd, F_SETFD, FD_CLOEXEC);
+    ::fcntl(wake[1], F_SETFL, O_NONBLOCK);
+    ctx.wakeFd = wake[1];
+
     const ServiceAddr addr = parseServiceAddr(opts.listenAddr);
     int listen_fd = listenOn(addr);
     inform("coordinator serving ", plan.size(), " shards (",
@@ -1015,14 +1043,14 @@ runCampaignCoordinator(const ServiceRequest &req,
             if (ctx.doneServing())
                 break;
         }
-        pollfd pfd{listen_fd, POLLIN, 0};
-        int rc = ::poll(&pfd, 1, 200);
+        pollfd pfds[2] = {{listen_fd, POLLIN, 0}, {wake[0], POLLIN, 0}};
+        int rc = ::poll(pfds, 2, -1);
         if (rc < 0) {
             if (errno == EINTR)
                 continue;
             fatal("coordinator poll failed: ", std::strerror(errno));
         }
-        if (rc == 0)
+        if (pfds[0].revents == 0)
             continue;
         int fd = ::accept(listen_fd, nullptr, nullptr);
         if (fd < 0)
@@ -1033,6 +1061,8 @@ runCampaignCoordinator(const ServiceRequest &req,
     // threads blocked on an executing worker finish after its RESULT.
     for (std::thread &t : conns)
         t.join();
+    for (int fd : wake)
+        ::close(fd);
     ::close(listen_fd);
     if (addr.unixSocket)
         ::unlink(addr.path.c_str());

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <cstdint>
+#include <numeric>
 
 #include "sim/logging.hh"
 
@@ -44,6 +45,71 @@ decodeTokens(const Tensor &out)
     return tokens;
 }
 
+namespace
+{
+
+/**
+ * Clipped n-gram matches of `hyp` against `ref`: the sum over distinct
+ * n-grams of min(count in hyp, count in ref).  Both sides' n-gram start
+ * indices are sorted by the n tokens they start, then walked together
+ * run by run; grams are compared in place, and the index buffers are
+ * the caller's, so a call allocates nothing once they have grown.
+ */
+int
+clippedMatches(const std::vector<int> &ref, const std::vector<int> &hyp,
+               std::size_t n, std::vector<std::uint32_t> &ref_idx,
+               std::vector<std::uint32_t> &hyp_idx)
+{
+    auto sortStarts = [n](const std::vector<int> &seq,
+                          std::vector<std::uint32_t> &idx) {
+        idx.resize(seq.size() - n + 1);
+        std::iota(idx.begin(), idx.end(), 0u);
+        std::sort(idx.begin(), idx.end(),
+                  [&seq, n](std::uint32_t a, std::uint32_t b) {
+                      return std::lexicographical_compare(
+                          seq.begin() + a, seq.begin() + a + n,
+                          seq.begin() + b, seq.begin() + b + n);
+                  });
+    };
+    sortStarts(ref, ref_idx);
+    sortStarts(hyp, hyp_idx);
+
+    // <0, 0, >0 as the n-gram starting at a[i] sorts before, equal to
+    // or after the one starting at b[j].
+    auto compare = [n](const std::vector<int> &a, std::uint32_t i,
+                       const std::vector<int> &b, std::uint32_t j) {
+        for (std::size_t k = 0; k < n; ++k)
+            if (a[i + k] != b[j + k])
+                return a[i + k] < b[j + k] ? -1 : 1;
+        return 0;
+    };
+    int matched = 0;
+    std::size_t r = 0, h = 0;
+    while (r < ref_idx.size() && h < hyp_idx.size()) {
+        const int c = compare(ref, ref_idx[r], hyp, hyp_idx[h]);
+        if (c < 0) {
+            ++r;
+        } else if (c > 0) {
+            ++h;
+        } else {
+            const std::uint32_t gr = ref_idx[r], gh = hyp_idx[h];
+            int in_ref = 0, in_hyp = 0;
+            for (; r < ref_idx.size() &&
+                   compare(ref, ref_idx[r], ref, gr) == 0;
+                 ++r)
+                ++in_ref;
+            for (; h < hyp_idx.size() &&
+                   compare(hyp, hyp_idx[h], hyp, gh) == 0;
+                 ++h)
+                ++in_hyp;
+            matched += std::min(in_ref, in_hyp);
+        }
+    }
+    return matched;
+}
+
+} // namespace
+
 double
 bleuScore(const std::vector<int> &reference,
           const std::vector<int> &hypothesis)
@@ -51,31 +117,17 @@ bleuScore(const std::vector<int> &reference,
     if (hypothesis.empty())
         return reference.empty() ? 1.0 : 0.0;
 
-    const int max_n = 4;
+    thread_local std::vector<std::uint32_t> ref_idx, hyp_idx;
+    const std::size_t max_n = 4;
     double log_sum = 0.0;
     int used_orders = 0;
-    for (int n = 1; n <= max_n; ++n) {
-        if (static_cast<int>(reference.size()) < n ||
-            static_cast<int>(hypothesis.size()) < n)
+    for (std::size_t n = 1; n <= max_n; ++n) {
+        if (reference.size() < n || hypothesis.size() < n)
             break;
         used_orders += 1;
-        std::map<std::vector<int>, int> ref_counts;
-        for (std::size_t i = 0; i + n <= reference.size(); ++i)
-            ref_counts[{reference.begin() + i,
-                        reference.begin() + i + n}] += 1;
-        int matched = 0;
-        int total = 0;
-        std::map<std::vector<int>, int> used;
-        for (std::size_t i = 0; i + n <= hypothesis.size(); ++i) {
-            std::vector<int> gram(hypothesis.begin() + i,
-                                  hypothesis.begin() + i + n);
-            total += 1;
-            auto it = ref_counts.find(gram);
-            if (it != ref_counts.end() && used[gram] < it->second) {
-                used[gram] += 1;
-                matched += 1;
-            }
-        }
+        const int matched =
+            clippedMatches(reference, hypothesis, n, ref_idx, hyp_idx);
+        const int total = static_cast<int>(hypothesis.size() - n + 1);
         if (matched == 0)
             return 0.0;
         log_sum += std::log(static_cast<double>(matched) / total);

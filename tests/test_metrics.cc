@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <limits>
+#include <map>
 #include <random>
 
 #include "workloads/metrics.hh"
@@ -82,6 +83,97 @@ TEST(Metrics, BleuMetricDecisionEqualsScoreOnRandomPairs)
     EXPECT_GT(equal, 0);
     EXPECT_GT(differ, 0);
     EXPECT_GT(invalid, 0);
+}
+
+namespace
+{
+
+/** The map-of-n-grams BLEU that bleuScore replaced: the reference its
+ *  sorted-index counting must equal bit for bit. */
+double
+referenceBleu(const std::vector<int> &reference,
+              const std::vector<int> &hypothesis)
+{
+    if (hypothesis.empty())
+        return reference.empty() ? 1.0 : 0.0;
+
+    const int max_n = 4;
+    double log_sum = 0.0;
+    int used_orders = 0;
+    for (int n = 1; n <= max_n; ++n) {
+        if (static_cast<int>(reference.size()) < n ||
+            static_cast<int>(hypothesis.size()) < n)
+            break;
+        used_orders += 1;
+        std::map<std::vector<int>, int> ref_counts;
+        for (std::size_t i = 0; i + n <= reference.size(); ++i)
+            ref_counts[{reference.begin() + i,
+                        reference.begin() + i + n}] += 1;
+        int matched = 0;
+        int total = 0;
+        std::map<std::vector<int>, int> used;
+        for (std::size_t i = 0; i + n <= hypothesis.size(); ++i) {
+            std::vector<int> gram(hypothesis.begin() + i,
+                                  hypothesis.begin() + i + n);
+            total += 1;
+            auto it = ref_counts.find(gram);
+            if (it != ref_counts.end() && used[gram] < it->second) {
+                used[gram] += 1;
+                matched += 1;
+            }
+        }
+        if (matched == 0)
+            return 0.0;
+        log_sum += std::log(static_cast<double>(matched) / total);
+    }
+    if (used_orders == 0)
+        return reference == hypothesis ? 1.0 : 0.0;
+    double precision = std::exp(log_sum / used_orders);
+    double bp = 1.0;
+    if (hypothesis.size() < reference.size())
+        bp = std::exp(1.0 - static_cast<double>(reference.size()) /
+                                hypothesis.size());
+    return bp * precision;
+}
+
+} // namespace
+
+TEST(Metrics, BleuEqualsMapReferenceOnRandomPairs)
+{
+    // Lengths 0-20 over a vocabulary of 1-5 tokens, so n-grams repeat
+    // on both sides and the clipping decides the count; unequal
+    // lengths exercise the brevity penalty, lengths below 4 the
+    // truncated order range.
+    std::mt19937 rng(31);
+    int scored = 0, penalised = 0, short_pairs = 0;
+    for (int iter = 0; iter < 4000; ++iter) {
+        const int vocab = 1 + static_cast<int>(rng() % 5);
+        auto draw = [&](int len) {
+            std::vector<int> v(static_cast<std::size_t>(len));
+            for (int &t : v)
+                t = static_cast<int>(rng() % vocab);
+            return v;
+        };
+        const std::vector<int> ref = draw(static_cast<int>(rng() % 21));
+        std::vector<int> hyp = draw(static_cast<int>(rng() % 21));
+        if (iter % 4 == 0 && !ref.empty()) {
+            // A lightly perturbed copy scores well above zero.
+            hyp = ref;
+            hyp[rng() % hyp.size()] = static_cast<int>(rng() % vocab);
+            hyp.resize(rng() % (hyp.size() + 1));
+        }
+        const double want = referenceBleu(ref, hyp);
+        EXPECT_EQ(bleuScore(ref, hyp), want)
+            << "iter " << iter << ", lengths " << ref.size() << "/"
+            << hyp.size() << ", vocab " << vocab;
+        scored += want > 0.0 ? 1 : 0;
+        penalised += want > 0.0 && hyp.size() < ref.size() ? 1 : 0;
+        short_pairs += std::min(ref.size(), hyp.size()) < 4 ? 1 : 0;
+    }
+    // The draw must reach every branch it is meant to.
+    EXPECT_GT(scored, 500);
+    EXPECT_GT(penalised, 100);
+    EXPECT_GT(short_pairs, 100);
 }
 
 TEST(Metrics, BleuDisjointIsZero)

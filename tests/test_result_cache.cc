@@ -228,6 +228,71 @@ TEST(ResultCache, EvictionUnderPressureKeepsIntegrity)
     EXPECT_EQ(s.hits + s.misses, fps.size());
 }
 
+TEST(ResultCache, ReplayCountsWhatAFreshTableCounts)
+{
+    // ResultCache::replay must report the four counters a real fresh
+    // table reports when each fingerprint is probed and, on a miss,
+    // stored — at the floor capacity (one cluster per shard) up to a
+    // few MiB, with random keys drawn from pools small enough to repeat
+    // and large enough to overflow clusters, and with adversarial keys
+    // that all land in one cluster.
+    const std::size_t capacities[] = {0, 1 << 10, 5 << 10, 1 << 16,
+                                      3 << 20, 4 << 20};
+    std::uint64_t evictions = 0, hits = 0;
+    Rng rng(41);
+    for (std::size_t capacity : capacities) {
+        const std::size_t entries = ResultCache::entryCountFor(capacity);
+        EXPECT_EQ(entries, ResultCache(capacity).entryCount());
+        for (int trial = 0; trial < 6; ++trial) {
+            SCOPED_TRACE("capacity " + std::to_string(capacity) +
+                         ", trial " + std::to_string(trial));
+            // Pools from a quarter to four times the table: from mostly
+            // hits to constant displacement.
+            const std::uint64_t pool =
+                std::max<std::uint64_t>(1, entries * (1u << trial) / 8);
+            std::vector<std::vector<std::uint64_t>> sequences(
+                1 + rng.below(4));
+            for (std::vector<std::uint64_t> &seq : sequences) {
+                const std::size_t len = rng.below(static_cast<std::uint32_t>(
+                    std::min<std::size_t>(4 * entries, 40000) + 1));
+                for (std::size_t i = 0; i < len; ++i)
+                    seq.push_back(
+                        rng.below(static_cast<std::uint32_t>(pool)) *
+                        0x9e3779b97f4a7c15ull);
+            }
+            if (trial == 0) {
+                // Same-cluster keys of the floor table: at capacity 0
+                // they all collide, above it they share shard 0.
+                const std::vector<std::uint64_t> keys = sameClusterKeys(9);
+                for (int rep = 0; rep < 3; ++rep)
+                    sequences.back().insert(sequences.back().end(),
+                                            keys.begin(), keys.end());
+            }
+
+            ResultCache fresh(capacity);
+            for (const std::vector<std::uint64_t> &seq : sequences)
+                for (std::uint64_t fp : seq) {
+                    CachedOutcome out;
+                    if (!fresh.probe(fp, out))
+                        fresh.store(fp, parityOutcome(fp));
+                }
+            const ResultCacheStats want = fresh.stats();
+            const ResultCacheStats got =
+                ResultCache::replay(capacity, sequences);
+            EXPECT_EQ(got.hits, want.hits);
+            EXPECT_EQ(got.misses, want.misses);
+            EXPECT_EQ(got.stores, want.stores);
+            EXPECT_EQ(got.evictions, want.evictions);
+            evictions += want.evictions;
+            hits += want.hits;
+        }
+    }
+    EXPECT_GT(evictions, 0u);
+    EXPECT_GT(hits, 0u);
+    const ResultCacheStats none = ResultCache::replay(1 << 20, {});
+    EXPECT_EQ(none.hits + none.misses + none.stores + none.evictions, 0u);
+}
+
 TEST(ResultCache, ConcurrentStoreProbeNeverReturnsForeignPayload)
 {
     // The lock-free contract under TSan and ASan in CI: concurrent
@@ -405,12 +470,27 @@ TEST(ResultCacheCampaign, TinyTableEvictsAndStaysBitIdentical)
     const std::uint64_t want =
         campaignChecksum(runCampaign(net, x, top1Metric(), off));
 
+    ScopedPath report("result_cache_tiny.json");
     CampaignConfig tiny = smallConfig();
     tiny.numThreads = 4;
     tiny.resultCache = std::make_shared<ResultCache>(0);
+    tiny.reportPath = report.str();
     CampaignResult res = runCampaign(net, x, top1Metric(), tiny);
     EXPECT_EQ(campaignChecksum(res), want);
     EXPECT_GT(tiny.resultCache->stats().evictions, 0u);
+
+    // The manifest describes the caller's table, and its plan replay
+    // evicts too: it replays at that table's floor capacity.
+    const std::string rc = jsonSection(
+        jsonSection(slurp(report.str()), "execution"), "result_cache");
+    EXPECT_NE(rc.find("\"capacity_bytes\": " +
+                      std::to_string(tiny.resultCache->capacityBytes())),
+              std::string::npos)
+        << rc;
+    const std::string replay = jsonSection(rc, "plan_replay");
+    EXPECT_NE(replay.find("\"complete\": true"), std::string::npos);
+    EXPECT_EQ(replay.find("\"evictions\": 0,"), std::string::npos)
+        << replay;
 }
 
 TEST(ResultCacheCampaign, ResumedManifestDeclaresThePlanReplayPartial)

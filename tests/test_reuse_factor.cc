@@ -8,10 +8,12 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "accel/eyeriss.hh"
 #include "core/ff_descriptors.hh"
 #include "core/reuse_factor.hh"
+#include "sim/logging.hh"
 
 using namespace fidelity;
 
@@ -169,6 +171,49 @@ TEST(ReuseFactorDeath, LoopsMustMatchValueCycles)
     ff.ffValueCycles = 2;
     ff.loops.resize(1);
     EXPECT_DEATH((void)analyzeReuseFactor(ff), "M_l");
+}
+
+TEST(ReuseFactor, MalformedDescriptorsAreFatalErrors)
+{
+    // The same checks in process: under a capture scope each fatal
+    // path throws, naming what is wrong with the descriptor.
+    ScopedFatalCapture capture;
+    FFDescriptor none;
+    none.ffValueCycles = 0;
+    try {
+        (void)analyzeReuseFactor(none);
+        ADD_FAILURE() << "FF_value_cycles = 0 was accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("FF_value_cycles"),
+                  std::string::npos)
+            << e.what();
+    }
+    FFDescriptor short_loops;
+    short_loops.ffValueCycles = 3;
+    short_loops.loops.resize(2);
+    try {
+        (void)analyzeReuseFactor(short_loops);
+        ADD_FAILURE() << "2 loops for FF_value_cycles = 3 were accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("got 2 loops"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(ReuseFactor, EnumNamesAreTheTableIRows)
+{
+    EXPECT_STREQ(varTypeName(VarType::Input), "Input");
+    EXPECT_STREQ(varTypeName(VarType::Weight), "Weight");
+    EXPECT_STREQ(varTypeName(VarType::Bias), "Bias");
+    EXPECT_STREQ(varTypeName(VarType::PartialSum), "PartialSum");
+    EXPECT_STREQ(varTypeName(VarType::Output), "Output");
+    EXPECT_STREQ(pipelineStageName(PipelineStage::BeforeBuffer),
+                 "BeforeBuffer");
+    EXPECT_STREQ(pipelineStageName(PipelineStage::AfterBuffer),
+                 "AfterBuffer");
+    EXPECT_STREQ(pipelineStageName(PipelineStage::InsideMac), "InsideMac");
+    EXPECT_STREQ(pipelineStageName(PipelineStage::AfterMac), "AfterMac");
 }
 
 TEST(EyerissModel, WeightNeuronsMatchDescriptor)

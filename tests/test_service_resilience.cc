@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "core/campaign.hh"
+#include "sim/checkpoint.hh"
 #include "sim/json.hh"
 #include "sim/service.hh"
 #include "sim/service_proto.hh"
@@ -236,9 +237,22 @@ TEST(ServiceResilience, WorkerFanOutIsBitIdenticalToSingleProcess)
     const std::string truth_manifest = tempPath("truth.manifest.json");
     const CampaignResult truth = groundTruth(req, truth_manifest);
     const std::uint64_t want = campaignChecksum(truth);
-    const std::string truth_results =
-        jsonSection(readWholeFile(truth_manifest), "results");
+    const std::string truth_doc = readWholeFile(truth_manifest);
+    const std::string truth_results = jsonSection(truth_doc, "results");
     ASSERT_FALSE(truth_results.empty());
+
+    // The result-cache section up to its plan replay: enabled,
+    // capacity_bytes, entries, table_shards.  The merge builds no table,
+    // yet reports the geometry the single-process run's table had.
+    auto cacheGeometry = [](const std::string &doc) {
+        const std::string rc =
+            jsonSection(jsonSection(doc, "execution"), "result_cache");
+        return rc.substr(0, rc.find("\"plan_replay\""));
+    };
+    const std::string truth_geometry = cacheGeometry(truth_doc);
+    ASSERT_NE(truth_geometry.find("\"capacity_bytes\""),
+              std::string::npos);
+    ASSERT_NE(truth_geometry.find("\"table_shards\""), std::string::npos);
 
     for (int workers : {1, 2, 4}) {
         SCOPED_TRACE(std::to_string(workers) + " workers");
@@ -273,6 +287,7 @@ TEST(ServiceResilience, WorkerFanOutIsBitIdenticalToSingleProcess)
         EXPECT_EQ(jsonSection(doc, "results"), truth_results);
         EXPECT_NE(jsonSection(doc, "execution").find("\"topology\""),
                   std::string::npos);
+        EXPECT_EQ(cacheGeometry(doc), truth_geometry);
 
         // Telemetry: every worker connected and the shard counts add
         // up to the whole plan.
@@ -356,6 +371,35 @@ TEST(ServiceResilience, DefaultHeartbeatWorkerExitsPromptlyAfterDone)
                               .count();
     EXPECT_TRUE(run.complete);
     EXPECT_LT(reap_s, 1.0) << "worker exit stalled after DONE";
+}
+
+TEST(ServiceResilience, CoordinatorReturnsPromptlyAfterItsLastMerge)
+{
+    // The twin of the worker-exit test above: the connection thread
+    // whose merge completes the campaign wakes the accept loop, and
+    // the final merge executes no shard, so it builds no result-cache
+    // table.  The worker exits on DONE, right after that merge, so the
+    // coordinator returns within a fraction of a second of the
+    // worker's reap, not an accept-loop tick and two 64 MiB tables
+    // later.
+    const ServiceRequest req = testRequest();
+    const std::string sock = uniqueSocketPath("return");
+    CoordinatorOptions copts;
+    copts.listenAddr = "unix:" + sock;
+    copts.leaseShards = 8;
+    auto coordinator = std::async(std::launch::async, [req, copts] {
+        CoordinatorRun run = runCampaignCoordinator(req, copts);
+        return std::make_pair(std::move(run),
+                              std::chrono::steady_clock::now());
+    });
+    const pid_t worker = spawnWorker("unix:" + sock, "w0");
+    EXPECT_TRUE(reapCleanExit(worker));
+    const auto reaped = std::chrono::steady_clock::now();
+    const auto [run, returned] = coordinator.get();
+    const double lag_s =
+        std::chrono::duration<double>(returned - reaped).count();
+    EXPECT_TRUE(run.complete);
+    EXPECT_LT(lag_s, 0.15) << "coordinator lingered after its last merge";
 }
 
 TEST(ServiceResilience, CoordinatorRestartResumesFromCheckpoint)
@@ -448,6 +492,60 @@ TEST(ServiceResilience, WrongReadyHashIsRejectedWithoutPoisoningTheRun)
     EXPECT_TRUE(reapCleanExit(worker));
     ASSERT_TRUE(run.complete);
     EXPECT_EQ(campaignChecksum(run.result), want);
+}
+
+TEST(ServiceResilience, LastMergeWakesTheCoordinatorWithoutATick)
+{
+    // A scripted worker sends, for one lease covering the whole plan,
+    // the journal a real worker would send, computed beforehand, so
+    // the last RESULT arrives within milliseconds of the coordinator's
+    // last accept.  Waking on a periodic accept-loop tick would hold
+    // the coordinator for most of a period after that merge; waking
+    // on the merge itself leaves only the zero-shard merge.
+    const ServiceRequest req = testRequest();
+    const CampaignResult truth = groundTruth(req, "");
+    Network net = buildServiceNetwork(req);
+    FixedShardExecutor executor(net, serviceInput(req), serviceMetric(req),
+                                campaignConfigFor(req));
+    const std::uint64_t shards = executor.planSize();
+    ResultPayload result{0, shards, {}};
+    CampaignSnapshot journal;
+    journal.shards = executor.execute(0, shards);
+
+    const std::string sock = uniqueSocketPath("wake");
+    CoordinatorOptions copts;
+    copts.listenAddr = "unix:" + sock;
+    copts.leaseShards = shards;
+    auto coordinator = std::async(std::launch::async, [req, copts] {
+        CoordinatorRun run = runCampaignCoordinator(req, copts);
+        return std::make_pair(std::move(run),
+                              std::chrono::steady_clock::now());
+    });
+
+    RawConn worker(sock);
+    HelloPayload hello;
+    hello.worker = "scripted";
+    worker.send(encodeHello(hello));
+    SpecPayload spec;
+    std::string err;
+    ASSERT_TRUE(tryParseSpec(worker.read(), spec, err)) << err;
+    worker.send(encodeReady({spec.configHash}));
+    LeasePayload lease;
+    ASSERT_TRUE(tryParseLease(worker.read(), lease, err)) << err;
+    ASSERT_EQ(lease.first, 0u);
+    ASSERT_EQ(lease.count, shards);
+    journal.configHash = spec.configHash;
+    result.journal = encodeSnapshot(journal);
+    const auto sent = std::chrono::steady_clock::now();
+    worker.send(encodeResult(result));
+    EXPECT_EQ(worker.read().type, FrameType::Done);
+
+    const auto [run, returned] = coordinator.get();
+    const double lag_s =
+        std::chrono::duration<double>(returned - sent).count();
+    ASSERT_TRUE(run.complete);
+    EXPECT_EQ(campaignChecksum(run.result), campaignChecksum(truth));
+    EXPECT_LT(lag_s, 0.1) << "coordinator waited after its last merge";
 }
 
 #endif // !defined(_WIN32)
