@@ -161,53 +161,11 @@ FaultModels::randomOutputValue(Precision p, const QuantParams &qp, Rng &rng)
     panic("unknown Precision");
 }
 
-namespace
-{
-
-/** Append neuron/value pairs whose value actually changed. */
 void
-appendChanged(FaultApplication &app, const Tensor &golden,
-              const NeuronIndex &n, float value)
+consumerBoxes(const NeuronIndex *cons, std::size_t count, int width,
+              std::vector<Region> &boxes)
 {
-    float g = golden.at(n);
-    bool same = (g == value) || (std::isnan(g) && std::isnan(value));
-    if (same)
-        return;
-    app.neurons.push_back(n);
-    app.values.push_back(value);
-    double delta = std::isnan(value) || std::isinf(value)
-        ? std::numeric_limits<double>::infinity()
-        : std::fabs(static_cast<double>(value) - g);
-    app.maxAbsDelta = std::max(app.maxAbsDelta, delta);
-}
-
-/**
- * Evaluate the substituted value of every listed consumer and append
- * the changed ones, preserving list order.
- *
- * The consumers are first coalesced into output boxes, matching the
- * orders inputConsumers and weightConsumers produce: channel runs at
- * one position, w-runs of a single channel, and consecutive full-width
- * w-runs of one channel folded into one h-range box (a weight's whole
- * output plane becomes one box per sample).  When the layer has a
- * vector path for the substitution (forwardWithSub: input and weight
- * substitutions of Conv2D) the boxes are re-executed in one kernel
- * sweep into a thread-local scratch tensor; otherwise each neuron
- * recomputes via computeNeuron().  Both paths are bit-identical by
- * contract.
- */
-void
-evalConsumers(FaultApplication &app, const MacLayer &layer,
-              const std::vector<const Tensor *> &ins, const Tensor &golden,
-              const OperandSub &sub, const NeuronIndex *cons,
-              std::size_t count)
-{
-    if (count == 0)
-        return;
-    static thread_local Tensor scratch;
-    static thread_local std::vector<Region> boxes;
     boxes.clear();
-    const int width = golden.w();
     for (std::size_t i = 0; i < count; ++i) {
         const NeuronIndex &n = cons[i];
         if (!boxes.empty()) {
@@ -239,6 +197,48 @@ evalConsumers(FaultApplication &app, const MacLayer &layer,
         }
         boxes.push_back(Region::of(n));
     }
+}
+
+namespace
+{
+
+/** Append neuron/value pairs whose value actually changed. */
+void
+appendChanged(FaultApplication &app, const Tensor &golden,
+              const NeuronIndex &n, float value)
+{
+    float g = golden.at(n);
+    bool same = (g == value) || (std::isnan(g) && std::isnan(value));
+    if (same)
+        return;
+    app.neurons.push_back(n);
+    app.values.push_back(value);
+    double delta = std::isnan(value) || std::isinf(value)
+        ? std::numeric_limits<double>::infinity()
+        : std::fabs(static_cast<double>(value) - g);
+    app.maxAbsDelta = std::max(app.maxAbsDelta, delta);
+}
+
+/**
+ * Evaluate the substituted value of every listed consumer and append
+ * the changed ones, preserving list order.  The consumers' boxes
+ * (consumerBoxes) are re-executed in one kernel sweep into a
+ * thread-local scratch tensor when the layer has a vector path for the
+ * substitution (forwardWithSub: input and weight substitutions of
+ * Conv2D and FC); otherwise each neuron recomputes via
+ * computeNeuron().  Both paths are bit-identical by contract.
+ */
+void
+evalConsumers(FaultApplication &app, const MacLayer &layer,
+              const std::vector<const Tensor *> &ins, const Tensor &golden,
+              const OperandSub &sub, const NeuronIndex *cons,
+              std::size_t count)
+{
+    if (count == 0)
+        return;
+    static thread_local Tensor scratch;
+    static thread_local std::vector<Region> boxes;
+    consumerBoxes(cons, count, golden.w(), boxes);
     if (!scratch.sameShape(golden))
         scratch = Tensor(golden.n(), golden.h(), golden.w(), golden.c());
     bool vec = layer.forwardWithSub(ins, &sub, boxes.data(), boxes.size(),

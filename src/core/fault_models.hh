@@ -52,6 +52,17 @@ double ffCategoryShare(FFCategory cat);
 /** True for the datapath rows of Table II. */
 bool isDatapathCategory(FFCategory cat);
 
+/**
+ * Coalesce a consumer list (inputConsumers / weightConsumers order)
+ * into the output boxes a layer's forwardWithSub() recomputes, in list
+ * order: channel runs at one position, w-runs of a single channel,
+ * and consecutive full-width w-runs of one channel folded into one
+ * h-range box (a weight's whole output plane becomes one box per
+ * sample).  `width` is the output's W extent.  Replaces `boxes`.
+ */
+void consumerBoxes(const NeuronIndex *cons, std::size_t count, int width,
+                   std::vector<Region> &boxes);
+
 /** One applied software fault model. */
 struct FaultApplication
 {

@@ -650,16 +650,15 @@ Conv2D::forwardWeightSub(const Tensor &x, const OperandSub &sub,
                 wcol[k] = widx == sub.flatIndex ? sub.value
                                                 : weights_[widx];
             }
-    const float b = spec_.bias ? bias_[oc] : 0.0f;
+    float bias[kPosLanes];
+    std::fill_n(bias, kPosLanes, spec_.bias ? bias_[oc] : 0.0f);
     const simd::KernelTable &kt = simd::table();
     // One MAC row's lanes through the batched writeback, then to their
     // output positions.
     auto scatter = [&](const auto *acc, const NeuronIndex *pos,
                        int count) {
         float y[kPosLanes];
-        for (int l = 0; l < count; ++l)
-            y[l] = accReal(acc[l], b);
-        writebackRow(y, count, y);
+        writebackRow(acc, count, 1.0, bias, y);
         for (int l = 0; l < count; ++l)
             out.at(pos[l]) = y[l];
     };
@@ -718,9 +717,6 @@ Conv2D::laneKernels(const Region *boxes, std::size_t numBoxes,
     const std::size_t rows = narrow ? 2 * redPairs : redLen;
     Arena &arena = Arena::local();
     const simd::KernelTable &kt = simd::table();
-    auto biasAt = [&](int oc) {
-        return spec_.bias ? bias_[oc] : 0.0f;
-    };
     // Lane rows of one pack block: every pack is at most kF32Lanes wide.
     static_assert(simd::kNarrowLanes <= simd::kF32Lanes &&
                   simd::kI64Lanes <= simd::kF32Lanes);
@@ -730,16 +726,19 @@ Conv2D::laneKernels(const Region *boxes, std::size_t numBoxes,
     // Width 1 runs the channel-lane kernel: `gemm` over lane blocks.
     // Width kBatchLanes runs the injection-lane rows: `mac` per pack
     // block over `cols` adjacent output channels.  Both end in
-    // `wbRow(row, cols, op, oc)`: W lanes per channel, each lane's
-    // real value formed in `op`, then one batched writeback over the
-    // cols * W values.
+    // `wbRow(row, cols, op, oc)`: one batched writeback of the cols * W
+    // accumulators, W lanes per channel, against the channels' biases
+    // (the bias vector itself at width 1, each bias repeated over its
+    // channel's W lanes otherwise).
     auto wbRow = [&](const auto *row, int cols, float *op, int oc) {
-        for (int c = 0; c < cols; ++c) {
-            const float b = biasAt(oc + c);
-            for (int l = c * W; l < (c + 1) * W; ++l)
-                op[l] = accReal(row[l], b);
+        const float *bias = spec_.bias ? bias_.data() + oc : nullptr;
+        float lanes[kBlockRow];
+        if (W > 1 && bias) {
+            for (int c = 0; c < cols; ++c)
+                std::fill_n(lanes + c * W, W, bias[c]);
+            bias = lanes;
         }
-        writebackRow(op, cols * W, op);
+        writebackRow(row, cols * W, 1.0, bias, op);
     };
     auto run = [&](const auto &pk, auto *xg, auto *acc, auto gemm,
                    auto mac) {

@@ -1,5 +1,6 @@
 #include "nn/fc.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "nn/lanes.hh"
@@ -110,7 +111,7 @@ const PackedOperand &
 FC::packed() const
 {
     if (!wPackValid_) {
-        wPack_ = packOperand(weights_.data(), inC_, units_, false);
+        packOperand(weights_.data(), inC_, units_, false, wPack_);
         wPackValid_ = true;
     }
     return wPack_;
@@ -141,11 +142,24 @@ FC::forwardRegionBatched(const std::vector<const Tensor *> &ins,
     xp.ensure(x, Region{region.n0, region.n1, region.h0, region.h1,
                         region.w0, region.w1, 0, inC_});
 
+    const float *bias = bias_.empty() ? nullptr : bias_.data();
+    const int W = out.laneWidth();
+    // One lane over whole output rows that form one run: the run is
+    // [cells][inC] rows of the input plane and [cells][units] rows of
+    // the output plane, so the row loop reads and writes them in
+    // place (always so in forward()).
+    std::size_t start = 0, count = 0;
+    if (W == 1 && region.c0 == 0 && region.c1 == units_ &&
+        singleCoveredRun(region, cover, golden, start, count)) {
+        mulPacked(xp.lanes(start / units_ * inC_), count / units_, inC_,
+                  units_, packed(), bias, 1.0, out.lanes(start));
+        return;
+    }
+
     // Injections are just more positions: gather the input row of
     // every (position, lane) pair to recompute into one
     // [position][lane] matrix, run the packed row loop once (y = W^T x
     // + b per row), scatter the region's units back.
-    const int W = out.laneWidth();
     std::size_t rows = 0;
     forEachCoveredLaneCell(region, cover, W,
                            [&](int, int, int, std::uint32_t lanes) {
@@ -161,8 +175,8 @@ FC::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                         inC_);
             xw += std::popcount(lanes) * static_cast<std::size_t>(inC_);
         });
-    mulPacked(xr.data(), rows, inC_, units_, packed(),
-              bias_.empty() ? nullptr : bias_.data(), 1.0, yr.data());
+    mulPacked(xr.data(), rows, inC_, units_, packed(), bias, 1.0,
+              yr.data());
     const float *yw = yr.data();
     forEachCoveredLaneCell(
         region, cover, W, [&](int n, int h, int w, std::uint32_t lanes) {
@@ -171,6 +185,81 @@ FC::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                          lanes);
             yw += std::popcount(lanes) * static_cast<std::size_t>(units_);
         });
+}
+
+bool
+FC::forwardWithSub(const std::vector<const Tensor *> &ins,
+                   const OperandSub *sub, const Region *boxes,
+                   std::size_t numBoxes, Tensor &out) const
+{
+    // The packed row loop over the boxes' positions.  An input
+    // substitution changes one operand of its position's input row:
+    // gather the rows, substitute, multiply by the layer's pack.  A
+    // weight substitution changes one column: multiply the rows by a
+    // one-column pack of the substituted column.  Both are
+    // computeNeuron's arithmetic (mulPacked matches it, and a row or
+    // column the substitution misses is the golden one).  Psum flips,
+    // chains, padded-term substitutions and boxes outside the
+    // substituted column stay on per-neuron computeNeuron().
+    if (!sub || sub->next)
+        return false;
+    const bool weight = sub->kind == OperandSub::Kind::Weight;
+    if (!weight &&
+        (sub->kind != OperandSub::Kind::Input || sub->termIndex >= 0))
+        return false;
+    checkInput(ins);
+    const Tensor &x = *ins[0];
+    const int u = weight ? static_cast<int>(sub->flatIndex % units_) : 0;
+    std::size_t rows = 0;
+    for (std::size_t i = 0; i < numBoxes; ++i) {
+        const Region &b = boxes[i];
+        const bool otherColumn = weight && (b.c0 != u || b.c1 != u + 1);
+        if (b.empty() || b.clipped(out) != b || otherColumn)
+            return false;
+        rows += static_cast<std::size_t>(b.n1 - b.n0) * (b.h1 - b.h0) *
+                (b.w1 - b.w0);
+    }
+    if (rows == 0)
+        return true;
+
+    Arena &arena = Arena::local();
+    auto xr = arena.floats(rows * inC_);
+    float *xw = xr.data();
+    for (std::size_t i = 0; i < numBoxes; ++i)
+        forEachCoveredCell(boxes[i], nullptr, [&](int n, int h, int w) {
+            const std::size_t off = x.offset(n, h, w, 0);
+            std::copy_n(x.data().data() + off, inC_, xw);
+            if (!weight && sub->flatIndex >= off &&
+                sub->flatIndex < off + inC_)
+                xw[sub->flatIndex - off] = sub->value;
+            xw += inC_;
+        });
+
+    const float *bias = bias_.empty() ? nullptr : bias_.data();
+    const int cols = weight ? 1 : units_;
+    auto yr = arena.floats(rows * cols);
+    if (weight) {
+        auto col = arena.floats(inC_);
+        for (int k = 0; k < inC_; ++k)
+            col[k] = weights_[static_cast<std::size_t>(k) * units_ + u];
+        if (sub->flatIndex < weights_.size())
+            col[sub->flatIndex / units_] = sub->value;
+        mulPacked(xr.data(), rows, inC_, 1,
+                  packScratch(col.data(), inC_, 1, false),
+                  bias ? bias + u : nullptr, 1.0, yr.data());
+    } else {
+        mulPacked(xr.data(), rows, inC_, units_, packed(), bias, 1.0,
+                  yr.data());
+    }
+    const float *yw = yr.data();
+    for (std::size_t i = 0; i < numBoxes; ++i)
+        forEachCoveredCell(boxes[i], nullptr, [&](int n, int h, int w) {
+            const Region &b = boxes[i];
+            for (int c = b.c0; c < b.c1; ++c)
+                out.at(n, h, w, c) = yw[weight ? 0 : c];
+            yw += cols;
+        });
+    return true;
 }
 
 std::size_t

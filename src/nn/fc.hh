@@ -53,6 +53,15 @@ class FC : public MacLayer
                               LanePlane &out,
                               const GoldenPrep *prep) const override;
 
+    /**
+     * Vector substituted re-execution for one Input substitution by
+     * flat index, or one Weight substitution over boxes inside the
+     * weight's output column (see MacLayer::forwardWithSub).
+     */
+    bool forwardWithSub(const std::vector<const Tensor *> &ins,
+                        const OperandSub *sub, const Region *boxes,
+                        std::size_t numBoxes, Tensor &out) const override;
+
     std::size_t
     weightCount(const std::vector<const Tensor *> &ins) const override;
     float weightAt(const std::vector<const Tensor *> &ins,

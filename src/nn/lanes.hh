@@ -436,6 +436,24 @@ forEachCoveredRun(const Region &region, const BatchCover *cover,
 }
 
 /**
+ * Whether forEachCoveredRun visits exactly one run: then `start` and
+ * `count` receive it.  With every channel of `t` in the region, that
+ * run is whole cells, so a row kernel can read and write it in place.
+ */
+inline bool
+singleCoveredRun(const Region &region, const BatchCover *cover,
+                 const Tensor &t, std::size_t &start, std::size_t &count)
+{
+    int runs = 0;
+    forEachCoveredRun(region, cover, t, [&](std::size_t s, std::size_t c) {
+        ++runs;
+        start = s;
+        count = c;
+    });
+    return runs == 1;
+}
+
+/**
  * forEachCoveredCell for kernels whose lanes need not share work:
  * f(n, h, w, lanes) also receives the lanes (of `width`) that must
  * recompute the cell.  Under coverage those are the lanes whose own

@@ -225,21 +225,22 @@ MacLayer::writeback(double acc, float bias) const
     panic("unknown Precision");
 }
 
-PackedOperand
-MacLayer::packOperand(const float *w, int red, int cols,
-                      bool transposed) const
+void
+MacLayer::packOperand(const float *w, int red, int cols, bool transposed,
+                      PackedOperand &p) const
 {
     // Stored-form conversion, then the lane-blocked scatter.  Integer
     // precisions scan the quantised magnitudes first: with the operand
     // bound |x| <= 2^(bits-1) the max proves the narrow kernels' int32
     // chunk length, and the pack commits to the narrow or the wide
-    // layout accordingly (both exact, see Conv2D::packWeights).
+    // layout accordingly (both exact, see Conv2D::packWeights).  The
+    // unused layouts are cleared, keeping their capacity.
     const std::size_t size = static_cast<std::size_t>(red) * cols;
     auto at = [&](int k, int c) {
         return transposed ? static_cast<std::size_t>(c) * red + k
                           : static_cast<std::size_t>(k) * cols + c;
     };
-    PackedOperand p;
+    p.chunkPairs = 0;
     Arena &arena = Arena::local();
     if (precision_ == Precision::INT8 || precision_ == Precision::INT16) {
         auto q = arena.ints(size);
@@ -250,16 +251,19 @@ MacLayer::packOperand(const float *w, int red, int cols,
         const int bits = precision_ == Precision::INT8 ? 8 : 16;
         const int chunk = simd::narrowChunkPairs(bits, maxAbs);
         auto get = [&](int k, int c) { return q[at(k, c)]; };
+        p.f.clear();
         if (simd::narrowEligible(chunk)) {
             p.chunkPairs = chunk;
+            p.i.clear();
             p.s.resize(simd::packNarrowSize(red, cols));
             simd::packNarrow(red, cols, get, p.s.data());
         } else {
+            p.s.clear();
             p.i.resize(simd::packSize(red, cols, simd::kI64Lanes));
             simd::packLaneBlocked(red, cols, simd::kI64Lanes, get,
                                   p.i.data());
         }
-        return p;
+        return;
     }
     const bool half = precision_ == Precision::FP16;
     auto h = arena.floats(half ? size : 0);
@@ -267,11 +271,21 @@ MacLayer::packOperand(const float *w, int red, int cols,
         simd::roundToHalfBatch(w, h.data(), size);
         w = h.data();
     }
+    p.i.clear();
+    p.s.clear();
     p.f.resize(simd::packSize(red, cols, simd::kF32Lanes));
     simd::packLaneBlocked(
         red, cols, simd::kF32Lanes, [&](int k, int c) { return w[at(k, c)]; },
         p.f.data());
-    return p;
+}
+
+const PackedOperand &
+MacLayer::packScratch(const float *w, int red, int cols,
+                      bool transposed) const
+{
+    thread_local PackedOperand scratch;
+    packOperand(w, red, cols, transposed, scratch);
+    return scratch;
 }
 
 void
@@ -281,30 +295,35 @@ MacLayer::mulPacked(const float *x, std::size_t rows, int red, int cols,
 {
     // One dispatched-table microkernel call per row covers every column
     // block: lanes span output columns, each accumulating in canonical
-    // k order with unfused multiply-adds.  The row's real values then
-    // take one batched writeback.
+    // k order with unfused multiply-adds.  Row r's padded blocks land
+    // at acc + r * cols, so each row overwrites only the previous
+    // row's padding and the finished accumulators form one
+    // [rows][cols] block: one writeback for the whole call.
+    if (rows == 0)
+        return;
     const std::size_t size = rows * red;
+    const std::size_t n = rows * cols;
     Arena &arena = Arena::local();
     const simd::KernelTable &kt = simd::table();
-    auto finish = [&](float *yr, auto real) {
-        for (int c = 0; c < cols; ++c)
-            yr[c] = static_cast<float>(real(c) * scale) +
-                    (bias ? bias[c] : 0.0f);
-        writebackRow(yr, cols, yr);
-    };
+    auto biasRows = arena.floats(bias && rows > 1 ? n : 0);
+    if (bias && rows > 1) {
+        for (std::size_t r = 0; r < rows; ++r)
+            std::copy_n(bias, cols, biasRows.data() + r * cols);
+        bias = biasRows.data();
+    }
     if (precision_ == Precision::FP32 || precision_ == Precision::FP16) {
         auto h = arena.floats(precision_ == Precision::FP16 ? size : 0);
         if (precision_ == Precision::FP16) {
             simd::roundToHalfBatch(x, h.data(), size);
             x = h.data();
         }
-        auto acc = arena.floats(simd::packSize(1, cols, simd::kF32Lanes));
+        auto acc = arena.floats(n - cols +
+                                simd::packSize(1, cols, simd::kF32Lanes));
         const int blocks = simd::packBlocks(cols, simd::kF32Lanes);
-        for (std::size_t r = 0; r < rows; ++r) {
-            kt.gemmF32(x + r * red, red, blocks, pk.f.data(), acc.data());
-            finish(y + r * cols,
-                   [&](int c) { return static_cast<double>(acc[c]); });
-        }
+        for (std::size_t r = 0; r < rows; ++r)
+            kt.gemmF32(x + r * red, red, blocks, pk.f.data(),
+                       acc.data() + r * cols);
+        writebackRow(acc.data(), n, scale, bias, y);
         return;
     }
     auto xq = arena.ints(size);
@@ -315,52 +334,55 @@ MacLayer::mulPacked(const float *x, std::size_t rows, int red, int cols,
     const bool narrow = pk.chunkPairs > 0;
     auto xn = arena.shorts(narrow ? size + 1 : 0);
     if (narrow) {
-        for (std::size_t i = 0; i < size; ++i)
-            xn[i] = static_cast<std::int16_t>(xq[i]);
+        simd::narrowToInt16(xq.data(), xn.data(), size);
         xn[size] = 0;
     }
     const int L = narrow ? simd::kNarrowLanes : simd::kI64Lanes;
-    auto acc = arena.longs(simd::packSize(1, cols, L));
+    auto acc = arena.longs(n - cols + simd::packSize(1, cols, L));
     const int blocks = simd::packBlocks(cols, L);
-    const double s = inQuant_.scale, ws = wQuant_.scale;
     for (std::size_t r = 0; r < rows; ++r) {
         if (narrow)
             kt.gemmNarrow(xn.data() + r * red, simd::packPairs(red),
-                          blocks, pk.s.data(), pk.chunkPairs, acc.data());
+                          blocks, pk.s.data(), pk.chunkPairs,
+                          acc.data() + r * cols);
         else
             kt.gemmI64(xq.data() + r * red, red, blocks, pk.i.data(),
-                       acc.data());
-        finish(y + r * cols, [&](int c) {
-            return static_cast<double>(acc[c]) * s * ws;
-        });
+                       acc.data() + r * cols);
     }
+    writebackRow(acc.data(), n, scale, bias, y);
 }
 
 void
-MacLayer::writebackRow(const float *real, std::size_t n, float *out) const
+MacLayer::writebackRow(const float *acc, std::size_t n, double scale,
+                       const float *bias, float *out) const
 {
-    switch (precision_) {
-      case Precision::FP32:
-        if (out != real)
-            std::copy(real, real + n, out);
-        return;
-      case Precision::FP16:
-        simd::roundToHalfBatch(real, out, n);
-        return;
-      case Precision::INT16:
-      case Precision::INT8: {
-        constexpr std::size_t kChunk = 64;
-        std::int32_t q[kChunk];
-        for (std::size_t i = 0; i < n; i += kChunk) {
-            const std::size_t m = std::min(kChunk, n - i);
-            simd::quantizeBatch(real + i, q, m, outQuant_);
-            for (std::size_t j = 0; j < m; ++j)
-                out[i + j] = dequantize(q[j], outQuant_);
-        }
-        return;
-      }
-    }
-    panic("unknown Precision");
+    panic_if(precision_ != Precision::FP32 &&
+                 precision_ != Precision::FP16,
+             "float writeback row in integer mode on ", name_);
+    // A float accumulator survives the double round trip through a
+    // scale of 1 bit for bit (NaN payloads included; the bias add
+    // quiets either way), so conv and FC rows skip it.
+    if (scale == 1.0 && bias)
+        simd::table().addF32(acc, bias, out, n);
+    else
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = static_cast<float>(static_cast<double>(acc[i]) *
+                                        scale) +
+                     (bias ? bias[i] : 0.0f);
+    if (precision_ == Precision::FP16)
+        simd::roundToHalfBatch(out, out, n);
+}
+
+void
+MacLayer::writebackRow(const std::int64_t *acc, std::size_t n,
+                       double scale, const float *bias, float *out) const
+{
+    panic_if(precision_ != Precision::INT8 &&
+                 precision_ != Precision::INT16,
+             "integer writeback row in floating mode on ", name_);
+    simd::table().requantI64(acc, n, inQuant_.scale, wQuant_.scale, scale,
+                             bias, outQuant_.scale, outQuant_.qmin(),
+                             outQuant_.qmax(), out);
 }
 
 } // namespace fidelity

@@ -351,47 +351,48 @@ class MacLayer : public Layer
     float writeback(double acc, float bias) const;
 
     /**
-     * The batched writeback: out[i] = the output path applied to
-     * real[i], bit-identical to writeback() of the accumulator and
-     * bias whose real value `real[i]` is (accReal()).  FP32 copies,
-     * FP16 rounds through binary16, INT8/INT16 quantise into the
-     * output range and dequantise.  In place (out == real) is allowed.
+     * The batched writeback of one MAC row's finished accumulators:
+     * out[i] = writeback(acc[i] * scale, bias[i]) bit for bit, the
+     * real value formed in computeNeuron's left-associated order (an
+     * integer accumulator's double product with both operand scales,
+     * then `scale`, rounded to float once before the bias is added).
+     * A null `bias` adds +0.0f, which turns -0 into +0.  The float
+     * overload serves FP32 (copy) and FP16 (binary16 rounding); the
+     * integer overload serves INT8/INT16 through the kernel table's
+     * requantI64.  In place (out aliasing acc) is allowed for floats.
      */
-    void writebackRow(const float *real, std::size_t n, float *out) const;
-
-    /**
-     * The real value writeback() sees for a finished accumulator plus
-     * bias, in computeNeuron's left-associated order: an integer
-     * accumulator's double product with both operand scales is
-     * rounded to float once, then the bias is added.  The rounding
-     * order is part of the bit contract.
-     */
-    static float accReal(float acc, float bias) { return acc + bias; }
-    float
-    accReal(std::int64_t acc, float bias) const
-    {
-        return static_cast<float>(static_cast<double>(acc) *
-                                  inQuant_.scale * wQuant_.scale) +
-               bias;
-    }
+    void writebackRow(const float *acc, std::size_t n, double scale,
+                      const float *bias, float *out) const;
+    void writebackRow(const std::int64_t *acc, std::size_t n, double scale,
+                      const float *bias, float *out) const;
 
     /**
      * Convert a raw [red][cols] operand through the weight path and
-     * pack it.  Element (k, c) is w[k * cols + c], or w[c * red + k]
-     * when `transposed`.  The narrow decision is made on this
-     * operand's own quantised magnitudes.
+     * pack it into `p`, reusing its storage.  Element (k, c) is
+     * w[k * cols + c], or w[c * red + k] when `transposed`.  The
+     * narrow decision is made on this operand's own quantised
+     * magnitudes.
      */
-    PackedOperand packOperand(const float *w, int red, int cols,
-                              bool transposed) const;
+    void packOperand(const float *w, int red, int cols, bool transposed,
+                     PackedOperand &p) const;
+
+    /**
+     * packOperand() into the calling thread's scratch pack, which
+     * keeps its capacity across calls: for operands packed once per
+     * use (a lane's corrupted B, a substituted weight column).  The
+     * pack stays valid until the thread's next packScratch().
+     */
+    const PackedOperand &packScratch(const float *w, int red, int cols,
+                                     bool transposed) const;
 
     /**
      * The dense row loop of FC and MatMulAB: `rows` raw input rows
      * x[r][0..red) times `pk` into y[r][0..cols).  Inputs convert once
-     * per call, accumulate in canonical k order, and each output row
-     * holds the real values (float)(acc * scale) + bias[c] (acc the
-     * integer accumulator times both operand scales, bias null for
-     * zero) for one writebackRow.  Multiplying by a scale of 1 is
-     * exact, so this is computeNeuron's arithmetic for both layers.
+     * per call, accumulate in canonical k order, and the call's
+     * rows * cols accumulators take one writebackRow() with `scale`
+     * and the per-column bias (null for zero).  Multiplying by a
+     * scale of 1 is exact, so this is computeNeuron's arithmetic for
+     * both layers.
      */
     void mulPacked(const float *x, std::size_t rows, int red, int cols,
                    const PackedOperand &pk, const float *bias,

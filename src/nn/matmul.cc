@@ -124,8 +124,8 @@ MatMulAB::prepareGolden(const std::vector<const Tensor *> &ins) const
     checkInputs(ins);
     const Tensor &b = *ins[1];
     auto gb = std::make_unique<GoldenB>();
-    gb->pack = packOperand(b.data().data(), ins[0]->c(),
-                           transB_ ? b.h() : b.c(), transB_);
+    packOperand(b.data().data(), ins[0]->c(), transB_ ? b.h() : b.c(),
+                transB_, gb->pack);
     return gb;
 }
 
@@ -133,11 +133,8 @@ void
 MatMulAB::mulRows(const float *a, std::size_t rows, int red, int cols,
                   const float *b, const PackedOperand *bp, float *y) const
 {
-    PackedOperand own;
-    if (!bp) {
-        own = packOperand(b, red, cols, transB_);
-        bp = &own;
-    }
+    if (!bp)
+        bp = &packScratch(b, red, cols, transB_);
     // computeNeuron's writeback(facc * scale_, 0.0f): no bias, and the
     // + 0.0f turns -0 into +0.
     mulPacked(a, rows, red, cols, *bp, nullptr, scale_, y);
@@ -203,6 +200,22 @@ MatMulAB::forwardRegionBatched(const std::vector<const Tensor *> &ins,
             dirtyB |= simd::laneNeMask(bpl.lanes(flat), bd[flat]);
     });
 
+    const PackedOperand *goldenPack =
+        prep ? &static_cast<const GoldenB *>(prep)->pack : nullptr;
+    // One lane over whole output rows that form one run: A's rows and
+    // the output's rows are read and written in place (always so in
+    // forward()), against the lane's one B.
+    std::size_t start = 0, count = 0;
+    if (W == 1 && region.c0 == 0 && region.c1 == cols &&
+        singleCoveredRun(region, cover, golden, start, count)) {
+        if (dirtyB)
+            bpl.ensure(b, Region::full(b));
+        mulRows(ap.lanes(start / cols * red), count / cols, red, cols,
+                dirtyB ? bpl.lanes(0) : bd, dirtyB ? nullptr : goldenPack,
+                out.lanes(start));
+        return;
+    }
+
     // The (row, lane) pairs to recompute, numbered in gather order:
     // the lanes that share the golden B pack first, row-major, then
     // each dirty lane's rows as one contiguous block.  f(i, n, h,
@@ -249,9 +262,7 @@ MatMulAB::forwardRegionBatched(const std::vector<const Tensor *> &ins,
     });
 
     if (sharedRows > 0)
-        mulRows(xr.data(), sharedRows, red, cols, bd,
-                prep ? &static_cast<const GoldenB *>(prep)->pack
-                     : nullptr,
+        mulRows(xr.data(), sharedRows, red, cols, bd, goldenPack,
                 yr.data());
     if (dirtyB) {
         bpl.ensure(b, Region::full(b));

@@ -93,8 +93,9 @@ class MatMulAB : public MacLayer
     /**
      * The layer's one row loop: `rows` contiguous raw A rows
      * ([rows][red]) times B into `y` ([rows][cols]), against `bp`, or
-     * when null a per-call pack of the raw B `b` (calls without a
-     * golden prep, and lanes whose B differs from the golden one).
+     * when null a pack of the raw B `b` in the thread's scratch pack
+     * (calls without a golden prep, and lanes whose B differs from the
+     * golden one).
      * Each output equals computeNeuron() of its row and column.
      */
     void mulRows(const float *a, std::size_t rows, int red, int cols,

@@ -33,6 +33,7 @@ kernelTableAvx2()
         &lreluF32T<Avx2Backend>,
         &roundToHalfAvx2K,
         &quantizeAvx2K,
+        &requantI64Avx2K,
     };
     return &t;
 #else

@@ -833,6 +833,28 @@ quantizeScalarK(const float *in, std::int32_t *out, std::size_t n,
         out[i] = quantOne(in[i], scale, qmin, qmax);
 }
 
+/** One integer writeback: MacLayer::writeback() of the accumulator's
+ *  real value, with tensor/quant.hh's dequantize() spelled out. */
+inline float
+requantOne(std::int64_t acc, double s0, double s1, double s2, float bias,
+           double outScale, std::int32_t qmin, std::int32_t qmax)
+{
+    const float real =
+        static_cast<float>(static_cast<double>(acc) * s0 * s1 * s2) + bias;
+    return static_cast<float>(quantOne(real, outScale, qmin, qmax) *
+                              outScale);
+}
+
+inline void
+requantI64ScalarK(const std::int64_t *acc, std::size_t n, double s0,
+                  double s1, double s2, const float *bias, double outScale,
+                  std::int32_t qmin, std::int32_t qmax, float *y)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        y[i] = requantOne(acc[i], s0, s1, s2, bias ? bias[i] : 0.0f,
+                          outScale, qmin, qmax);
+}
+
 #if defined(FIDELITY_KIMPL_X86) && defined(__AVX2__) && \
     defined(__F16C__)
 
@@ -889,6 +911,67 @@ quantizeAvx2K(const float *in, std::int32_t *out, std::size_t n,
     }
     for (; i < n; ++i)
         out[i] = quantOne(in[i], scale, qmin, qmax);
+}
+
+/**
+ * requantI64ScalarK four accumulators at a time.  AVX2 has no int64 to
+ * double conversion; adding the bit pattern of 1.5 * 2^52 to an int64
+ * with |acc| < 2^51 lands in the binade whose spacing is 1, so
+ * subtracting 1.5 * 2^52 again leaves exactly (double)acc.  A group
+ * with any larger accumulator runs the scalar twin.  Every later step
+ * is the scalar expression's IEEE operation in the same order; a NaN
+ * real becomes +0 before quantising, which quantises to 0 as
+ * quantOne maps NaN to 0.
+ */
+inline void
+requantI64Avx2K(const std::int64_t *acc, std::size_t n, double s0,
+                double s1, double s2, const float *bias, double outScale,
+                std::int32_t qmin, std::int32_t qmax, float *y)
+{
+    constexpr std::int64_t kExact = std::int64_t{1} << 51;
+    const __m256i magicBits = _mm256_set1_epi64x(0x4338000000000000);
+    const __m256d magic = _mm256_set1_pd(6755399441055744.0); // 1.5*2^52
+    const __m256i hiLim = _mm256_set1_epi64x(kExact);
+    const __m256i loLim = _mm256_set1_epi64x(-kExact);
+    const __m256d v0 = _mm256_set1_pd(s0);
+    const __m256d v1 = _mm256_set1_pd(s1);
+    const __m256d v2 = _mm256_set1_pd(s2);
+    const __m256d vout = _mm256_set1_pd(outScale);
+    const __m256d lo = _mm256_set1_pd(static_cast<double>(qmin));
+    const __m256d hi = _mm256_set1_pd(static_cast<double>(qmax));
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        const __m256i a = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(acc + i));
+        const __m256i exact =
+            _mm256_and_si256(_mm256_cmpgt_epi64(hiLim, a),
+                             _mm256_cmpgt_epi64(a, loLim));
+        if (_mm256_movemask_pd(_mm256_castsi256_pd(exact)) != 0xf) {
+            for (std::size_t j = i; j < i + 4; ++j)
+                y[j] = requantOne(acc[j], s0, s1, s2,
+                                  bias ? bias[j] : 0.0f, outScale, qmin,
+                                  qmax);
+            continue;
+        }
+        __m256d d = _mm256_sub_pd(
+            _mm256_castsi256_pd(_mm256_add_epi64(a, magicBits)), magic);
+        d = _mm256_mul_pd(_mm256_mul_pd(_mm256_mul_pd(d, v0), v1), v2);
+        __m128 real = _mm256_cvtpd_ps(d);
+        real = _mm_add_ps(real, bias ? _mm_loadu_ps(bias + i)
+                                     : _mm_setzero_ps());
+        real = _mm_andnot_ps(_mm_cmpunord_ps(real, real), real);
+        __m256d q = _mm256_div_pd(_mm256_cvtps_pd(real), vout);
+        q = _mm256_round_pd(
+            q, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+        q = _mm256_max_pd(_mm256_min_pd(q, hi), lo);
+        // Through int32 and back, as dequantize() reads it: a -0 from
+        // rounding becomes +0 before the scale multiply.
+        const __m256d qd = _mm256_cvtepi32_pd(_mm256_cvttpd_epi32(q));
+        _mm_storeu_ps(y + i, _mm256_cvtpd_ps(_mm256_mul_pd(qd, vout)));
+    }
+    for (; i < n; ++i)
+        y[i] = requantOne(acc[i], s0, s1, s2, bias ? bias[i] : 0.0f,
+                          outScale, qmin, qmax);
 }
 
 #endif // AVX2 && F16C

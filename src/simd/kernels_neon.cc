@@ -32,6 +32,7 @@ kernelTableNeon()
         &lreluF32T<NeonBackend>,
         &roundToHalfScalarK,
         &quantizeScalarK,
+        &requantI64ScalarK,
     };
     return &t;
 #else

@@ -30,6 +30,7 @@ kernelTableScalar()
         &lreluF32T<Scalar8>,
         &roundToHalfScalarK,
         &quantizeScalarK,
+        &requantI64ScalarK,
     };
     return &t;
 }

@@ -33,6 +33,7 @@ kernelTableSse2()
         &lreluF32T<Sse2Backend>,
         &roundToHalfScalarK,
         &quantizeScalarK,
+        &requantI64ScalarK,
     };
     return &t;
 #else

@@ -170,6 +170,21 @@ struct KernelTable
     /** out[i] = quantize(in[i]) with the given params; bit-identical. */
     void (*quantizeB)(const float *in, std::int32_t *out, std::size_t n,
                       double scale, std::int32_t qmin, std::int32_t qmax);
+
+    /**
+     * The integer MAC writeback of n finished accumulators:
+     * y[i] = dequantize(quantize((float)((double)acc[i] * s0 * s1 * s2)
+     * + bias[i])) with the output scale `outScale` and range [qmin,
+     * qmax], in exactly that order and rounding (the product is
+     * left-associated and rounded to float once; a NaN real
+     * quantises to 0).  A null `bias` adds +0.0f.  Vector backends
+     * convert int64 to double exactly for |acc| < 2^51 and run the
+     * scalar twin on any group holding a larger accumulator.
+     */
+    void (*requantI64)(const std::int64_t *acc, std::size_t n, double s0,
+                       double s1, double s2, const float *bias,
+                       double outScale, std::int32_t qmin,
+                       std::int32_t qmax, float *y);
 };
 
 /**
@@ -257,6 +272,30 @@ laneNeMask(const float *p, float x)
     }
     return m;
 #endif
+}
+
+/**
+ * out[i] = (int16)in[i] for quantised operands, which always fit int16
+ * (|q| <= 2^15 for bits <= 16): how the narrow MAC rows get their
+ * int16 operands.  Saturating SSE2 packs where the baseline ISA has
+ * them, exact on that range.
+ */
+inline void
+narrowToInt16(const std::int32_t *in, std::int16_t *out, std::size_t n)
+{
+    std::size_t i = 0;
+#if defined(FIDELITY_SIMD_X86_BASELINE)
+    for (; i + 8 <= n; i += 8) {
+        __m128i lo =
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(in + i));
+        __m128i hi =
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(in + i + 4));
+        _mm_storeu_si128(reinterpret_cast<__m128i *>(out + i),
+                         _mm_packs_epi32(lo, hi));
+    }
+#endif
+    for (; i < n; ++i)
+        out[i] = static_cast<std::int16_t>(in[i]);
 }
 
 /**

@@ -126,7 +126,6 @@ adversarialFloats()
 struct WritebackProbe : FC
 {
     using FC::FC;
-    using MacLayer::accReal;
     using MacLayer::psumFlipInt;
     using MacLayer::writeback;
     using MacLayer::writebackRow;
@@ -274,15 +273,16 @@ TEST(SimdBackend, BitDiffScansMatchReference)
 
 TEST(SimdConvert, WritebackRowMatchesScalarWriteback)
 {
-    // The batched writeback against the scalar reference, element by
-    // element, on real values formed the way each caller forms them:
-    // conv/FC float (accumulator + bias), conv/FC integer (accReal
-    // of int64 accumulators, psum-flipped ones included) and matmul
-    // (scaled, then + 0.0f, which maps -0 to +0).  The reals cover
-    // NaN, infinities, signed zeros, binary16 and quantiser ties, and
-    // values past qmin/qmax; rows are long enough for the chunked
-    // quantiser and odd for vector tails.
-    SimdToggle guard;
+    // The batched row writeback against the scalar reference, element
+    // by element, on accumulators the way each caller finishes them:
+    // conv/FC (scale 1, per-element bias, -0 included), matmul (its
+    // output scale, no bias: + 0.0f maps -0 to +0) and integer
+    // accumulators (psum-flipped ones included).  The float values
+    // cover NaN, infinities, signed zeros, binary16 ties and values
+    // past qmin/qmax; rows are odd for vector tails.  Every available
+    // backend runs, plus the kill switch.
+    SimdToggle toggle;
+    BackendForce force;
     WritebackProbe fc("wb", 2, 2, {0.5f, -0.25f, 1.0f, 2.0f}, {});
     Tensor x(1, 1, 1, 2), y(1, 1, 1, 2);
     x[0] = 1.0f;
@@ -290,60 +290,185 @@ TEST(SimdConvert, WritebackRowMatchesScalarWriteback)
     for (Precision p : kAllPrecisions) {
         fc.setPrecision(p);
         fc.calibrate({&x}, y);
+        const bool integer =
+            p == Precision::INT8 || p == Precision::INT16;
         const QuantParams &oq = fc.outputQuant();
         const double inScale = fc.inputQuant().scale;
         const double wScale = fc.weightQuant().scale;
-        std::vector<float> real, want;
 
-        // Conv/FC float form; a -0 bias keeps -0 reals.
-        std::vector<float> reals = adversarialFloats();
+        std::vector<float> facc = adversarialFloats();
         for (std::int32_t k : {oq.qmax(), oq.qmin(), 0, 1, -1, 126})
             for (double d : {-1.0, -0.5, 0.0, 0.5, 1.0, 1e6})
-                reals.push_back(static_cast<float>((k + d) * oq.scale));
-        for (float r : reals)
-            for (float b : {0.0f, -0.0f, 0.75f}) {
-                real.push_back(fc.accReal(r, b));
-                want.push_back(fc.writeback(r, b));
-            }
-
-        // Conv/FC integer form, with psum-flipped accumulators.
+                facc.push_back(static_cast<float>((k + d) * oq.scale));
         const std::int64_t qmaxAcc = static_cast<std::int64_t>(
             oq.qmax() * oq.scale / (inScale * wScale));
+        std::vector<std::int64_t> iacc;
         for (std::int64_t acc : {std::int64_t{0}, std::int64_t{1},
                                  std::int64_t{-1}, qmaxAcc, -qmaxAcc,
                                  2 * qmaxAcc + 1,
                                  -(std::int64_t{1} << 40)})
             for (std::uint32_t mask : {0u, 1u, 1u << 20, 1u << 31, ~0u})
-                for (float b : {-0.0f, 0.5f}) {
-                    const std::int64_t a = fc.psumFlipInt(acc, mask);
-                    real.push_back(fc.accReal(a, b));
-                    want.push_back(fc.writeback(
-                        static_cast<double>(a) * inScale * wScale, b));
+                iacc.push_back(fc.psumFlipInt(acc, mask));
+        const std::size_t n = integer ? iacc.size() : facc.size();
+
+        for (double scale : {1.0, 0.125}) {
+            for (float b : {0.0f, -0.0f, 0.75f,
+                             std::numeric_limits<float>::infinity()}) {
+                std::vector<float> bias(n, b);
+                for (bool withBias : {true, false}) {
+                    const float *bp = withBias ? bias.data() : nullptr;
+                    std::vector<float> want(n);
+                    for (std::size_t i = 0; i < n; ++i) {
+                        const double real =
+                            integer ? static_cast<double>(iacc[i]) *
+                                          inScale * wScale
+                                    : static_cast<double>(facc[i]);
+                        want[i] = fc.writeback(real * scale,
+                                               withBias ? b : 0.0f);
+                    }
+                    for (const char *be : availableBackends()) {
+                        for (bool on : {true, false}) {
+                            ASSERT_TRUE(simd::forceBackend(be));
+                            simd::setEnabled(on);
+                            std::vector<float> out(n);
+                            if (integer)
+                                fc.writebackRow(iacc.data(), n, scale, bp,
+                                                out.data());
+                            else
+                                fc.writebackRow(facc.data(), n, scale, bp,
+                                                out.data());
+                            for (std::size_t i = 0; i < n; ++i)
+                                ASSERT_EQ(
+                                    std::bit_cast<std::uint32_t>(out[i]),
+                                    std::bit_cast<std::uint32_t>(want[i]))
+                                    << precisionName(p) << " backend "
+                                    << be << " simd " << on << " scale "
+                                    << scale << " bias " << b << " element "
+                                    << i;
+                        }
+                    }
                 }
-
-        // Matmul form: scale, then + 0.0f; -0 becomes +0.
-        for (float r : reals) {
-            const double facc = r;
-            real.push_back(static_cast<float>(facc * 0.125) + 0.0f);
-            want.push_back(fc.writeback(facc * 0.125f, 0.0f));
+            }
         }
-
-        for (bool on : {true, false}) {
-            simd::setEnabled(on);
-            std::vector<float> out(real.size()), inplace = real;
-            fc.writebackRow(real.data(), real.size(), out.data());
-            fc.writebackRow(inplace.data(), inplace.size(),
+        if (!integer) {
+            // In place, as mulPacked's float rows may run it.
+            std::vector<float> inplace = facc, want(facc.size());
+            for (std::size_t i = 0; i < facc.size(); ++i)
+                want[i] = fc.writeback(facc[i], 0.0f);
+            fc.writebackRow(inplace.data(), inplace.size(), 1.0, nullptr,
                             inplace.data());
-            for (std::size_t i = 0; i < real.size(); ++i) {
-                ASSERT_EQ(std::bit_cast<std::uint32_t>(out[i]),
-                          std::bit_cast<std::uint32_t>(want[i]))
-                    << precisionName(p) << " simd " << on << " element "
-                    << i << " real " << real[i];
+            for (std::size_t i = 0; i < facc.size(); ++i)
                 ASSERT_EQ(std::bit_cast<std::uint32_t>(inplace[i]),
                           std::bit_cast<std::uint32_t>(want[i]));
+        }
+    }
+}
+
+TEST(SimdConvert, RequantI64MatchesScalarWritebackAcrossBackends)
+{
+    // The integer writeback kernel on every available backend against
+    // the scalar composition writeback() models, bit for bit: the
+    // exact int64 -> double range edge (2^51) and beyond, quotients on
+    // .5 ties, saturation at both ends, signed-zero / infinite / NaN
+    // biases, and every length 0..9 at several offsets, so each vector
+    // group and tail position sees each value.
+    SimdToggle toggle;
+    simd::setEnabled(true);
+    BackendForce force;
+    const std::int64_t e31 = std::int64_t{1} << 31;
+    const std::int64_t e51 = std::int64_t{1} << 51;
+    const std::int64_t e62 = std::int64_t{1} << 62;
+    std::vector<std::int64_t> accs{0,        1,        -1,      e31,
+                                   -e31,     e51 - 1,  -(e51 - 1),
+                                   e51,      -e51,     e62,
+                                   -e62,     3,        5,       -3,
+                                   -5,       7,        254,     255,
+                                   -255,     -257,     1000000, -1000000};
+    Rng rng(4242);
+    while (accs.size() < 40)
+        accs.push_back(static_cast<std::int64_t>(rng.normal(0, 300)));
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    std::vector<float> biases{0.0f, -0.0f, inf, -inf, nan, 0.5f, -1.5f};
+    struct Scales
+    {
+        double s0, s1, s2, out;
+    };
+    // {1, 1, 1, 2}: odd accumulators quotient onto .5 ties; {0.5, ...}
+    // puts the real value itself on .5 steps; small output scales
+    // saturate at qmin and qmax; the last is a calibrated-looking set.
+    const Scales scales[] = {{1.0, 1.0, 1.0, 2.0},
+                             {0.5, 1.0, 1.0, 1.0},
+                             {1.0, 0.25, 2.0, 0.5},
+                             {1.0, 1.0, 0.125, 1e-3},
+                             {3.7 / 127, 0.9 / 127, 1.0, 5.1 / 127}};
+    auto reference = [](std::int64_t acc, const Scales &sc, float b,
+                        const QuantParams &qp) {
+        const float real = static_cast<float>(static_cast<double>(acc) *
+                                              sc.s0 * sc.s1 * sc.s2) +
+                           b;
+        return dequantize(quantize(real, qp), qp);
+    };
+    std::size_t checked = 0;
+    for (int bits : {8, 16}) {
+        for (const Scales &sc : scales) {
+            QuantParams qp;
+            qp.bits = bits;
+            qp.scale = sc.out;
+            for (std::size_t bi = 0; bi <= biases.size(); ++bi) {
+                // bi == biases.size(): a null bias (adds +0.0f);
+                // otherwise the bias row cycles from that pattern.
+                const bool null = bi == biases.size();
+                std::vector<float> bias(accs.size());
+                for (std::size_t i = 0; i < bias.size(); ++i)
+                    bias[i] = biases[(bi + i) % biases.size()];
+                for (const char *be : availableBackends()) {
+                    ASSERT_TRUE(simd::forceBackend(be));
+                    const simd::KernelTable &kt = simd::table();
+                    for (std::size_t n = 0; n <= 9; ++n) {
+                        for (std::size_t off = 0; off + n <= accs.size();
+                             off += 3) {
+                            float y[9];
+                            std::fill_n(y, 9, -7.0f);
+                            kt.requantI64(accs.data() + off, n, sc.s0,
+                                          sc.s1, sc.s2,
+                                          null ? nullptr
+                                               : bias.data() + off,
+                                          qp.scale, qp.qmin(), qp.qmax(),
+                                          y);
+                            for (std::size_t i = 0; i < n; ++i) {
+                                const float want = reference(
+                                    accs[off + i], sc,
+                                    null ? 0.0f : bias[off + i], qp);
+                                ASSERT_EQ(std::bit_cast<std::uint32_t>(y[i]),
+                                          std::bit_cast<std::uint32_t>(want))
+                                    << be << " bits " << bits << " acc "
+                                    << accs[off + i] << " bias "
+                                    << (null ? 0.0f : bias[off + i])
+                                    << " n " << n << " i " << i;
+                                ++checked;
+                            }
+                            for (std::size_t i = n; i < 9; ++i)
+                                ASSERT_EQ(y[i], -7.0f) << "wrote past n";
+                        }
+                    }
+                }
             }
         }
     }
+    EXPECT_GT(checked, 10000u);
+    // The ties really are ties: with out scale 2, acc 1 / 3 / 5 are
+    // 0.5 / 1.5 / 2.5 steps and round to even (0, 2, 2).
+    QuantParams qp;
+    qp.bits = 8;
+    qp.scale = 2.0;
+    const std::int64_t ties[] = {1, 3, 5, -1, -3, -5};
+    float y[6];
+    simd::table().requantI64(ties, 6, 1.0, 1.0, 1.0, nullptr, 2.0,
+                             qp.qmin(), qp.qmax(), y);
+    const float expect[] = {0.0f, 4.0f, 4.0f, 0.0f, -4.0f, -4.0f};
+    for (int i = 0; i < 6; ++i)
+        EXPECT_EQ(y[i], expect[i]) << i;
 }
 
 TEST(SimdConvert, RoundToHalfBatchMatchesScalar)
