@@ -161,7 +161,7 @@ matmulCase(const std::string &name, int rows, int red, int cols,
     Rng rng(17);
     KernelCase kc;
     kc.name = name;
-    kc.layer = std::make_unique<MatMulAB>(name, transB, 1.0f);
+    kc.layer = std::make_unique<MatMulAB>(name, transB, red, 1.0f);
     kc.inputs.push_back(randomTensor(rng, 1, rows, 1, red));
     kc.inputs.push_back(transB ? randomTensor(rng, 1, cols, 1, red)
                                : randomTensor(rng, 1, red, 1, cols));

@@ -116,7 +116,7 @@ main()
     std::vector<const Tensor *> fins{&fx};
     Tensor fgold = fc.forward(fins);
 
-    MatMulAB mm("matmul", true, 0.25f);
+    MatMulAB mm("matmul", true, 32, 0.25f);
     mm.setPrecision(Precision::FP16);
     Tensor ma(1, 16, 1, 32), mb(1, 16, 1, 32);
     for (auto &v : ma.data())

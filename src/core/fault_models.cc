@@ -415,9 +415,6 @@ FaultModels::applyOutputPsum(const MacLayer &layer,
     bool flip_psum = rng.uniform() < psum_bits / (psum_bits + out_bits);
 
     if (flip_psum) {
-        // Recompute the neuron; reductionLength() is refreshed by the
-        // recompute for shape-dependent layers (MatMulAB).
-        layer.computeNeuron(ins, n, nullptr);
         int red = layer.reductionLength();
         OperandSub sub;
         sub.kind = OperandSub::Kind::PsumFlip;

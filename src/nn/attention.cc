@@ -45,13 +45,14 @@ addAttentionBlock(Network &net, NodeId input, const AttentionSpec &spec,
 
     float scale = 1.0f / std::sqrt(static_cast<float>(d));
     NodeId scores = net.add(
-        std::make_unique<MatMulAB>(prefix + ".qkT", /*trans_b=*/true,
+        std::make_unique<MatMulAB>(prefix + ".qkT", /*trans_b=*/true, d,
                                    scale),
         std::vector<NodeId>{q, k});
     NodeId attn =
         net.add(std::make_unique<Softmax>(prefix + ".softmax"), scores);
     NodeId ctx = net.add(
-        std::make_unique<MatMulAB>(prefix + ".av", /*trans_b=*/false),
+        std::make_unique<MatMulAB>(prefix + ".av", /*trans_b=*/false,
+                                   spec.seqLen),
         std::vector<NodeId>{attn, v});
 
     NodeId out_proj = proj(net, ctx, d, d, rng, prefix + ".out");

@@ -21,7 +21,7 @@ namespace fidelity
 /** Geometry of one encoder block. */
 struct AttentionSpec
 {
-    int seqLen = 8;
+    int seqLen = 8; //!< Sequence length: the reduction depth of `.av`
     int dModel = 16;
     int dFF = 32;
 };

@@ -276,8 +276,8 @@ Conv2D::Conv2D(std::string name, const ConvSpec &spec,
         fatal_if(!bias_.empty(), "conv ", name_,
                  ": bias data given but spec.bias is false");
     }
-    // Immutable weights pack once, here; the quantised modes repack
-    // lazily through onQuantChanged().
+    // Pack for the constructed precision; every later precision or
+    // quantisation change repacks through onQuantChanged().
     packWeights();
 }
 
@@ -409,7 +409,7 @@ Conv2D::computeNeuron(const std::vector<const Tensor *> &ins,
 }
 
 void
-Conv2D::packWeights() const
+Conv2D::packWeights()
 {
     // Convert the raw weights into the active precision's stored form
     // (vectorized batch converters), then scatter into the lane-
@@ -492,7 +492,6 @@ Conv2D::packWeights() const
                 [&](int k, int c) { return src[origIndex(g, k, c)]; },
                 wPackF_.data() + g * gStride);
     }
-    wPackValid_ = true;
 }
 
 Region
@@ -707,8 +706,6 @@ Conv2D::laneKernels(const Region *boxes, std::size_t numBoxes,
 {
     const bool integer = precision_ == Precision::INT8 ||
                          precision_ == Precision::INT16;
-    if (!wPackValid_)
-        packWeights();
     const bool narrow = integer && chunkPairs_ > 0;
     const int cpg = spec_.inC / spec_.groups;
     const int opg = spec_.outC / spec_.groups;

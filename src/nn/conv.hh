@@ -115,14 +115,14 @@ class Conv2D : public MacLayer
     int outDim(int in_dim, int k) const;
 
   protected:
-    void onQuantChanged() override { wPackValid_ = false; }
+    void onQuantChanged() override { packWeights(); }
 
   private:
     /** Validate the shape of the input tensor. */
     void checkInput(const std::vector<const Tensor *> &ins) const;
 
     /** Re-pack weights into the lane-blocked kernel layout. */
-    void packWeights() const;
+    void packWeights();
 
     /**
      * forwardWithSub() for one Weight substitution: recompute the
@@ -163,18 +163,18 @@ class Conv2D : public MacLayer
     // Kernel fast path: weights pre-converted into the active
     // precision's stored form (bit-identical to storeWeight /
     // quantWeight per element) and packed lane-blocked per group
-    // (see simd/pack.hh).  Built at construction; precision or
-    // quantisation changes invalidate and repack lazily.  Integer
+    // (see simd/pack.hh).  Built at construction and rebuilt by every
+    // precision or quantisation change (onQuantChanged), so a
+    // configured layer is read-only to its forward calls.  Integer
     // precisions pack *either* the narrow pair-interleaved int16
     // layout (when the statically proven chunk bound makes the narrow
     // kernels legal and profitable — chunkPairs_ > 0) *or* the wide
     // int32 layout; the narrow result is exact, hence bit-identical
     // to the wide path.
-    mutable bool wPackValid_ = false;
-    mutable AlignedVec<float> wPackF_;
-    mutable AlignedVec<std::int32_t> wPackI_;
-    mutable AlignedVec<std::int16_t> wPackN_;
-    mutable int chunkPairs_ = 0; //!< 0: narrow path off (wide pack)
+    AlignedVec<float> wPackF_;
+    AlignedVec<std::int32_t> wPackI_;
+    AlignedVec<std::int16_t> wPackN_;
+    int chunkPairs_ = 0; //!< 0: narrow path off (wide pack)
 };
 
 } // namespace fidelity

@@ -23,9 +23,15 @@ FC::FC(std::string name, int in_c, int units, std::vector<float> weights,
     fatal_if(!bias_.empty() &&
              bias_.size() != static_cast<std::size_t>(units),
              "fc ", name_, ": bias size mismatch");
-    // Immutable weights pack once, here; the quantised modes repack
-    // lazily after onQuantChanged().
-    packed();
+    // Pack for the constructed precision; every later precision or
+    // quantisation change repacks through onQuantChanged().
+    FC::onQuantChanged();
+}
+
+void
+FC::onQuantChanged()
+{
+    packOperand(weights_.data(), inC_, units_, false, wPack_);
 }
 
 void
@@ -107,16 +113,6 @@ FC::computeNeuron(const std::vector<const Tensor *> &ins,
     return writeback(facc, b);
 }
 
-const PackedOperand &
-FC::packed() const
-{
-    if (!wPackValid_) {
-        packOperand(weights_.data(), inC_, units_, false, wPack_);
-        wPackValid_ = true;
-    }
-    return wPack_;
-}
-
 Region
 FC::propagateRegion(const std::vector<const Tensor *> &, int,
                     const Region &in, const Tensor &out) const
@@ -152,7 +148,7 @@ FC::forwardRegionBatched(const std::vector<const Tensor *> &ins,
     if (W == 1 && region.c0 == 0 && region.c1 == units_ &&
         singleCoveredRun(region, cover, golden, start, count)) {
         mulPacked(xp.lanes(start / units_ * inC_), count / units_, inC_,
-                  units_, packed(), bias, 1.0, out.lanes(start));
+                  units_, wPack_, bias, 1.0, out.lanes(start));
         return;
     }
 
@@ -175,7 +171,7 @@ FC::forwardRegionBatched(const std::vector<const Tensor *> &ins,
                         inC_);
             xw += std::popcount(lanes) * static_cast<std::size_t>(inC_);
         });
-    mulPacked(xr.data(), rows, inC_, units_, packed(), bias, 1.0,
+    mulPacked(xr.data(), rows, inC_, units_, wPack_, bias, 1.0,
               yr.data());
     const float *yw = yr.data();
     forEachCoveredLaneCell(
@@ -248,7 +244,7 @@ FC::forwardWithSub(const std::vector<const Tensor *> &ins,
                   packScratch(col.data(), inC_, 1, false),
                   bias ? bias + u : nullptr, 1.0, yr.data());
     } else {
-        mulPacked(xr.data(), rows, inC_, units_, packed(), bias, 1.0,
+        mulPacked(xr.data(), rows, inC_, units_, wPack_, bias, 1.0,
                   yr.data());
     }
     const float *yw = yr.data();

@@ -88,22 +88,19 @@ class FC : public MacLayer
     const std::vector<float> &biasData() const { return bias_; }
 
   protected:
-    void onQuantChanged() override { wPackValid_ = false; }
+    void onQuantChanged() override;
 
   private:
     void checkInput(const std::vector<const Tensor *> &ins) const;
-
-    /** The packed weights, repacked on first use after a quant
-     *  change. */
-    const PackedOperand &packed() const;
 
     int inC_;
     int units_;
     std::vector<float> weights_; //!< [in_c][units] flat
     std::vector<float> bias_;
 
-    mutable bool wPackValid_ = false;
-    mutable PackedOperand wPack_;
+    /** The weights in the active precision's pack, rebuilt by every
+     *  precision or quantisation change. */
+    PackedOperand wPack_;
 };
 
 } // namespace fidelity

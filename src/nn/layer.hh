@@ -307,7 +307,10 @@ class MacLayer : public Layer
     computeNeuron(const std::vector<const Tensor *> &ins,
                   const NeuronIndex &out, const OperandSub *sub) const = 0;
 
-    /** Number of MAC terms contributing to one output neuron. */
+    /**
+     * Number of MAC terms contributing to one output neuron: fixed when
+     * the layer is constructed, so it is defined before any call runs.
+     */
     virtual int reductionLength() const = 0;
 
     /**
@@ -415,7 +418,10 @@ class MacLayer : public Layer
     /** Precision changes re-derive the quantisation ranges. */
     void onPrecisionChanged() override { refreshQuant(); }
 
-    /** Called whenever precision or quant ranges change (cache hook). */
+    /**
+     * Called whenever precision or quant ranges change: layers rebuild
+     * their weight packs here, so forward calls only read them.
+     */
     virtual void onQuantChanged() {}
 
     QuantParams inQuant_;

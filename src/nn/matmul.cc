@@ -10,9 +10,13 @@
 namespace fidelity
 {
 
-MatMulAB::MatMulAB(std::string name, bool trans_b, float scale)
-    : MacLayer(std::move(name)), transB_(trans_b), scale_(scale)
+MatMulAB::MatMulAB(std::string name, bool trans_b, int reduction,
+                   float scale)
+    : MacLayer(std::move(name)), transB_(trans_b), reduction_(reduction),
+      scale_(scale)
 {
+    fatal_if(reduction <= 0, "matmul ", name_,
+             ": reduction depth must be positive");
 }
 
 void
@@ -25,6 +29,8 @@ MatMulAB::checkInputs(const std::vector<const Tensor *> &ins) const
              "matmul ", name_, ": operands must have W = 1, got ",
              a.shapeStr(), " and ", b.shapeStr());
     panic_if(b.n() != 1, "matmul ", name_, ": B must have N = 1");
+    panic_if(a.c() != reduction_, "matmul ", name_, ": A columns ",
+             a.c(), " != reduction depth ", reduction_);
     if (transB_) {
         panic_if(a.c() != b.c(), "matmul ", name_, " (transB): A columns ",
                  a.c(), " != B columns ", b.c());
@@ -51,7 +57,6 @@ MatMulAB::computeNeuron(const std::vector<const Tensor *> &ins,
     const Tensor &a = *ins[0];
     const Tensor &b = *ins[1];
     int red = a.c();
-    lastReduction_.store(red, std::memory_order_relaxed);
     bool integer = precision_ == Precision::INT8 ||
                    precision_ == Precision::INT16;
     const float *ad = a.data().data();
@@ -174,7 +179,6 @@ MatMulAB::forwardRegionBatched(const std::vector<const Tensor *> &ins,
     const Tensor &b = *ins[1];
     const int red = a.c();
     const int cols = golden.c();
-    lastReduction_.store(red, std::memory_order_relaxed);
     LanePlane &ap = *inPlanes[0];
     LanePlane &bpl = *inPlanes[1];
     ap.ensure(a, Region{region.n0, region.n1, region.h0, region.h1, 0, 1,

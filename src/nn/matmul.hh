@@ -12,8 +12,6 @@
 #ifndef FIDELITY_NN_MATMUL_HH
 #define FIDELITY_NN_MATMUL_HH
 
-#include <atomic>
-
 #include "nn/layer.hh"
 
 namespace fidelity
@@ -26,10 +24,13 @@ class MatMulAB : public MacLayer
     /**
      * @param name Layer name.
      * @param trans_b Compute A * B^T instead of A * B.
+     * @param reduction Reduction depth: the columns of A (and the
+     *                  columns of B with trans_b, else its rows).
      * @param scale Constant multiplied into every output (e.g. the
      *              1/sqrt(d) attention scaling); applied at writeback.
      */
-    MatMulAB(std::string name, bool trans_b, float scale = 1.0f);
+    MatMulAB(std::string name, bool trans_b, int reduction,
+             float scale = 1.0f);
 
     LayerKind kind() const override { return LayerKind::MatMul; }
 
@@ -78,11 +79,7 @@ class MatMulAB : public MacLayer
                         const NeuronIndex &out,
                         const OperandSub *sub) const override;
 
-    int
-    reductionLength() const override
-    {
-        return lastReduction_.load(std::memory_order_relaxed);
-    }
+    int reductionLength() const override { return reduction_; }
     bool hasBias() const override { return false; }
 
   private:
@@ -102,14 +99,8 @@ class MatMulAB : public MacLayer
                  const float *b, const PackedOperand *bp, float *y) const;
 
     bool transB_;
+    int reduction_;
     float scale_;
-
-    // Recorded on every region-kernel and computeNeuron() call so
-    // reductionLength() has a defined value; the reduction depth is
-    // fixed by the input shapes, so concurrent recorders always store
-    // the same number — relaxed atomics make that benign race a
-    // defined one.
-    mutable std::atomic<int> lastReduction_ = 0;
 };
 
 } // namespace fidelity

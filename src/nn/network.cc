@@ -6,8 +6,7 @@ namespace fidelity
 {
 
 Network::Network(std::string name)
-    : name_(std::move(name)),
-      macOpsCache_(std::make_unique<MacOpsCache>())
+    : name_(std::move(name))
 {
     // Node 0 is the external input.
     nodes_.push_back(Node{nullptr, {}});
@@ -174,42 +173,6 @@ Network::macNodes() const
             out.push_back(id);
     }
     return out;
-}
-
-std::uint64_t
-Network::totalMacOps(const std::vector<Tensor> &acts) const
-{
-    panic_if(acts.size() != nodes_.size(),
-             "activation count mismatch in totalMacOps");
-    std::uint64_t total = 0;
-    for (NodeId id : macNodes()) {
-        const auto *mac = dynamic_cast<const MacLayer *>(&layer(id));
-        // MatMulAB derives its reduction length from the last
-        // execution; touch one neuron only if it has never run.
-        if (mac->reductionLength() == 0 && acts[id].size() > 0) {
-            auto ins = gatherInputs(id, acts);
-            mac->computeNeuron(ins, acts[id].indexOf(0), nullptr);
-        }
-        total += acts[id].size() *
-                 static_cast<std::uint64_t>(mac->reductionLength());
-    }
-    return total;
-}
-
-std::uint64_t
-Network::totalMacOps(const Tensor &input) const
-{
-    std::array<int, 4> key{input.n(), input.h(), input.w(), input.c()};
-    {
-        std::lock_guard<std::mutex> lock(macOpsCache_->mutex);
-        for (const auto &[k, v] : macOpsCache_->entries)
-            if (k == key)
-                return v;
-    }
-    std::uint64_t total = totalMacOps(forwardAll(input));
-    std::lock_guard<std::mutex> lock(macOpsCache_->mutex);
-    macOpsCache_->entries.emplace_back(key, total);
-    return total;
 }
 
 } // namespace fidelity

@@ -12,9 +12,7 @@
 #ifndef FIDELITY_NN_NETWORK_HH
 #define FIDELITY_NN_NETWORK_HH
 
-#include <array>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -94,23 +92,6 @@ class Network
     std::vector<const Tensor *>
     gatherInputs(NodeId id, const std::vector<Tensor> &acts) const;
 
-    /**
-     * Total number of MAC operations in one forward pass.  The count
-     * depends only on the input shape, so it is computed once per
-     * shape and served from a cache afterwards — callers (benches,
-     * timing code) no longer pay a full forward pass per query.
-     */
-    std::uint64_t
-    totalMacOps(const Tensor &input) const;
-
-    /**
-     * Same count from activations a caller already has (no forward
-     * pass at all).  `acts` must be a forwardAll() result of this
-     * network.
-     */
-    std::uint64_t
-    totalMacOps(const std::vector<Tensor> &acts) const;
-
   private:
     struct Node
     {
@@ -118,18 +99,9 @@ class Network
         std::vector<NodeId> inputs;
     };
 
-    /** Input-shape-keyed memo of totalMacOps (guarded; Network is
-     *  shared read-only across campaign workers). */
-    struct MacOpsCache
-    {
-        std::mutex mutex;
-        std::vector<std::pair<std::array<int, 4>, std::uint64_t>> entries;
-    };
-
     std::string name_;
     std::vector<Node> nodes_;
     Precision precision_ = Precision::FP32;
-    mutable std::unique_ptr<MacOpsCache> macOpsCache_;
 };
 
 } // namespace fidelity

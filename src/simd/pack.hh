@@ -20,9 +20,10 @@
  *    paired operand value.  Quantised weights always fit int16
  *    (|w| <= 2^(bits-1), bits <= 16), so narrowing is lossless.
  *
- * Packing happens once per layer at construction (FP32), and lazily
- * again when the precision or quantisation ranges change — never in
- * the per-forward hot loop.
+ * Packing happens once per layer at construction (FP32), and again
+ * inside the layer's onQuantChanged() whenever the precision or
+ * quantisation ranges change — never in the per-forward hot loop, so
+ * forward calls only read the pack.
  */
 
 #ifndef FIDELITY_SIMD_PACK_HH

@@ -351,7 +351,7 @@ buildValidationWorkloads(std::uint64_t seed, Precision precision)
         w.name = "attention-matmul";
         int steps = 16, d = 32;
         w.layer = std::make_unique<MatMulAB>(
-            "attention-matmul", /*trans_b=*/true,
+            "attention-matmul", /*trans_b=*/true, d,
             1.0f / std::sqrt(static_cast<float>(d)));
         w.inputs.push_back(makeSequenceInput(seed + 21, steps, d));
         w.inputs.push_back(makeSequenceInput(seed + 22, steps, d));

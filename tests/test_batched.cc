@@ -376,10 +376,10 @@ TEST(BatchedEngine, RowLayerKernelsMatchPerLaneForward)
                      Tensor()});
     cases.push_back({std::make_unique<Softmax>("sm"),
                      randomTensor(73, 2, 6, 2, 7), Tensor()});
-    cases.push_back({std::make_unique<MatMulAB>("mmT", true, 0.5f),
+    cases.push_back({std::make_unique<MatMulAB>("mmT", true, 4, 0.5f),
                      randomTensor(74, 2, 6, 1, 4),
                      randomTensor(75, 1, 5, 1, 4)});
-    cases.push_back({std::make_unique<MatMulAB>("mm", false),
+    cases.push_back({std::make_unique<MatMulAB>("mm", false, 4),
                      randomTensor(76, 2, 6, 1, 4),
                      randomTensor(77, 1, 4, 1, 5)});
 

@@ -111,7 +111,7 @@ TEST_P(EnginePrecision, MatMulGoldenIsBitExact)
         v = static_cast<float>(rng.normal(0, 1));
     for (auto &v : b.data())
         v = static_cast<float>(rng.normal(0, 1));
-    MatMulAB mm("mm", /*trans_b=*/true, 0.25f);
+    MatMulAB mm("mm", /*trans_b=*/true, 24, 0.25f);
     std::vector<const Tensor *> ins{&a, &b};
     mm.setPrecision(Precision::FP32);
     Tensor g = mm.forward(ins);
@@ -152,7 +152,7 @@ TEST(Engine, PerfModelMatchesMatMulCycleCount)
         v = static_cast<float>(rng.normal(0, 1));
     for (auto &v : b.data())
         v = static_cast<float>(rng.normal(0, 1));
-    MatMulAB mm("mm", false);
+    MatMulAB mm("mm", false, 12);
     std::vector<const Tensor *> ins{&a, &b};
     (void)mm.forward(ins);
     NvdlaConfig cfg;

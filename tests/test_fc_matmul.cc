@@ -186,7 +186,7 @@ TEST(MatMul, PlainProduct)
     Rng rng(6);
     Tensor a = randomTensor(rng, 1, 3, 1, 4);
     Tensor b = randomTensor(rng, 1, 4, 1, 5);
-    MatMulAB mm("mm", /*trans_b=*/false);
+    MatMulAB mm("mm", /*trans_b=*/false, 4);
     std::vector<const Tensor *> ins{&a, &b};
     Tensor out = mm.forward(ins);
     EXPECT_EQ(out.h(), 3);
@@ -206,7 +206,7 @@ TEST(MatMul, TransposedProduct)
     Rng rng(7);
     Tensor a = randomTensor(rng, 1, 3, 1, 4);
     Tensor b = randomTensor(rng, 1, 5, 1, 4);
-    MatMulAB mm("mm", /*trans_b=*/true);
+    MatMulAB mm("mm", /*trans_b=*/true, 4);
     std::vector<const Tensor *> ins{&a, &b};
     Tensor out = mm.forward(ins);
     EXPECT_EQ(out.c(), 5);
@@ -225,8 +225,8 @@ TEST(MatMul, ScaleApplied)
     Rng rng(8);
     Tensor a = randomTensor(rng, 1, 2, 1, 4);
     Tensor b = randomTensor(rng, 1, 2, 1, 4);
-    MatMulAB plain("p", true, 1.0f);
-    MatMulAB scaled("s", true, 0.5f);
+    MatMulAB plain("p", true, 4, 1.0f);
+    MatMulAB scaled("s", true, 4, 0.5f);
     std::vector<const Tensor *> ins{&a, &b};
     Tensor po = plain.forward(ins);
     Tensor so = scaled.forward(ins);
@@ -239,7 +239,7 @@ TEST(MatMul, InputConsumersAreTheRow)
     Rng rng(9);
     Tensor a = randomTensor(rng, 1, 3, 1, 4);
     Tensor b = randomTensor(rng, 1, 5, 1, 4);
-    MatMulAB mm("mm", true);
+    MatMulAB mm("mm", true, 4);
     std::vector<const Tensor *> ins{&a, &b};
     auto cons = mm.inputConsumers(ins, a.offset(0, 2, 0, 1));
     EXPECT_EQ(cons.size(), 5u);
@@ -252,7 +252,7 @@ TEST(MatMul, WeightConsumersAreTheColumn)
     Rng rng(10);
     Tensor a = randomTensor(rng, 1, 3, 1, 4);
     Tensor b = randomTensor(rng, 1, 5, 1, 4);
-    MatMulAB mm("mm", true);
+    MatMulAB mm("mm", true, 4);
     std::vector<const Tensor *> ins{&a, &b};
     // B element (j=4, k=2) feeds output column 4.
     auto cons = mm.weightConsumers(ins, b.offset(0, 4, 0, 2));
@@ -266,7 +266,7 @@ TEST(MatMul, WeightSubstitutionChangesColumnOnly)
     Rng rng(11);
     Tensor a = randomTensor(rng, 1, 3, 1, 4);
     Tensor b = randomTensor(rng, 1, 5, 1, 4);
-    MatMulAB mm("mm", true);
+    MatMulAB mm("mm", true, 4);
     std::vector<const Tensor *> ins{&a, &b};
     Tensor golden = mm.forward(ins);
 
@@ -289,7 +289,7 @@ TEST(MatMul, WeightCountIsBSize)
     Rng rng(12);
     Tensor a = randomTensor(rng, 1, 3, 1, 4);
     Tensor b = randomTensor(rng, 1, 5, 1, 4);
-    MatMulAB mm("mm", true);
+    MatMulAB mm("mm", true, 4);
     std::vector<const Tensor *> ins{&a, &b};
     EXPECT_EQ(mm.weightCount(ins), b.size());
     EXPECT_EQ(mm.weightAt(ins, 7), b[7]);
@@ -300,9 +300,36 @@ TEST(MatMulDeath, ShapeMismatchPanics)
     Rng rng(13);
     Tensor a = randomTensor(rng, 1, 3, 1, 4);
     Tensor b = randomTensor(rng, 1, 5, 1, 3); // K mismatch for transB
-    MatMulAB mm("mm", true);
+    MatMulAB mm("mm", true, 4);
     std::vector<const Tensor *> ins{&a, &b};
     EXPECT_DEATH((void)mm.forward(ins), "columns");
+}
+
+TEST(MatMul, ReductionLengthIsDeclaredBeforeAnyCall)
+{
+    // The psum fault model draws its flip step from 0..reductionLength()
+    // before the layer has run on this thread (or at all).
+    MatMulAB qk("qk", /*trans_b=*/true, 7);
+    MatMulAB av("av", /*trans_b=*/false, 12, 0.5f);
+    EXPECT_EQ(qk.reductionLength(), 7);
+    EXPECT_EQ(av.reductionLength(), 12);
+}
+
+TEST(MatMulDeath, DepthMismatchPanics)
+{
+    // A and B agree with each other but not with the declared depth.
+    Rng rng(14);
+    Tensor a = randomTensor(rng, 1, 3, 1, 5);
+    Tensor b = randomTensor(rng, 1, 2, 1, 5);
+    MatMulAB mm("mm", true, 4);
+    std::vector<const Tensor *> ins{&a, &b};
+    EXPECT_DEATH((void)mm.forward(ins), "reduction depth 4");
+}
+
+TEST(MatMulDeath, NonPositiveDepthIsFatal)
+{
+    EXPECT_DEATH(MatMulAB("mm", true, 0), "must be positive");
+    EXPECT_DEATH(MatMulAB("mm", false, -3), "must be positive");
 }
 
 TEST(FC, ForwardWithSubMatchesComputeNeuron)
@@ -467,7 +494,7 @@ TEST(FcMatMul, IntegerForwardMatchesComputeNeuronOddReductions)
                 Tensor a = randomTensor(rng, 1, 5, 1, red);
                 Tensor b = transB ? randomTensor(rng, 1, 9, 1, red)
                                   : randomTensor(rng, 1, red, 1, 9);
-                MatMulAB mm("mm", transB, 0.37f);
+                MatMulAB mm("mm", transB, red, 0.37f);
                 std::vector<const Tensor *> mins{&a, &b};
                 mm.setPrecision(Precision::FP32);
                 mm.calibrate(mins, mm.forward(mins));

@@ -154,8 +154,8 @@ TEST(Region, PropagateIsConservativePerLayer)
     layers.push_back(makeFc("fc", 4, 5, 27));
     layers.push_back(std::make_unique<Softmax>("softmax"));
     // Two-operand matmuls get their own (W = 1) operands below.
-    layers.push_back(std::make_unique<MatMulAB>("mmT", true, 0.5f));
-    layers.push_back(std::make_unique<MatMulAB>("mm", false));
+    layers.push_back(std::make_unique<MatMulAB>("mmT", true, 4, 0.5f));
+    layers.push_back(std::make_unique<MatMulAB>("mm", false, 4));
     const Tensor a = randomTensor(12, 2, 6, 1, 4);
     const Tensor bT = randomTensor(13, 1, 5, 1, 4);
     const Tensor b = randomTensor(14, 1, 4, 1, 5);
@@ -263,9 +263,9 @@ TEST(Incremental, ForwardRegionPatchMatchesDense)
     cases.push_back({"fc", makeFc("fc", 4, 5, 54), true});
     cases.push_back({"softmax", std::make_unique<Softmax>("sm")});
     cases.push_back(
-        {"matmulT", std::make_unique<MatMulAB>("mmT", true, 0.5f), true});
+        {"matmulT", std::make_unique<MatMulAB>("mmT", true, 4, 0.5f), true});
     cases.push_back(
-        {"matmul", std::make_unique<MatMulAB>("mm", false), true});
+        {"matmul", std::make_unique<MatMulAB>("mm", false, 4), true});
 
     Tensor x = specialTensor(51, 2, 6, 6, 4);
     Tensor y = specialTensor(53, 2, 6, 6, 4);

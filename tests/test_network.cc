@@ -7,7 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <latch>
 #include <memory>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "nn/activation.hh"
 #include "nn/attention.hh"
@@ -17,6 +22,7 @@
 #include "nn/lstm.hh"
 #include "nn/network.hh"
 #include "sim/rng.hh"
+#include "workloads/models.hh"
 
 using namespace fidelity;
 
@@ -190,12 +196,43 @@ TEST(Network, Int8CoarserThanInt16)
     EXPECT_GT(e8, e16);
 }
 
-TEST(Network, TotalMacOps)
+TEST(Network, ConcurrentFirstForwardAfterCalibrate)
 {
-    Network net = makeDiamond(1);
-    Tensor x = randomInput(2, 4);
-    // fc1: 4 units * 4 terms; fc2: 3 units * 4 terms.
-    EXPECT_EQ(net.totalMacOps(x), 16u + 12u);
+    // Campaign workers share one configured Network read-only, so the
+    // first forward after setPrecision/calibrate may run on several
+    // threads at once: every weight pack must already be built, with
+    // no lazy state left for the forward calls to write (TSan runs
+    // this test).
+    constexpr int kThreads = 4;
+    auto configured = [](const std::string &name) {
+        Network net = buildNetwork(name, 3);
+        net.setPrecision(Precision::INT8);
+        net.calibrate(defaultInputFor(name, 4));
+        return net;
+    };
+    for (const char *name : {"resnet", "transformer"}) {
+        SCOPED_TRACE(name);
+        const Tensor x = defaultInputFor(name, 5);
+        const Network net = configured(name);
+        std::vector<Tensor> outs(kThreads);
+        std::latch start(kThreads);
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t)
+            threads.emplace_back([&, t] {
+                start.arrive_and_wait();
+                outs[t] = net.forward(x);
+            });
+        for (std::thread &th : threads)
+            th.join();
+
+        const Tensor want = configured(name).forward(x);
+        for (const Tensor &got : outs) {
+            ASSERT_EQ(got.size(), want.size());
+            EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                                  want.size() * sizeof(float)),
+                      0);
+        }
+    }
 }
 
 TEST(NetworkDeath, ForwardRejectsBadProducers)

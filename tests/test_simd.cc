@@ -686,7 +686,7 @@ TEST(SimdKernels, FcForwardMatchesScalar)
 TEST(SimdKernels, MatMulForwardMatchesScalar)
 {
     for (bool transB : {false, true}) {
-        MatMulAB mm("mm", transB, 0.125f);
+        MatMulAB mm("mm", transB, 11, 0.125f);
         Tensor a = randomTensor(601, 2, 5, 1, 11);
         Tensor b = transB ? randomTensor(602, 1, 13, 1, 11)
                           : randomTensor(602, 1, 11, 1, 13);

@@ -188,7 +188,7 @@ TEST(Validation, DirectedSitesOfEveryClassAgree)
     // must match the engine on every datapath and local-control site,
     // and every class must yield non-masked cases somewhere.
     auto workloads = buildValidationWorkloads(41);
-    MatMulAB plain("plain-matmul", /*trans_b=*/false, 0.5f);
+    MatMulAB plain("plain-matmul", /*trans_b=*/false, 16, 0.5f);
     const Tensor a = test::randomTensor(43, 1, 8, 1, 16);
     const Tensor b = test::randomTensor(47, 1, 16, 1, 12);
 
